@@ -7,17 +7,16 @@ points are re-exported here; the CLI lives in `entwiner.cli`.
 
 from .entwine import (
     COSEMI_KINDS,
+    KIND_TABLE,
     KINDS,
     SEMI_KINDS,
     EntwiningData,
     MeasuredModule,
-    check_algebra_factorization,
-    check_coalgebra_factorization,
+    algebra_axioms,
     check_coproduct_iff,
-    check_cosemi_entwining,
     check_entwined_variant,
     check_product_iff,
-    check_semi_entwining,
+    coalgebra_axioms,
     comm_twist,
     dualize_cosemi,
     entwined_roundtrip,

@@ -16,17 +16,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 
 from .entwine import (
-    COSEMI_KINDS,
-    SEMI_KINDS,
     EntwiningData,
-    check_algebra_factorization,
-    check_coalgebra_factorization,
     check_coproduct_iff,
-    check_cosemi_entwining,
     check_product_iff,
-    check_semi_entwining,
     dualize_cosemi,
     factorization_product,
     intertwining_from_semi,
@@ -76,7 +72,7 @@ from .yangbaxter import (
     check_qybe,
     check_r_commutative,
     check_type2,
-    check_wxz_system,
+    check_wxz,
     check_yb_operator,
     make_algebra_rmatrix,
     make_type2_family,
@@ -112,26 +108,16 @@ def _resolve_target(arg: str, field, explicit_tag):
     return resolve_instance(arg, field)
 
 
-def _want_entwining(obj, kinds=None, what="this check") -> EntwiningData:
+def _entwining(obj, kind: str) -> EntwiningData:
+    """obj re-declared as `kind`; the kind table refuses data lacking a structure it needs."""
     if not isinstance(obj, EntwiningData):
-        raise ShapeError(f"{what} needs entwining data, got {type(obj).__name__}")
-    if kinds is not None and obj.kind not in kinds:
-        raise ShapeError(f"{what} needs kind in {sorted(kinds)}, got '{obj.kind}'")
-    return obj
-
-
-def _want_left_algebra(obj, what) -> EntwiningData:
-    e = _want_entwining(obj, what=what)
-    if e.left_algebra is None:
-        raise ShapeError(f"{what} needs an instance whose left structure is an algebra")
-    return e
-
-
-def _want_left_coalgebra(obj, what) -> EntwiningData:
-    e = _want_entwining(obj, what=what)
-    if e.left_coalgebra is None:
-        raise ShapeError(f"{what} needs an instance whose left structure is a coalgebra")
-    return e
+        raise ShapeError(f"needs entwining data, got {type(obj).__name__}")
+    try:
+        return replace(obj, kind=kind)
+    except ShapeError as exc:
+        raise ShapeError(
+            f"an instance of kind {obj.kind!r} cannot be read as {kind!r}: {exc}"
+        ) from None
 
 
 def _psi_of(obj) -> LinearMap:
@@ -140,6 +126,24 @@ def _psi_of(obj) -> LinearMap:
     if isinstance(obj, EntwiningData):
         return obj.psi
     raise ShapeError(f"this check needs a map, got {type(obj).__name__}")
+
+
+def _on_entwining(check, kind: str):
+    """A CHECKS entry running `check` on the target re-declared as `kind`."""
+
+    def run(obj) -> Report:
+        return check(_entwining(obj, kind))
+
+    return run
+
+
+def _on_psi(check):
+    """A CHECKS entry running `check` on the target's map."""
+
+    def run(obj) -> Report:
+        return check(_psi_of(obj))
+
+    return run
 
 
 def _check_declared(obj) -> Report:
@@ -158,7 +162,7 @@ def _check_declared(obj) -> Report:
     if isinstance(obj, GeneratorAction):
         return check_tambara_relations(obj)
     if isinstance(obj, WXZSystem):
-        return check_wxz_system(obj)
+        return check_wxz(obj.w, obj.x, obj.z)
     if isinstance(obj, TypeIISystem):
         return check_type2(obj)
     if isinstance(obj, LinearMap):
@@ -166,69 +170,47 @@ def _check_declared(obj) -> Report:
     raise ShapeError(f"no declared check for {type(obj).__name__}")
 
 
-def _check_braid_only(obj) -> Report:
-    rep = check_yb_operator(_psi_of(obj))
-    return Report("braid", (rep.check("braid"),))
+def _check_braid_only(psi: LinearMap) -> Report:
+    return Report("braid", (check_yb_operator(psi).check("braid"),))
 
 
 def _check_generator_relations(obj) -> Report:
     if isinstance(obj, GeneratorAction):
         return check_tambara_relations(obj)
-    e = _want_entwining(obj, SEMI_KINDS, "generator-relations")
-    return check_tambara_relations(action_from_semi(e))
+    return check_tambara_relations(action_from_semi(_entwining(obj, "semi")))
 
 
-def _check_braided(obj) -> Report:
-    e = _want_entwining(obj, SEMI_KINDS, "braided-algebra")
+def _self_entwining(e: EntwiningData, what: str) -> EntwiningData:
     if e.left_space != e.algebra.space:
-        raise ShapeError("braided-algebra needs an entwining of the algebra with itself")
-    return check_braided_algebra(e.algebra, e.psi)
+        raise ShapeError(f"{what} needs an entwining of the algebra with itself")
+    return e
 
 
-def _check_r_comm(obj) -> Report:
-    e = _want_entwining(obj, SEMI_KINDS, "r-commutative")
-    if e.left_space != e.algebra.space:
-        raise ShapeError("r-commutative needs an entwining of the algebra with itself")
-    return check_r_commutative(e.algebra, e.psi)
+def _check_braided(e: EntwiningData) -> Report:
+    return check_braided_algebra(e.algebra, _self_entwining(e, "braided-algebra").psi)
+
+
+def _check_r_comm(e: EntwiningData) -> Report:
+    return check_r_commutative(e.algebra, _self_entwining(e, "r-commutative").psi)
 
 
 CHECKS = {
     "declared": _check_declared,
-    "semi-entwining": lambda o: check_semi_entwining(
-        *(lambda e: (e.algebra, e.left_space, e.psi))(
-            _want_entwining(o, SEMI_KINDS, "semi-entwining")
-        )
-    ),
-    "algebra-factorization": lambda o: (
-        lambda e: check_algebra_factorization(e.algebra, e.left_algebra, e.psi)
-    )(_want_left_algebra(o, "algebra-factorization")),
-    "cosemi-entwining": lambda o: (
-        lambda e: check_cosemi_entwining(e.coalgebra, e.left_space, e.psi)
-    )(_want_entwining(o, COSEMI_KINDS, "cosemi-entwining")),
-    "coalgebra-factorization": lambda o: (
-        lambda e: check_coalgebra_factorization(e.coalgebra, e.left_coalgebra, e.psi)
-    )(_want_left_coalgebra(o, "coalgebra-factorization")),
-    "product-iff": lambda o: (
-        lambda e: check_product_iff(e.algebra, e.left_algebra, e.psi)
-    )(_want_left_algebra(o, "product-iff")),
-    "coproduct-iff": lambda o: (
-        lambda e: check_coproduct_iff(e.coalgebra, e.left_coalgebra, e.psi)
-    )(_want_left_coalgebra(o, "coproduct-iff")),
-    "intertwining": lambda o: (
-        lambda e: intertwining_from_semi(e.algebra, e.left_space, e.psi)
-    )(_want_entwining(o, SEMI_KINDS, "intertwining")),
+    "semi-entwining": _on_entwining(verify, "semi"),
+    "algebra-factorization": _on_entwining(verify, "factorization"),
+    "cosemi-entwining": _on_entwining(verify, "cosemi"),
+    "coalgebra-factorization": _on_entwining(verify, "cofactorization"),
+    "product-iff": _on_entwining(check_product_iff, "factorization"),
+    "coproduct-iff": _on_entwining(check_coproduct_iff, "cofactorization"),
+    "intertwining": _on_entwining(intertwining_from_semi, "semi"),
     "generator-relations": _check_generator_relations,
-    "cogenerator-relations": lambda o: check_cotambara_relations(
-        _want_entwining(o, COSEMI_KINDS, "cogenerator-relations")
-    ),
-    "action-roundtrip": lambda o: check_action_roundtrip(
-        _want_entwining(o, SEMI_KINDS, "action-roundtrip")
-    ),
-    "yb-operator": lambda o: check_yb_operator(_psi_of(o)),
-    "qybe": lambda o: check_qybe(_psi_of(o)),
-    "braid": _check_braid_only,
-    "braided-algebra": _check_braided,
-    "r-commutative": _check_r_comm,
+    "cogenerator-relations": _on_entwining(check_cotambara_relations, "cosemi"),
+    "action-roundtrip": _on_entwining(check_action_roundtrip, "semi"),
+    "yb-operator": _on_psi(check_yb_operator),
+    "qybe": _on_psi(check_qybe),
+    "braid": _on_psi(_check_braid_only),
+    "braided-algebra": _on_entwining(_check_braided, "semi"),
+    "r-commutative": _on_entwining(_check_r_comm, "semi"),
 }
 
 
@@ -298,21 +280,10 @@ def _params(argv, n, usage):
     return argv
 
 
-def _construct_mult_twist(field, argv, explicit_tag):
-    name, qs = _params(argv, 2, "construct mult_twist ALGEBRA q")
+def _construct_twist(make, usage, field, argv, explicit_tag):
+    name, qs = _params(argv, 2, usage)
     a = algebra(name, field)
-    e = make_mult_twist(a, field.parse(qs))
-    sf = document(field)
-    sf.add("A-space", a.space)
-    sf.add("A", a)
-    sf.add("psi", e)
-    return sf
-
-
-def _construct_comm_twist(field, argv, explicit_tag):
-    name, qs = _params(argv, 2, "construct comm_twist ALGEBRA q")
-    a = algebra(name, field)
-    e = make_comm_twist(a, field.parse(qs))
+    e = make(a, field.parse(qs))
     sf = document(field)
     sf.add("A-space", a.space)
     sf.add("A", a)
@@ -346,9 +317,7 @@ def _construct_biproduct(field, argv, explicit_tag):
     if len(argv) not in (2, 3):
         raise ShapeError("usage: construct biproduct BIALGEBRA INSTANCE [INTEGRAL]")
     h = bialgebra(argv[0], field)
-    e = _want_entwining(
-        _resolve_target(argv[1], field, explicit_tag), SEMI_KINDS, "biproduct"
-    )
+    e = _entwining(_resolve_target(argv[1], field, explicit_tag), "semi")
     integral = None
     if len(argv) == 3:
         integral = tuple(field.parse(s) for s in argv[2].split(":"))
@@ -373,7 +342,7 @@ def _construct_biproduct(field, argv, explicit_tag):
 
 def _construct_product(field, argv, explicit_tag):
     (expr,) = _params(argv, 1, "construct product INSTANCE")
-    e = _want_left_algebra(_resolve_target(expr, field, explicit_tag), "product")
+    e = _entwining(_resolve_target(expr, field, explicit_tag), "factorization")
     prod = factorization_product(e.algebra, e.left_algebra, e.psi)
     sf = document(field)
     ensure_space(sf, prod.space)
@@ -383,9 +352,7 @@ def _construct_product(field, argv, explicit_tag):
 
 def _construct_dualize(field, argv, explicit_tag):
     (expr,) = _params(argv, 1, "construct dualize INSTANCE")
-    e = _want_entwining(
-        _resolve_target(expr, field, explicit_tag), COSEMI_KINDS, "dualize"
-    )
+    e = _entwining(_resolve_target(expr, field, explicit_tag), "cosemi")
     out = dualize_cosemi(e.coalgebra, e.left_space, e.psi)
     sf = document(field)
     ensure_space(sf, out.algebra.space)
@@ -397,7 +364,7 @@ def _construct_dualize(field, argv, explicit_tag):
 
 def _construct_action(field, argv, explicit_tag):
     (expr,) = _params(argv, 1, "construct action INSTANCE")
-    e = _want_entwining(_resolve_target(expr, field, explicit_tag), SEMI_KINDS, "action")
+    e = _entwining(_resolve_target(expr, field, explicit_tag), "semi")
     g = action_from_semi(e)
     sf = document(field)
     ensure_space(sf, g.algebra.space)
@@ -422,8 +389,8 @@ def _construct_entwining(field, argv, explicit_tag):
 
 
 CONSTRUCTIONS = {
-    "mult_twist": _construct_mult_twist,
-    "comm_twist": _construct_comm_twist,
+    "mult_twist": partial(_construct_twist, make_mult_twist, "construct mult_twist ALGEBRA q"),
+    "comm_twist": partial(_construct_twist, make_comm_twist, "construct comm_twist ALGEBRA q"),
     "rmatrix": _construct_rmatrix,
     "type2": _construct_type2,
     "biproduct": _construct_biproduct,

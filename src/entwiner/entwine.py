@@ -1,20 +1,23 @@
 """Entwining-type maps and everything they induce.
 
 A map psi : B (x) A -> A (x) B over an algebra A (or psi : D (x) C -> C (x) D
-over a coalgebra C) can satisfy several graded axiom sets; each has a named
-kind and a checker here.  Sweedler sums are never symbolic: every axiom is
-compiled to an equality of composition chains and checked on basis columns.
+over a coalgebra C) can satisfy several graded axiom sets.  Each named kind is
+one row of KIND_TABLE: the algebra pair (unit, product) or the coalgebra pair
+(counit, coproduct) on the right leg, optionally followed by one of the two
+pairs mirrored onto the left leg.  Sweedler sums are never symbolic: every
+axiom is compiled to an equality of composition chains and checked on basis
+columns.
 
 The second half builds what a verified map induces: the twisted product on
 A (x) B (an algebra iff the map is a factorization), the dual coproduct, the
-convolution-side dual, lifted modules and the intertwining between them, the
+convolution-side dual, the induced module and the intertwining into it, the
 B (+) A comodule algebra over a bialgebra, entwined module/comodule variants,
 and the module/measuring round trip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fields import Field, Scalar
 from .linalg import (
@@ -22,10 +25,8 @@ from .linalg import (
     ShapeError,
     Space,
     check_map_identity,
-    check_vector_identity,
     contract_left,
     contract_right,
-    dual_space,
     from_columns,
     identity,
     insert_left,
@@ -55,18 +56,29 @@ from .structures import (
     dualize_algebra,
 )
 
-SEMI_KINDS = ("semi", "factorization", "entwining-ll")
-COSEMI_KINDS = ("cosemi", "cofactorization", "entwining-rr")
-KINDS = SEMI_KINDS + COSEMI_KINDS
+# kind -> (report name, structure on the right factor, structure on the left factor)
+KIND_TABLE = {
+    "semi": ("semi-entwining", "algebra", None),
+    "factorization": ("algebra-factorization", "algebra", "algebra"),
+    "entwining-ll": ("entwining-ll", "algebra", "coalgebra"),
+    "cosemi": ("cosemi-entwining", "coalgebra", None),
+    "cofactorization": ("coalgebra-factorization", "coalgebra", "coalgebra"),
+    "entwining-rr": ("entwining-rr", "coalgebra", "algebra"),
+}
+KINDS = tuple(KIND_TABLE)
+SEMI_KINDS = tuple(k for k in KINDS if KIND_TABLE[k][1] == "algebra")
+COSEMI_KINDS = tuple(k for k in KINDS if KIND_TABLE[k][1] == "coalgebra")
 
 
 @dataclass(frozen=True)
 class EntwiningData:
     """A map psi : left (x) right -> right (x) left with a declared axiom kind.
 
-    The kind names which axioms the map claims; verify() checks them.  For
-    semi-side kinds `right` is an algebra, for cosemi-side kinds a coalgebra;
-    factorization-type kinds also put structure on the left factor.
+    The kind names which axioms the map claims; verify() checks them.  Its
+    KIND_TABLE row says which structure each tensor factor must carry: the
+    `algebra` or `coalgebra` on the right, `left_algebra` or `left_coalgebra`
+    on the left.  Re-declaring the kind with dataclasses.replace gives the
+    verdict of another row, and is refused when a structure it needs is missing.
     """
 
     kind: str
@@ -85,18 +97,16 @@ class EntwiningData:
         if self.psi.codomain.dims != (dom.dims[1], dom.dims[0]):
             raise ShapeError("entwining map must swap its two tensor factors")
         ld, rd = dom.dims
-        if self.kind in SEMI_KINDS:
-            if self.algebra is None or self.algebra.space.dim != rd:
-                raise ShapeError("semi-side kinds need the algebra on the right factor")
-        else:
-            if self.coalgebra is None or self.coalgebra.space.dim != rd:
-                raise ShapeError("cosemi-side kinds need the coalgebra on the right factor")
-        if self.kind in ("factorization", "entwining-rr"):
-            if self.left_algebra is None or self.left_algebra.space.dim != ld:
-                raise ShapeError(f"kind {self.kind!r} needs an algebra on the left factor")
-        if self.kind in ("entwining-ll", "cofactorization"):
-            if self.left_coalgebra is None or self.left_coalgebra.space.dim != ld:
-                raise ShapeError(f"kind {self.kind!r} needs a coalgebra on the left factor")
+        _, right, left = KIND_TABLE[self.kind]
+        r = getattr(self, right)
+        if r is None or r.space.dim != rd:
+            side = "semi" if right == "algebra" else "cosemi"
+            raise ShapeError(f"{side}-side kinds need the {right} on the right factor")
+        if left is not None:
+            l = getattr(self, "left_" + left)
+            if l is None or l.space.dim != ld:
+                article = "an" if left == "algebra" else "a"
+                raise ShapeError(f"kind {self.kind!r} needs {article} {left} on the left factor")
 
     @property
     def field(self) -> Field:
@@ -111,162 +121,81 @@ class EntwiningData:
         return self.psi.domain.factors[1]
 
 
+def algebra_axioms(
+    a: Algebra, other: Space, psi: LinearMap, left: bool = False
+) -> tuple[IdentityCheck, IdentityCheck]:
+    """Unit and product compatibility of psi with the algebra A on one leg.
+
+    On the right leg psi : B (x) A -> A (x) B, psi(b (x) 1) = 1 (x) b and psi
+    respects the product of A; on the left leg psi : A (x) B -> B (x) A, the
+    mirror image of both, named left-unit and left-multiplicativity.
+    """
+    field = a.field
+    ida = identity(field, a.space)
+    ido = identity(field, other)
+    before = insert_right(field, other, a.unit, a.space)
+    after = insert_left(field, a.unit, a.space, other)
+    if left:
+        before, after = after, before
+
+    def ordered(x, y):  # x (x) y on the right leg, y (x) x on the left
+        return lazy_kron(y, x) if left else lazy_kron(x, y)
+
+    prefix = "left-" if left else ""
+    return (
+        check_map_identity(prefix + "unit", [psi, before], after),
+        check_map_identity(
+            prefix + "multiplicativity",
+            [psi, ordered(ido, a.mult)],
+            [ordered(a.mult, ido), ordered(ida, psi), ordered(psi, ida)],
+        ),
+    )
+
+
+def coalgebra_axioms(
+    c: Coalgebra, other: Space, psi: LinearMap, left: bool = False
+) -> tuple[IdentityCheck, IdentityCheck]:
+    """Counit and coproduct compatibility of psi with the coalgebra C on one leg.
+
+    On the right leg psi : D (x) C -> C (x) D; on the left leg
+    psi : C (x) D -> D (x) C, with the mirrored left-counit and
+    left-comultiplicativity.
+    """
+    field = c.field
+    idc = identity(field, c.space)
+    ido = identity(field, other)
+    before = contract_left(field, c.counit, c.space, other)
+    after = contract_right(field, other, c.counit, c.space)
+    if left:
+        before, after = after, before
+
+    def ordered(x, y):  # x (x) y on the right leg, y (x) x on the left
+        return lazy_kron(y, x) if left else lazy_kron(x, y)
+
+    prefix = "left-" if left else ""
+    return (
+        check_map_identity(prefix + "counit", [before, psi], after),
+        check_map_identity(
+            prefix + "comultiplicativity",
+            [ordered(c.comult, ido), psi],
+            [ordered(idc, psi), ordered(psi, idc), ordered(ido, c.comult)],
+        ),
+    )
+
+
+_AXIOMS = {"algebra": algebra_axioms, "coalgebra": coalgebra_axioms}
+
+
 def verify(e: EntwiningData) -> Report:
-    """Check the axioms of e's declared kind."""
-    if e.kind == "semi":
-        return check_semi_entwining(e.algebra, e.left_space, e.psi)
-    if e.kind == "factorization":
-        return check_algebra_factorization(e.algebra, e.left_algebra, e.psi)
-    if e.kind == "entwining-ll":
-        return check_entwining_left_left(e.algebra, e.left_coalgebra, e.psi)
-    if e.kind == "cosemi":
-        return check_cosemi_entwining(e.coalgebra, e.left_space, e.psi)
-    if e.kind == "cofactorization":
-        return check_coalgebra_factorization(e.coalgebra, e.left_coalgebra, e.psi)
-    return check_entwining_right_right(e.coalgebra, e.left_algebra, e.psi)
-
-
-def _unit_check(a: Algebra, b: Space, psi: LinearMap) -> IdentityCheck:
-    field = a.field
-    return check_map_identity(
-        "unit",
-        [psi, insert_right(field, b, a.unit, a.space)],
-        insert_left(field, a.unit, a.space, b),
-    )
-
-
-def _mult_check(a: Algebra, b: Space, psi: LinearMap) -> IdentityCheck:
-    field = a.field
-    ida = identity(field, a.space)
-    idb = identity(field, b)
-    return check_map_identity(
-        "multiplicativity",
-        [psi, lazy_kron(idb, a.mult)],
-        [lazy_kron(a.mult, idb), lazy_kron(ida, psi), lazy_kron(psi, ida)],
-    )
-
-
-def check_semi_entwining(a: Algebra, b: Space, psi: LinearMap, suite: str = "semi-entwining") -> Report:
-    """psi(b (x) 1) = 1 (x) b and compatibility with the product of A."""
-    return Report(suite, (_unit_check(a, b, psi), _mult_check(a, b, psi)))
-
-
-def check_algebra_factorization(
-    a: Algebra, b: Algebra, psi: LinearMap, suite: str = "algebra-factorization"
-) -> Report:
-    """Semi-entwining axioms plus their mirrors for the algebra on the left factor."""
-    field = a.field
-    ida = identity(field, a.space)
-    idb = identity(field, b.space)
-    left_unit = check_map_identity(
-        "left-unit",
-        [psi, insert_left(field, b.unit, b.space, a.space)],
-        insert_right(field, a.space, b.unit, b.space),
-    )
-    left_mult = check_map_identity(
-        "left-multiplicativity",
-        [psi, lazy_kron(b.mult, ida)],
-        [lazy_kron(ida, b.mult), lazy_kron(psi, idb), lazy_kron(idb, psi)],
-    )
+    """Check the axioms of e's declared kind: its right leg, then its left leg."""
+    suite, right, left = KIND_TABLE[e.kind]
+    r = getattr(e, right)
+    if left is None:
+        return Report(suite, _AXIOMS[right](r, e.left_space, e.psi))
+    l = getattr(e, "left_" + left)
     return Report(
         suite,
-        (_unit_check(a, b.space, psi), _mult_check(a, b.space, psi), left_unit, left_mult),
-    )
-
-
-def check_entwining_left_left(
-    a: Algebra, b: Coalgebra, psi: LinearMap, suite: str = "entwining-ll"
-) -> Report:
-    """Semi-entwining axioms plus counit/comultiplication compatibility on the left."""
-    field = a.field
-    ida = identity(field, a.space)
-    idb = identity(field, b.space)
-    counit = check_map_identity(
-        "left-counit",
-        [contract_right(field, a.space, b.counit, b.space), psi],
-        contract_left(field, b.counit, b.space, a.space),
-    )
-    comult = check_map_identity(
-        "left-comultiplicativity",
-        [lazy_kron(ida, b.comult), psi],
-        [lazy_kron(psi, idb), lazy_kron(idb, psi), lazy_kron(b.comult, ida)],
-    )
-    return Report(
-        suite,
-        (_unit_check(a, b.space, psi), _mult_check(a, b.space, psi), counit, comult),
-    )
-
-
-def _counit_check(c: Coalgebra, d: Space, psi: LinearMap) -> IdentityCheck:
-    field = c.field
-    return check_map_identity(
-        "counit",
-        [contract_left(field, c.counit, c.space, d), psi],
-        contract_right(field, d, c.counit, c.space),
-    )
-
-
-def _comult_check(c: Coalgebra, d: Space, psi: LinearMap) -> IdentityCheck:
-    field = c.field
-    idc = identity(field, c.space)
-    idd = identity(field, d)
-    return check_map_identity(
-        "comultiplicativity",
-        [lazy_kron(c.comult, idd), psi],
-        [lazy_kron(idc, psi), lazy_kron(psi, idc), lazy_kron(idd, c.comult)],
-    )
-
-
-def check_cosemi_entwining(
-    c: Coalgebra, d: Space, psi: LinearMap, suite: str = "cosemi-entwining"
-) -> Report:
-    """Counit and comultiplication compatibility for psi : D (x) C -> C (x) D."""
-    return Report(suite, (_counit_check(c, d, psi), _comult_check(c, d, psi)))
-
-
-def check_coalgebra_factorization(
-    c: Coalgebra, d: Coalgebra, psi: LinearMap, suite: str = "coalgebra-factorization"
-) -> Report:
-    """Cosemi axioms plus their mirrors for the coalgebra on the left factor."""
-    field = c.field
-    idc = identity(field, c.space)
-    idd = identity(field, d.space)
-    left_counit = check_map_identity(
-        "left-counit",
-        [contract_right(field, c.space, d.counit, d.space), psi],
-        contract_left(field, d.counit, d.space, c.space),
-    )
-    left_comult = check_map_identity(
-        "left-comultiplicativity",
-        [lazy_kron(idc, d.comult), psi],
-        [lazy_kron(psi, idd), lazy_kron(idd, psi), lazy_kron(d.comult, idc)],
-    )
-    return Report(
-        suite,
-        (_counit_check(c, d.space, psi), _comult_check(c, d.space, psi), left_counit, left_comult),
-    )
-
-
-def check_entwining_right_right(
-    c: Coalgebra, d: Algebra, psi: LinearMap, suite: str = "entwining-rr"
-) -> Report:
-    """Cosemi axioms plus unit/multiplication compatibility for the algebra D."""
-    field = c.field
-    idc = identity(field, c.space)
-    idd = identity(field, d.space)
-    left_unit = check_map_identity(
-        "left-unit",
-        [psi, insert_left(field, d.unit, d.space, c.space)],
-        insert_right(field, c.space, d.unit, d.space),
-    )
-    left_mult = check_map_identity(
-        "left-multiplicativity",
-        [psi, lazy_kron(d.mult, idc)],
-        [lazy_kron(idc, d.mult), lazy_kron(psi, idd), lazy_kron(idd, psi)],
-    )
-    return Report(
-        suite,
-        (_counit_check(c, d.space, psi), _comult_check(c, d.space, psi), left_unit, left_mult),
+        _AXIOMS[right](r, l.space, e.psi) + _AXIOMS[left](l, r.space, e.psi, left=True),
     )
 
 
@@ -299,7 +228,11 @@ def module_entwining(mod: ModuleAction) -> LinearMap:
 
 
 def doi_koppinen(h: Bialgebra, comod: ComoduleCoaction, mod: ModuleAction) -> LinearMap:
-    """b (x) a -> a_(0) (x) (b . a_(1)) from an H-coaction on A and H-action on B."""
+    """b (x) a -> a_(0) (x) (b . a_(1)) from an H-coaction on A and H-action on B.
+
+    Read against coalgebra structure the same formula is a cosemi-entwining for
+    the comultiplication of A when A is an H-comodule coalgebra.
+    """
     field = h.field
     a_sp, b_sp = comod.space, mod.space
     ida = identity(field, a_sp)
@@ -309,26 +242,6 @@ def doi_koppinen(h: Bialgebra, comod: ComoduleCoaction, mod: ModuleAction) -> Li
             lazy_kron(ida, twist(field, h.space, b_sp)),
             lazy_kron(comod.coact, identity(field, b_sp)),
             twist(field, b_sp, a_sp),
-        ]
-    )
-
-
-def doi_koppinen_alt(h: Bialgebra, comod: ComoduleCoaction, mod: ModuleAction) -> LinearMap:
-    """d (x) c -> c_(0) (x) (d . c_(1)), the coalgebra-side mirror construction.
-
-    Same formula as `doi_koppinen`, but read against coalgebra structure: it
-    is a cosemi-entwining for C's own comultiplication when the carrier of
-    `comod` is an H-comodule coalgebra (not merely a comodule).
-    """
-    field = h.field
-    c_sp, d_sp = comod.space, mod.space
-    idc = identity(field, c_sp)
-    return materialize(
-        [
-            lazy_kron(idc, mod.act),
-            lazy_kron(idc, twist(field, h.space, d_sp)),
-            lazy_kron(comod.coact, identity(field, d_sp)),
-            twist(field, d_sp, c_sp),
         ]
     )
 
@@ -348,10 +261,11 @@ def factorization_product(a: Algebra, b: Algebra, psi: LinearMap) -> Algebra:
     return Algebra(field, tensor(a.space, b.space), mult, tensor_vec(a.unit, b.unit))
 
 
-def check_product_iff(a: Algebra, b: Algebra, psi: LinearMap) -> Report:
+def check_product_iff(e: EntwiningData) -> Report:
     """The twisted product is an algebra iff psi is a factorization; verdicts must agree."""
-    product = check_algebra(factorization_product(a, b, psi))
-    factorization = check_algebra_factorization(a, b, psi)
+    e = replace(e, kind="factorization")
+    product = check_algebra(factorization_product(e.algebra, e.left_algebra, e.psi))
+    factorization = verify(e)
     agreement = IdentityCheck("verdict-agreement", product.passed == factorization.passed)
     return merge(
         "product-iff",
@@ -374,10 +288,11 @@ def cofactorization_coproduct(c: Coalgebra, d: Coalgebra, psi: LinearMap) -> Coa
     )
 
 
-def check_coproduct_iff(c: Coalgebra, d: Coalgebra, psi: LinearMap) -> Report:
+def check_coproduct_iff(e: EntwiningData) -> Report:
     """The twisted coproduct is a coalgebra iff psi is a coalgebra factorization."""
-    coproduct = check_coalgebra(cofactorization_coproduct(c, d, psi))
-    factorization = check_coalgebra_factorization(c, d, psi)
+    e = replace(e, kind="cofactorization")
+    coproduct = check_coalgebra(cofactorization_coproduct(e.coalgebra, e.left_coalgebra, e.psi))
+    factorization = verify(e)
     agreement = IdentityCheck("verdict-agreement", coproduct.passed == factorization.passed)
     return merge(
         "coproduct-iff",
@@ -430,18 +345,6 @@ def induced_AtensorB_module(a: Algebra, b: Space, psi: LinearMap) -> ModuleActio
     return ModuleAction(a, tensor(a.space, b), act)
 
 
-def lifted_module(mod: ModuleAction, b: Space, psi: LinearMap) -> ModuleAction:
-    """Lift a right A-module M to M (x) B via (m (x) b) . a = m a_alpha (x) b^alpha."""
-    field = mod.field
-    act = materialize(
-        [
-            lazy_kron(mod.act, identity(field, b)),
-            lazy_kron(identity(field, mod.space), psi),
-        ]
-    )
-    return ModuleAction(mod.algebra, tensor(mod.space, b), act)
-
-
 def check_intertwining(f: LinearMap, source: ModuleAction, target: ModuleAction) -> Report:
     """f is a module map: f(m . a) = f(m) . a for the two given actions."""
     if source.algebra.space.dim != target.algebra.space.dim:
@@ -457,8 +360,9 @@ def check_intertwining(f: LinearMap, source: ModuleAction, target: ModuleAction)
     )
 
 
-def intertwining_from_semi(a: Algebra, b: Space, psi: LinearMap) -> Report:
+def intertwining_from_semi(e: EntwiningData) -> Report:
     """psi intertwines the trivial action on B (x) A with the induced one on A (x) B."""
+    a, b, psi = e.algebra, e.left_space, e.psi
     field = a.field
     trivial = ModuleAction(
         a, tensor(b, a.space), materialize([lazy_kron(identity(field, b), a.mult)])
@@ -568,7 +472,7 @@ def make_biproduct(
 
     coact_unit = coaction(h.unit)
     parts = [
-        check_semi_entwining(h.algebra, b, psi).prefixed("semi"),
+        verify(EntwiningData(kind="semi", psi=psi, algebra=h.algebra)).prefixed("semi"),
         check_bialgebra(h).prefixed("bialgebra"),
         Report("bimodule", bimodule).prefixed("bimodule"),
         check_algebra(algebra).prefixed("algebra"),
@@ -727,30 +631,22 @@ def pair_from_module(a: Algebra, b: Algebra, mod: ModuleAction) -> tuple[LinearM
     return act, triangle
 
 
-def entwined_roundtrip(
-    a: Algebra, b: Algebra, psi: LinearMap, act: LinearMap, triangle: LinearMap
-) -> Report:
+def entwined_roundtrip(e: EntwiningData, act: LinearMap, triangle: LinearMap) -> Report:
     """Round trip of the module/measuring correspondence over a factorization."""
-    field = a.field
+    e = replace(e, kind="factorization")
+    a, b, psi = e.algebra, e.left_algebra, e.psi
     m_sp = act.domain.factors[0]
-    idm = identity(field, m_sp)
+    idm = identity(a.field, m_sp)
     mod = module_from_pair(a, b, psi, act, triangle)
-    split_act = materialize(
-        [mod.act, lazy_kron(idm, insert_right(field, a.space, b.unit, b.space))]
-    )
-    split_tri = materialize(
-        [mod.act, lazy_kron(idm, insert_left(field, a.unit, a.space, b.space))]
-    )
-    ida = identity(field, a.space)
-    idb = identity(field, b.space)
+    split_act, split_tri = pair_from_module(a, b, mod)
     compat = check_map_identity(
         "split-compatibility",
-        [split_tri, lazy_kron(split_act, idb), lazy_kron(idm, psi)],
-        [split_act, lazy_kron(split_tri, ida)],
+        [split_tri, lazy_kron(split_act, identity(a.field, b.space)), lazy_kron(idm, psi)],
+        [split_act, lazy_kron(split_tri, identity(a.field, a.space))],
     )
     return merge(
         "entwined-roundtrip",
-        check_algebra_factorization(a, b, psi).prefixed("factorization"),
+        verify(e).prefixed("factorization"),
         check_module(ModuleAction(a, m_sp, act)).prefixed("module-a"),
         check_module(ModuleAction(b, m_sp, triangle)).prefixed("module-b"),
         check_module(mod).prefixed("product-module"),

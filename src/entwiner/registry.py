@@ -28,7 +28,6 @@ from .entwine import (
     EntwiningData,
     comm_twist,
     doi_koppinen,
-    doi_koppinen_alt,
     module_entwining,
     mult_twist,
     transpose_entwining,
@@ -310,7 +309,7 @@ def make_crossed(hname: str, modname: str, field, alt: bool = False) -> Entwinin
         raise ShapeError(f"unknown module name '{modname}'")
     if alt:
         comod, c = parity_comodule(h)
-        psi = doi_koppinen_alt(h, comod, mod)
+        psi = doi_koppinen(h, comod, mod)
         if modname == "regular":
             return EntwiningData(
                 kind="cofactorization", psi=psi, coalgebra=c, left_coalgebra=h.coalgebra
@@ -359,11 +358,17 @@ INSTANCE_NAMES = (
 
 def resolve_instance(expr: str, field: Field) -> EntwiningData:
     """Turn an instance expression into entwining data (see module docstring)."""
-    if expr.startswith("corrupt:"):
-        inner = resolve_instance(expr[len("corrupt:") :], field)
-        return replace(inner, psi=corrupt_map(inner.psi))
-    if expr.startswith("dual:"):
-        return transpose_entwining(resolve_instance(expr[len("dual:") :], field))
+    wrappers = []
+    while expr.startswith(("corrupt:", "dual:")):
+        wrapper, _, expr = expr.partition(":")
+        wrappers.append(wrapper)
+    e = _resolve_base(expr, field)
+    for wrapper in reversed(wrappers):
+        e = replace(e, psi=corrupt_map(e.psi)) if wrapper == "corrupt" else transpose_entwining(e)
+    return e
+
+
+def _resolve_base(expr: str, field: Field) -> EntwiningData:
     head, _, argstr = expr.partition("@")
     tokens = argstr.split(",") if argstr else []
     named = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as _field
 
-from .entwine import COSEMI_KINDS, KINDS, SEMI_KINDS, EntwiningData
+from .entwine import KINDS, SEMI_KINDS, EntwiningData
 from .fields import Field, field_from_tag
 from .linalg import LinearMap, ShapeError, Space, tensor
 from .structures import Algebra, Bialgebra, Coalgebra, ComoduleCoaction, ModuleAction

@@ -38,20 +38,6 @@ from .linalg import (
 from .report import IdentityCheck, Report, merge
 
 
-def unit_space() -> Space:
-    return space("k")
-
-
-def counit_map(field: Field, c: Space, counit: tuple[Scalar, ...]) -> LinearMap:
-    """The counit as a map C -> k."""
-    return LinearMap(field, c, unit_space(), (tuple(counit),))
-
-
-def unit_map(field: Field, a: Space, unit: tuple[Scalar, ...]) -> LinearMap:
-    """The unit as a map k -> A."""
-    return LinearMap(field, unit_space(), a, tuple((x,) for x in unit))
-
-
 @dataclass(frozen=True)
 class Algebra:
     """Multiplication A (x) A -> A with a unit vector; laws via check_algebra."""
@@ -71,10 +57,10 @@ class Algebra:
             raise ShapeError("multiplication field mismatch")
 
 
-def check_algebra(a: Algebra, suite: str = "algebra") -> Report:
+def check_algebra(a: Algebra) -> Report:
     ida = identity(a.field, a.space)
     return Report(
-        suite,
+        "algebra",
         (
             check_map_identity(
                 "associativity",
@@ -110,10 +96,10 @@ class Coalgebra:
             raise ShapeError("comultiplication field mismatch")
 
 
-def check_coalgebra(c: Coalgebra, suite: str = "coalgebra") -> Report:
+def check_coalgebra(c: Coalgebra) -> Report:
     idc = identity(c.field, c.space)
     return Report(
-        suite,
+        "coalgebra",
         (
             check_map_identity(
                 "coassociativity",
@@ -154,11 +140,12 @@ class Bialgebra:
         return Coalgebra(self.field, self.space, self.comult, self.counit)
 
 
-def check_bialgebra(b: Bialgebra, suite: str = "bialgebra") -> Report:
+def check_bialgebra(b: Bialgebra) -> Report:
     field, h = b.field, b.space
     idh = identity(field, h)
     hh = tensor(h, h)
-    eps = counit_map(field, h, b.counit)
+    k = space("k")
+    eps = LinearMap(field, h, k, (tuple(b.counit),))
     compat = (
         check_map_identity(
             "comult-multiplicative",
@@ -179,7 +166,7 @@ def check_bialgebra(b: Bialgebra, suite: str = "bialgebra") -> Report:
         check_map_identity(
             "counit-multiplicative",
             [eps, b.mult],
-            LinearMap(field, hh, unit_space(), (tensor_vec(b.counit, b.counit),)),
+            LinearMap(field, hh, k, (tensor_vec(b.counit, b.counit),)),
         ),
         IdentityCheck(
             "counit-unit",
@@ -193,7 +180,7 @@ def check_bialgebra(b: Bialgebra, suite: str = "bialgebra") -> Report:
         ),
     )
     return merge(
-        suite,
+        "bialgebra",
         check_algebra(b.algebra).prefixed("algebra"),
         check_coalgebra(b.coalgebra).prefixed("coalgebra"),
         *compat,
@@ -218,12 +205,12 @@ class ModuleAction:
         return self.algebra.field
 
 
-def check_module(mod: ModuleAction, suite: str = "module") -> Report:
+def check_module(mod: ModuleAction) -> Report:
     a = mod.algebra
     idm = identity(a.field, mod.space)
     ida = identity(a.field, a.space)
     return Report(
-        suite,
+        "module",
         (
             check_map_identity(
                 "action-associativity",
@@ -257,12 +244,12 @@ class ComoduleCoaction:
         return self.coalgebra.field
 
 
-def check_comodule(com: ComoduleCoaction, suite: str = "comodule") -> Report:
+def check_comodule(com: ComoduleCoaction) -> Report:
     c = com.coalgebra
     idm = identity(c.field, com.space)
     idc = identity(c.field, c.space)
     return Report(
-        suite,
+        "comodule",
         (
             check_map_identity(
                 "coaction-coassociativity",
@@ -278,9 +265,7 @@ def check_comodule(com: ComoduleCoaction, suite: str = "comodule") -> Report:
     )
 
 
-def check_comodule_algebra(
-    alg: Algebra, h: Bialgebra, coact: LinearMap, suite: str = "comodule-algebra"
-) -> Report:
+def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Report:
     """Right H-comodule structure on an algebra whose coaction is an algebra map."""
     com = ComoduleCoaction(h.coalgebra, alg.space, coact)
     field = alg.field
@@ -302,7 +287,9 @@ def check_comodule_algebra(
         coact.apply(alg.unit),
         tensor_vec(alg.unit, h.unit),
     )
-    return merge(suite, check_comodule(com).prefixed("comodule"), multiplicative, unital)
+    return merge(
+        "comodule-algebra", check_comodule(com).prefixed("comodule"), multiplicative, unital
+    )
 
 
 def regular_module(a: Algebra) -> ModuleAction:
@@ -327,15 +314,13 @@ def convolution_algebra(c: Coalgebra) -> Algebra:
     return Algebra(c.field, dual_space(c.space), c.comult.transpose(), tuple(c.counit))
 
 
-def check_grouplike_bilateral_integral(
-    b: Bialgebra, x: tuple[Scalar, ...], suite: str = "grouplike-integral"
-) -> Report:
+def check_grouplike_bilateral_integral(b: Bialgebra, x: tuple[Scalar, ...]) -> Report:
     """x is group-like (comult x = x (x) x, counit x = 1) and a two-sided integral."""
     field, h = b.field, b.space
     eps_x = apply_covector(b.counit, x)
     absorb = rank_one(field, h, b.counit, h, x)
     return Report(
-        suite,
+        "grouplike-integral",
         (
             check_vector_identity(
                 "grouplike-comult",
@@ -360,13 +345,13 @@ def check_grouplike_bilateral_integral(
     )
 
 
-def check_derivation(a: Algebra, d: LinearMap, suite: str = "derivation") -> Report:
+def check_derivation(a: Algebra, d: LinearMap) -> Report:
     """d(xy) = d(x)y + x d(y) on all basis pairs, and d(1) = 0."""
     ida = identity(a.field, a.space)
     leibniz = (a.mult * kron(d, ida)) + (a.mult * kron(ida, d))
     zero = (a.field.zero,) * a.space.dim
     return Report(
-        suite,
+        "derivation",
         (
             check_map_identity("leibniz", d * a.mult, leibniz),
             check_vector_identity("unit-annihilation", a.field, a.space, d.apply(a.unit), zero),

@@ -10,27 +10,36 @@ assemble output in a fixed order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .entwine import (
     SEMI_KINDS,
     EntwiningData,
     MeasuredModule,
-    check_algebra_factorization,
     check_coproduct_iff,
-    check_cosemi_entwining,
     check_entwined_variant,
     check_product_iff,
-    check_semi_entwining,
     comm_twist,
     dualize_cosemi,
     entwined_roundtrip,
     intertwining_from_semi,
     make_biproduct,
     mult_twist,
+    verify,
 )
 from .fields import QQ, PrimeField, Rationals, field_from_tag
-from .linalg import LinearMap, ShapeError, check_map_identity, identity, insert_right, materialize, space, twist
+from .linalg import (
+    LinearMap,
+    ShapeError,
+    check_map_identity,
+    identity,
+    insert_right,
+    materialize,
+    space,
+    twist,
+)
 from .registry import (
     ALGEBRA_NAMES,
     INSTANCE_NAMES,
@@ -91,13 +100,11 @@ def expect_failure(name: str, rep: Report) -> IdentityCheck:
 
 
 def _q_grid(field):
-    return (
-        ("0", field.zero),
-        ("1", field.one),
-        ("-1", -field.one),
-        ("2", field.from_int(2)),
-        ("1/2", field.div(field.one, field.from_int(2))),
-    )
+    return tuple((qs, field.parse(qs)) for qs in ("0", "1", "-1", "2", "1/2"))
+
+
+def _semi(a, psi) -> Report:
+    return verify(EntwiningData(kind="semi", psi=psi, algebra=a))
 
 
 def row_twists(field) -> Report:
@@ -107,12 +114,8 @@ def row_twists(field) -> Report:
         for qs, q in _q_grid(field):
             gamma = mult_twist(a, q)
             eta = comm_twist(a, q)
-            checks.append(
-                rollup(f"semi:mult_twist@{name},q={qs}", check_semi_entwining(a, a.space, gamma))
-            )
-            checks.append(
-                rollup(f"semi:comm_twist@{name},q={qs}", check_semi_entwining(a, a.space, eta))
-            )
+            checks.append(rollup(f"semi:mult_twist@{name},q={qs}", _semi(a, gamma)))
+            checks.append(rollup(f"semi:comm_twist@{name},q={qs}", _semi(a, eta)))
             if q:
                 checks.append(rollup(f"yb:mult_twist@{name},q={qs}", check_yb_operator(gamma)))
             checks.append(rollup(f"yb:comm_twist@{name},q={qs}", check_yb_operator(eta)))
@@ -123,9 +126,9 @@ def row_product_iff(field) -> Report:
     checks = []
     genuine = 0
 
-    def add(label, a, b, psi):
+    def add(label, e):
         nonlocal genuine
-        rep = check_product_iff(a, b, psi)
+        rep = check_product_iff(e)
         if not all(c.passed for c in rep.checks if c.name.startswith("factorization:")):
             genuine += 1
         checks.append(IdentityCheck(f"agreement:{label}", rep.check("verdict-agreement").passed))
@@ -133,21 +136,24 @@ def row_product_iff(field) -> Report:
     for expr in INSTANCE_NAMES:
         e = resolve_instance(expr, field)
         if e.kind == "factorization":
-            add(expr, e.algebra, e.left_algebra, e.psi)
+            add(expr, e)
     for expr in (
         "corrupt:mult_twist@Kx2-1,q=1",
         "corrupt:twist@Kx2-0,Kx2-1",
         "corrupt:quad@p=1,q=2",
         "corrupt:comm_twist@Kx3,q=1",
     ):
-        e = resolve_instance(expr, field)
-        add(expr, e.algebra, e.left_algebra, e.psi)
+        add(expr, resolve_instance(expr, field))
     for idx, (bn, an) in enumerate(algebra_pairs()):
         a, b = algebra(an, field), algebra(bn, field)
-        add(f"twist@{bn},{an}", a, b, twist(field, b.space, a.space))
+
+        def pair(psi):
+            return EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=b)
+
+        add(f"twist@{bn},{an}", pair(twist(field, b.space, a.space)))
         for i in range(RANDOM_PER_PAIR):
             psi = random_entwining_matrix(field, b.space, a.space, seed=7919 * idx + i)
-            add(f"random@{bn},{an}#{i}", a, b, psi)
+            add(f"random@{bn},{an}#{i}", pair(psi))
     checks.append(IdentityCheck("at-least-three-genuine-failures", genuine >= 3))
     return Report("product-iff", tuple(checks))
 
@@ -184,25 +190,28 @@ def row_biproduct(field) -> Report:
 def row_coproduct_iff(field) -> Report:
     checks = []
 
-    def add(label, c, d, psi):
-        rep = check_coproduct_iff(c, d, psi)
+    def add(label, e):
+        rep = check_coproduct_iff(e)
         checks.append(IdentityCheck(f"agreement:{label}", rep.check("verdict-agreement").passed))
 
-    def add_dual_validity(label, c, d_space, psi):
-        if check_cosemi_entwining(c, d_space, psi).passed:
-            out = dualize_cosemi(c, d_space, psi)
-            sem = check_semi_entwining(out.algebra, out.left_space, out.psi)
-            checks.append(IdentityCheck(f"dual-valid:{label}", sem.passed))
+    def add_dual_validity(label, e):
+        if verify(replace(e, kind="cosemi")).passed:
+            dual = verify(dualize_cosemi(e.coalgebra, e.left_space, e.psi))
+            checks.append(IdentityCheck(f"dual-valid:{label}", dual.passed))
 
     for idx, (dn, cn) in enumerate(coalgebra_pairs()):
         c, d = coalgebra(cn, field), coalgebra(dn, field)
-        tau = twist(field, d.space, c.space)
-        add(f"cotwist@{dn},{cn}", c, d, tau)
-        add_dual_validity(f"cotwist@{dn},{cn}", c, d.space, tau)
+
+        def pair(psi):
+            return EntwiningData(kind="cofactorization", psi=psi, coalgebra=c, left_coalgebra=d)
+
+        tau = pair(twist(field, d.space, c.space))
+        add(f"cotwist@{dn},{cn}", tau)
+        add_dual_validity(f"cotwist@{dn},{cn}", tau)
         for i in range(RANDOM_PER_PAIR):
-            psi = random_entwining_matrix(field, d.space, c.space, seed=104729 * idx + i)
-            add(f"random@{dn},{cn}#{i}", c, d, psi)
-            add_dual_validity(f"random@{dn},{cn}#{i}", c, d.space, psi)
+            e = pair(random_entwining_matrix(field, d.space, c.space, seed=104729 * idx + i))
+            add(f"random@{dn},{cn}#{i}", e)
+            add_dual_validity(f"random@{dn},{cn}#{i}", e)
     for expr in (
         "dual:quad@p=1,q=2",
         "dual:quad@p=0,q=1",
@@ -211,16 +220,11 @@ def row_coproduct_iff(field) -> Report:
         "dkalt-KZ2-regular",
     ):
         e = resolve_instance(expr, field)
-        add(expr, e.coalgebra, e.left_coalgebra, e.psi)
-        add_dual_validity(expr, e.coalgebra, e.left_space, e.psi)
+        add(expr, e)
+        add_dual_validity(expr, e)
     e = resolve_instance("dkalt-KZ2-sign", field)
-    checks.append(
-        rollup(
-            "cosemi:dkalt-KZ2-sign",
-            check_cosemi_entwining(e.coalgebra, e.left_space, e.psi),
-        )
-    )
-    add_dual_validity("dkalt-KZ2-sign", e.coalgebra, e.left_space, e.psi)
+    checks.append(rollup("cosemi:dkalt-KZ2-sign", verify(e)))
+    add_dual_validity("dkalt-KZ2-sign", e)
     return Report("coproduct-iff", tuple(checks))
 
 
@@ -268,14 +272,11 @@ def row_entwined_modules(field) -> Report:
     for expr in ("twist@Kx2-0,Kx2-0", "quad@p=1,q=2"):
         e = resolve_instance(expr, field)
         a, b = e.algebra, e.left_algebra
-        act = a.mult
         if expr.startswith("twist"):
             triangle = b.mult
         else:
             triangle = materialize([b.mult, twist(field, a.space, b.space)])
-        checks.append(
-            rollup(f"roundtrip:{expr}", entwined_roundtrip(a, b, e.psi, act, triangle))
-        )
+        checks.append(rollup(f"roundtrip:{expr}", entwined_roundtrip(e, a.mult, triangle)))
     return Report("entwined-modules", tuple(checks))
 
 
@@ -285,14 +286,9 @@ def row_intertwining(field) -> Report:
         e = resolve_instance(expr, field)
         if e.kind not in SEMI_KINDS:
             continue
-        if not check_semi_entwining(e.algebra, e.left_space, e.psi).passed:
-            continue
-        checks.append(
-            rollup(
-                f"intertwining:{expr}",
-                intertwining_from_semi(e.algebra, e.left_space, e.psi),
-            )
-        )
+        semi = replace(e, kind="semi")
+        if verify(semi).passed:
+            checks.append(rollup(f"intertwining:{expr}", intertwining_from_semi(semi)))
     return Report("intertwining", tuple(checks))
 
 
@@ -406,7 +402,7 @@ def row_generator_actions(field) -> Report:
         e = resolve_instance(expr, field)
         g = action_from_semi(e)
         rel = check_tambara_relations(g)
-        semi = check_semi_entwining(e.algebra, e.left_space, e.psi)
+        semi = verify(replace(e, kind="semi"))
         checks.append(IdentityCheck(f"relations-iff-semi:{expr}", rel.passed == semi.passed))
         checks.append(rollup(f"roundtrip:{expr}", check_action_roundtrip(e)))
         if e.left_algebra is not None:
@@ -552,10 +548,7 @@ def row_yb_systems(field) -> Report:
         psi = mult_twist(a, one)
         tau = twist(field, a.space, a.space)
         twisted = materialize([tau, psi, tau])
-        if (
-            check_semi_entwining(a, a.space, psi).passed
-            and check_semi_entwining(a, a.space, twisted).passed
-        ):
+        if _semi(a, psi).passed and _semi(a, twisted).passed:
             ts = make_type2_from_semi(a, psi, one, one, one, one)
             checks.append(rollup(f"paired-system:{name},1111", check_type2(ts)))
             ts = make_type2_from_semi(a, psi, two, one, zero, one)
@@ -577,12 +570,7 @@ def row_yb_systems(field) -> Report:
 
     for ps, qs in (("0", "1"), ("1", "2"), ("2", "-1"), ("1", "1/2")):
         e = quad_factorization(field, field.parse(ps), field.parse(qs))
-        checks.append(
-            rollup(
-                f"quad-factorization:p={ps},q={qs}",
-                check_algebra_factorization(e.algebra, e.left_algebra, e.psi),
-            )
-        )
+        checks.append(rollup(f"quad-factorization:p={ps},q={qs}", verify(e)))
     for ps in ("1", "2", "-3"):
         p = field.parse(ps)
         e = quad_factorization(field, p, p + p)
@@ -683,14 +671,22 @@ def run_row(name: str, field_tag: str) -> Report:
     return builder(field)
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Pool size for `jobs` requested workers: at most one per task and one per CPU."""
+    if jobs < 1:
+        raise ShapeError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
 def run_suite(field_tag: str, rows=None, jobs: int = 1) -> list:
     """Run the named rows (default all) and return (name, Report) pairs in order."""
     names = list(rows) if rows else list(ROW_NAMES)
     for n in names:
         if n not in ROW_NAMES:
             raise ShapeError(f"unknown suite row '{n}'")
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = worker_count(jobs, len(names))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(run_row, n, field_tag) for n in names]
             return [(n, f.result()) for n, f in zip(names, futures)]
     return [(n, run_row(n, field_tag)) for n in names]

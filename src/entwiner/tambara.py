@@ -11,15 +11,9 @@ coalgebra and swaps unit/product for counit/coproduct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .entwine import (
-    COSEMI_KINDS,
-    SEMI_KINDS,
-    EntwiningData,
-    check_algebra_factorization,
-    check_coalgebra_factorization,
-)
+from .entwine import COSEMI_KINDS, SEMI_KINDS, EntwiningData, verify
 from .linalg import LinearMap, ShapeError, Space, kron, tensor
 from .report import IdentityCheck, PreconditionError, Report, merge
 from .structures import Algebra, Coalgebra, convolution_algebra
@@ -47,13 +41,11 @@ class GeneratorAction:
         return self.algebra.space.label(i) + "*"
 
 
-def action_from_semi(e: EntwiningData) -> GeneratorAction:
-    """Slice psi into the operators b -> a_i*(A-leg of psi(b (x) a_j))."""
-    if e.kind not in SEMI_KINDS:
-        raise ShapeError("generator actions index over an algebra-side entwining")
-    a, b, psi = e.algebra, e.left_space, e.psi
-    n, m = a.space.dim, b.dim
-    maps = tuple(
+def _slice(e: EntwiningData, n: int) -> tuple[tuple[LinearMap, ...], ...]:
+    """maps[i][j] : b -> i-th coordinate of the right leg of psi(b (x) e_j), n = dim right."""
+    b, psi = e.left_space, e.psi
+    m = b.dim
+    return tuple(
         tuple(
             LinearMap(
                 e.field,
@@ -65,7 +57,13 @@ def action_from_semi(e: EntwiningData) -> GeneratorAction:
         )
         for i in range(n)
     )
-    return GeneratorAction(a, b, maps)
+
+
+def action_from_semi(e: EntwiningData) -> GeneratorAction:
+    """Slice psi into the operators b -> a_i*(A-leg of psi(b (x) a_j))."""
+    if e.kind not in SEMI_KINDS:
+        raise ShapeError("generator actions index over an algebra-side entwining")
+    return GeneratorAction(e.algebra, e.left_space, _slice(e, e.algebra.space.dim))
 
 
 def _psi_from_maps(g: GeneratorAction) -> LinearMap:
@@ -87,14 +85,27 @@ def semi_from_action(g: GeneratorAction) -> EntwiningData:
     return EntwiningData(kind="semi", psi=_psi_from_maps(g), algebra=g.algebra)
 
 
-def _first_column_mismatch(lhs, rhs, field):
-    """Index and rendered difference of the first unequal column, or None."""
-    cols = len(lhs[0]) if lhs else 0
-    for j in range(cols):
-        if any(row[j] != other[j] for row, other in zip(lhs, rhs)):
-            diff = tuple(field.render(row[j] - other[j]) for row, other in zip(lhs, rhs))
-            return j, diff
-    return None
+def _first_failure(name: str, field, cases, column=lambda j: ()) -> IdentityCheck:
+    """Pass, or fail at the first case whose two matrices differ.
+
+    `cases` yields (witness, lhs, rhs) with lhs and rhs as lists of rows; the
+    witness is extended by `column` of the first unequal column, and the
+    residual is that column of lhs - rhs.
+    """
+    for witness, lhs, rhs in cases:
+        for j in range(len(lhs[0]) if lhs else 0):
+            if any(row[j] != other[j] for row, other in zip(lhs, rhs)):
+                residual = tuple(field.render(row[j] - other[j]) for row, other in zip(lhs, rhs))
+                return IdentityCheck(name, False, witness + column(j), residual)
+    return IdentityCheck(name, True)
+
+
+def _zeros(field, nrows: int, ncols: int) -> list:
+    return [[field.zero] * ncols for _ in range(nrows)]
+
+
+def _column(vec) -> list:
+    return [[x] for x in vec]
 
 
 def _accumulate(rows, scalar, m: LinearMap):
@@ -112,50 +123,42 @@ def check_tambara_relations(g: GeneratorAction) -> Report:
     a = g.algebra
     field = a.field
     n, m = a.space.dim, g.carrier.dim
-    unit_row = IdentityCheck("unit", True)
-    for i in range(n):
-        rows = [[field.zero] * m for _ in range(m)]
-        for j, u in enumerate(a.unit):
-            _accumulate(rows, u, g.maps[i][j])
-        target = [
-            [a.unit[i] if r == c else field.zero for c in range(m)] for r in range(m)
-        ]
-        bad = _first_column_mismatch(rows, target, field)
-        if bad is not None:
-            witness = (g.dual_label(i), g.carrier.label(bad[0]))
-            unit_row = IdentityCheck("unit", False, witness, bad[1])
-            break
-    action_row = IdentityCheck("action", True)
     mult = a.mult.rows
-    done = False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = [[field.zero] * m for _ in range(m)]
-                for l in range(n):
-                    _accumulate(lhs, mult[l][j * n + k], g.maps[i][l])
-                rhs = [[field.zero] * m for _ in range(m)]
-                for s in range(n):
-                    for t in range(n):
-                        coeff = mult[i][s * n + t]
-                        if coeff:
-                            _accumulate(rhs, coeff, g.maps[t][k] * g.maps[s][j])
-                bad = _first_column_mismatch(lhs, rhs, field)
-                if bad is not None:
-                    witness = (
-                        g.dual_label(i),
-                        a.space.label(j),
-                        a.space.label(k),
-                        g.carrier.label(bad[0]),
-                    )
-                    action_row = IdentityCheck("action", False, witness, bad[1])
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    return Report("generator-relations", (unit_row, action_row))
+
+    def unit_cases():
+        for i in range(n):
+            rows = _zeros(field, m, m)
+            for j, u in enumerate(a.unit):
+                _accumulate(rows, u, g.maps[i][j])
+            target = [[a.unit[i] if r == c else field.zero for c in range(m)] for r in range(m)]
+            yield (g.dual_label(i),), rows, target
+
+    def action_cases():
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    lhs = _zeros(field, m, m)
+                    for l in range(n):
+                        _accumulate(lhs, mult[l][j * n + k], g.maps[i][l])
+                    rhs = _zeros(field, m, m)
+                    for s in range(n):
+                        for t in range(n):
+                            coeff = mult[i][s * n + t]
+                            if coeff:
+                                _accumulate(rhs, coeff, g.maps[t][k] * g.maps[s][j])
+                    labels = (g.dual_label(i), a.space.label(j), a.space.label(k))
+                    yield labels, lhs, rhs
+
+    def carrier(j):
+        return (g.carrier.label(j),)
+
+    return Report(
+        "generator-relations",
+        (
+            _first_failure("unit", field, unit_cases(), carrier),
+            _first_failure("action", field, action_cases(), carrier),
+        ),
+    )
 
 
 def check_action_roundtrip(e: EntwiningData) -> Report:
@@ -164,16 +167,17 @@ def check_action_roundtrip(e: EntwiningData) -> Report:
     back = _psi_from_maps(g)
     psi_row = IdentityCheck("psi-roundtrip", back.same_matrix(e.psi))
     again = action_from_semi(EntwiningData(kind="semi", psi=back, algebra=g.algebra))
-    maps_row = IdentityCheck("maps-roundtrip", True)
-    for i in range(g.algebra.space.dim):
-        for j in range(g.algebra.space.dim):
-            if not g.maps[i][j].same_matrix(again.maps[i][j]):
-                maps_row = IdentityCheck(
-                    "maps-roundtrip",
-                    False,
-                    (g.dual_label(i), g.algebra.space.label(j)),
-                )
-                break
+    n = g.algebra.space.dim
+    bad = next(
+        (
+            (g.dual_label(i), g.algebra.space.label(j))
+            for i in range(n)
+            for j in range(n)
+            if not g.maps[i][j].same_matrix(again.maps[i][j])
+        ),
+        None,
+    )
+    maps_row = IdentityCheck("maps-roundtrip", bad is None, bad)
     return Report("action-roundtrip", (psi_row, maps_row))
 
 
@@ -183,46 +187,27 @@ def check_module_algebra_refinement(g: GeneratorAction, b: Algebra) -> Report:
         raise ShapeError("the refinement needs an algebra structure on the carrier")
     field = b.field
     n, m = g.algebra.space.dim, b.space.dim
-    product_row = IdentityCheck("product-split", True)
-    done = False
-    for i in range(n):
-        for j in range(n):
-            lhs = (g.maps[i][j] * b.mult).rows
-            rhs = [[field.zero] * (m * m) for _ in range(m)]
-            for k in range(n):
-                _accumulate(rhs, field.one, b.mult * kron(g.maps[i][k], g.maps[k][j]))
-            bad = _first_column_mismatch(lhs, rhs, field)
-            if bad is not None:
-                witness = (
-                    g.dual_label(i),
-                    g.algebra.space.label(j),
-                ) + b.mult.domain.basis_tuple(bad[0])
-                product_row = IdentityCheck("product-split", False, witness, bad[1])
-                done = True
-                break
-        if done:
-            break
-    unit_row = IdentityCheck("unit-split", True)
-    done = False
-    for i in range(n):
-        for j in range(n):
-            got = g.maps[i][j].apply(b.unit)
-            want = tuple(
-                (field.one if i == j else field.zero) * u for u in b.unit
-            )
-            if got != want:
-                residual = tuple(field.render(x - y) for x, y in zip(got, want))
-                unit_row = IdentityCheck(
-                    "unit-split",
-                    False,
-                    (g.dual_label(i), g.algebra.space.label(j)),
-                    residual,
-                )
-                done = True
-                break
-        if done:
-            break
-    factorization = check_algebra_factorization(g.algebra, b, _psi_from_maps(g))
+
+    def product_cases():
+        for i in range(n):
+            for j in range(n):
+                rhs = _zeros(field, m, m * m)
+                for k in range(n):
+                    _accumulate(rhs, field.one, b.mult * kron(g.maps[i][k], g.maps[k][j]))
+                yield (g.dual_label(i), g.algebra.space.label(j)), (g.maps[i][j] * b.mult).rows, rhs
+
+    def unit_cases():
+        for i in range(n):
+            for j in range(n):
+                got = g.maps[i][j].apply(b.unit)
+                want = [(field.one if i == j else field.zero) * u for u in b.unit]
+                yield (g.dual_label(i), g.algebra.space.label(j)), _column(got), _column(want)
+
+    product_row = _first_failure("product-split", field, product_cases(), b.mult.domain.basis_tuple)
+    unit_row = _first_failure("unit-split", field, unit_cases())
+    factorization = verify(
+        EntwiningData("factorization", _psi_from_maps(g), algebra=g.algebra, left_algebra=b)
+    )
     agreement = IdentityCheck(
         "agreement",
         (product_row.passed and unit_row.passed) == factorization.passed,
@@ -249,21 +234,8 @@ def cotambara_action(e: EntwiningData) -> GeneratorAction:
     """
     if e.kind not in COSEMI_KINDS:
         raise ShapeError("cotambara actions index over a coalgebra-side entwining")
-    c, d, psi = e.coalgebra, e.left_space, e.psi
-    n, m = c.space.dim, d.dim
-    maps = tuple(
-        tuple(
-            LinearMap(
-                e.field,
-                d,
-                d,
-                tuple(tuple(psi.rows[i * m + l][k * n + j] for k in range(m)) for l in range(m)),
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return GeneratorAction(convolution_algebra(c), d, maps)
+    c = e.coalgebra
+    return GeneratorAction(convolution_algebra(c), e.left_space, _slice(e, c.space.dim))
 
 
 def check_cotambara_relations(e: EntwiningData) -> Report:
@@ -276,50 +248,42 @@ def check_cotambara_relations(e: EntwiningData) -> Report:
     c = e.coalgebra
     field = c.field
     n, m = c.space.dim, g.carrier.dim
-    counit_row = IdentityCheck("counit", True)
-    for j in range(n):
-        rows = [[field.zero] * m for _ in range(m)]
-        for i, s in enumerate(c.counit):
-            _accumulate(rows, s, g.maps[i][j])
-        target = [
-            [c.counit[j] if r == col else field.zero for col in range(m)] for r in range(m)
-        ]
-        bad = _first_column_mismatch(rows, target, field)
-        if bad is not None:
-            witness = (g.dual_label(j), g.carrier.label(bad[0]))
-            counit_row = IdentityCheck("counit", False, witness, bad[1])
-            break
     comult = c.comult.rows
-    coaction_row = IdentityCheck("coaction", True)
-    done = False
-    for s in range(n):
-        for t in range(n):
-            for j in range(n):
-                lhs = [[field.zero] * m for _ in range(m)]
-                for i in range(n):
-                    _accumulate(lhs, comult[s * n + t][i], g.maps[i][j])
-                rhs = [[field.zero] * m for _ in range(m)]
-                for u in range(n):
-                    for v in range(n):
-                        coeff = comult[u * n + v][j]
-                        if coeff:
-                            _accumulate(rhs, coeff, g.maps[t][v] * g.maps[s][u])
-                bad = _first_column_mismatch(lhs, rhs, field)
-                if bad is not None:
-                    witness = (
-                        c.space.label(s),
-                        c.space.label(t),
-                        c.space.label(j),
-                        g.carrier.label(bad[0]),
-                    )
-                    coaction_row = IdentityCheck("coaction", False, witness, bad[1])
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    return Report("cogenerator-relations", (counit_row, coaction_row))
+
+    def counit_cases():
+        for j in range(n):
+            rows = _zeros(field, m, m)
+            for i, s in enumerate(c.counit):
+                _accumulate(rows, s, g.maps[i][j])
+            target = [[c.counit[j] if r == k else field.zero for k in range(m)] for r in range(m)]
+            yield (g.dual_label(j),), rows, target
+
+    def coaction_cases():
+        for s in range(n):
+            for t in range(n):
+                for j in range(n):
+                    lhs = _zeros(field, m, m)
+                    for i in range(n):
+                        _accumulate(lhs, comult[s * n + t][i], g.maps[i][j])
+                    rhs = _zeros(field, m, m)
+                    for u in range(n):
+                        for v in range(n):
+                            coeff = comult[u * n + v][j]
+                            if coeff:
+                                _accumulate(rhs, coeff, g.maps[t][v] * g.maps[s][u])
+                    labels = (c.space.label(s), c.space.label(t), c.space.label(j))
+                    yield labels, lhs, rhs
+
+    def carrier(k):
+        return (g.carrier.label(k),)
+
+    return Report(
+        "cogenerator-relations",
+        (
+            _first_failure("counit", field, counit_cases(), carrier),
+            _first_failure("coaction", field, coaction_cases(), carrier),
+        ),
+    )
 
 
 def check_comodule_coalgebra_refinement(e: EntwiningData, d: Coalgebra) -> Report:
@@ -329,46 +293,31 @@ def check_comodule_coalgebra_refinement(e: EntwiningData, d: Coalgebra) -> Repor
         raise ShapeError("the refinement needs a coalgebra structure on the carrier")
     field = d.field
     n, m = e.coalgebra.space.dim, d.space.dim
-    coproduct_row = IdentityCheck("coproduct-split", True)
-    done = False
-    for i in range(n):
-        for j in range(n):
-            lhs = (d.comult * g.maps[i][j]).rows
-            rhs = [[field.zero] * m for _ in range(m * m)]
-            for w in range(n):
-                _accumulate(rhs, field.one, kron(g.maps[i][w], g.maps[w][j]) * d.comult)
-            bad = _first_column_mismatch(lhs, rhs, field)
-            if bad is not None:
-                witness = (g.dual_label(i), g.dual_label(j), d.space.label(bad[0]))
-                coproduct_row = IdentityCheck("coproduct-split", False, witness, bad[1])
-                done = True
-                break
-        if done:
-            break
-    counit_row = IdentityCheck("counit-split", True)
-    done = False
-    for i in range(n):
-        for j in range(n):
-            got = tuple(
-                sum(
-                    (s * v for s, v in zip(d.counit, g.maps[i][j].column(k)) if v),
-                    field.zero,
-                )
-                for k in range(m)
-            )
-            want = tuple(
-                (field.one if i == j else field.zero) * s for s in d.counit
-            )
-            if got != want:
-                residual = tuple(field.render(x - y) for x, y in zip(got, want))
-                counit_row = IdentityCheck(
-                    "counit-split", False, (g.dual_label(i), g.dual_label(j)), residual
-                )
-                done = True
-                break
-        if done:
-            break
-    factorization = check_coalgebra_factorization(e.coalgebra, d, e.psi)
+
+    def coproduct_cases():
+        for i in range(n):
+            for j in range(n):
+                rhs = _zeros(field, m * m, m)
+                for w in range(n):
+                    _accumulate(rhs, field.one, kron(g.maps[i][w], g.maps[w][j]) * d.comult)
+                yield (g.dual_label(i), g.dual_label(j)), (d.comult * g.maps[i][j]).rows, rhs
+
+    def counit_cases():
+        for i in range(n):
+            for j in range(n):
+                got = [
+                    sum((s * v for s, v in zip(d.counit, g.maps[i][j].column(k)) if v), field.zero)
+                    for k in range(m)
+                ]
+                want = [(field.one if i == j else field.zero) * s for s in d.counit]
+                yield (g.dual_label(i), g.dual_label(j)), _column(got), _column(want)
+
+    def carrier(k):
+        return (d.space.label(k),)
+
+    coproduct_row = _first_failure("coproduct-split", field, coproduct_cases(), carrier)
+    counit_row = _first_failure("counit-split", field, counit_cases())
+    factorization = verify(replace(e, kind="cofactorization", left_coalgebra=d))
     agreement = IdentityCheck(
         "agreement",
         (coproduct_row.passed and counit_row.passed) == factorization.passed,

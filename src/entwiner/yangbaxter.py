@@ -15,16 +15,16 @@ factorization over the opposite algebra, and every algebra carries a braiding
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .entwine import (
     SEMI_KINDS,
     EntwiningData,
     MeasuredModule,
-    check_algebra_factorization,
+    algebra_axioms,
     check_entwined_variant,
-    check_semi_entwining,
     mult_twist,
+    verify,
 )
 from .fields import Scalar
 from .linalg import (
@@ -103,13 +103,13 @@ def commutator_check(name: str, r12: LinearMap, s13: LinearMap, t23: LinearMap) 
     return check_map_identity(name, lhs, rhs)
 
 
-def check_qybe(phi: LinearMap, suite: str = "qybe") -> Report:
+def check_qybe(phi: LinearMap) -> Report:
     """phi12 phi13 phi23 = phi23 phi13 phi12 on the triple tensor power."""
     _square_endo(phi, "phi")
-    return Report(suite, (commutator_check("qybe", phi, phi, phi),))
+    return Report("qybe", (commutator_check("qybe", phi, phi, phi),))
 
 
-def check_yb_operator(phi: LinearMap, suite: str = "yb-operator") -> Report:
+def check_yb_operator(phi: LinearMap) -> Report:
     """Braid relation, invertibility, and the twisted-QYBE equivalences."""
     _square_endo(phi, "phi")
     v, w = phi.domain.factors
@@ -130,24 +130,17 @@ def check_yb_operator(phi: LinearMap, suite: str = "yb-operator") -> Report:
         braid.passed == qybe_right.passed == qybe_left.passed,
     )
     invertible = IdentityCheck("invertible", is_invertible(phi))
-    return Report(suite, (braid, qybe_right, qybe_left, agreement, invertible))
+    return Report("yb-operator", (braid, qybe_right, qybe_left, agreement, invertible))
 
 
-def check_wxz(w: LinearMap, x: LinearMap, z: LinearMap, suite: str = "wxz-system") -> Report:
+def check_wxz(w: LinearMap, x: LinearMap, z: LinearMap) -> Report:
     """The four vanishing commutators of a WXZ system, plus the semi-system verdict."""
     www = commutator_check("www", w, w, w)
     wxx = commutator_check("wxx", w, x, x)
     zzz = commutator_check("zzz", z, z, z)
     xxz = commutator_check("xxz", x, x, z)
     semi = IdentityCheck("semi-system", www.passed and wxx.passed)
-    return Report(suite, (www, wxx, zzz, xxz, semi))
-
-
-def complete_semi_system(w: LinearMap, x: LinearMap) -> tuple[LinearMap, LinearMap, LinearMap]:
-    """Extend a semi system (w, x) by the identity in the z slot."""
-    _square_endo(x, "x")
-    vprime = x.domain.factors[1]
-    return w, x, identity(x.field, tensor(vprime, vprime))
+    return Report("wxz-system", (www, wxx, zzz, xxz, semi))
 
 
 @dataclass(frozen=True)
@@ -169,10 +162,6 @@ class WXZSystem:
             raise ShapeError("w, x, z legs do not line up")
 
 
-def check_wxz_system(s: WXZSystem, suite: str = "wxz-system") -> Report:
-    return check_wxz(s.w, s.x, s.z, suite)
-
-
 @dataclass(frozen=True)
 class TypeIISystem:
     """Four endomorphisms a, b, c, d of the same V (x) V."""
@@ -192,7 +181,7 @@ class TypeIISystem:
             raise ShapeError("four-map systems need equal tensor factors")
 
 
-def check_type2(ts: TypeIISystem, suite: str = "type2-system") -> Report:
+def check_type2(ts: TypeIISystem) -> Report:
     """The eight vanishing commutators of a four-map system (x+ = tau x tau)."""
     field = ts.a.field
     v, w = ts.a.domain.factors
@@ -209,7 +198,7 @@ def check_type2(ts: TypeIISystem, suite: str = "type2-system") -> Report:
         commutator_check("a-c-b+", ts.a, ts.c, bplus),
         commutator_check("d-b-c+", ts.d, ts.b, cplus),
     )
-    return Report(suite, rows)
+    return Report("type2-system", rows)
 
 
 def make_algebra_rmatrix(a: Algebra, r: Scalar, s: Scalar) -> LinearMap:
@@ -276,23 +265,19 @@ def semi_system_equivalence(
     checks that (W, X, R^B_{p,q}) is a WXZ system exactly when psi is an
     algebra factorization.  The unit normalizations of X are preconditions.
     """
-    field = a.field
     b_alg = b if isinstance(b, Algebra) else None
     b_space = b.space if b_alg is not None else b
-    pre = check_map_identity(
-        "precondition-unit",
-        [psi, insert_right(field, b_space, a.unit, a.space)],
-        insert_left(field, a.unit, a.space, b_space),
-    )
+    right_pair = algebra_axioms(a, b_space, psi)
+    semi = Report("semi-entwining", right_pair)
+    pre = replace(right_pair[0], name="precondition-unit")
     if not pre.passed:
         raise PreconditionError(
             "the twisted map must fix 1 (x) b", Report("system-equivalence", (pre,))
         )
     w = make_algebra_rmatrix(a, r, s)
-    x = materialize([psi, twist(field, a.space, b_space)])
+    x = materialize([psi, twist(a.field, a.space, b_space)])
     www = commutator_check("www", w, w, w)
     wxx = commutator_check("wxx", w, x, x)
-    semi = check_semi_entwining(a, b_space, psi)
     checks = [
         pre,
         www,
@@ -301,11 +286,9 @@ def semi_system_equivalence(
         IdentityCheck("system-iff-semi", (www.passed and wxx.passed) == semi.passed),
     ]
     if b_alg is not None and p is not None and q is not None:
-        pre_left = check_map_identity(
-            "precondition-left-unit",
-            [psi, insert_left(field, b_alg.unit, b_space, a.space)],
-            insert_right(field, a.space, b_alg.unit, b_space),
-        )
+        left_pair = algebra_axioms(b_alg, a.space, psi, left=True)
+        fact = Report("algebra-factorization", right_pair + left_pair)
+        pre_left = replace(left_pair[0], name="precondition-left-unit")
         if not pre_left.passed:
             raise PreconditionError(
                 "the twisted map must fix a (x) 1",
@@ -314,7 +297,6 @@ def semi_system_equivalence(
         z = make_algebra_rmatrix(b_alg, p, q)
         zzz = commutator_check("zzz", z, z, z)
         xxz = commutator_check("xxz", x, x, z)
-        fact = check_algebra_factorization(a, b_alg, psi)
         system = www.passed and wxx.passed and zzz.passed and xxz.passed
         checks += [
             pre_left,
@@ -328,12 +310,14 @@ def semi_system_equivalence(
 
 def check_twist_conjugation(a: Algebra, psi: LinearMap) -> Report:
     """tau psi tau is semi-entwining iff psi factorizes over the opposite algebra."""
-    pre = check_semi_entwining(a, a.space, psi)
+    pre = verify(EntwiningData(kind="semi", psi=psi, algebra=a))
     if not pre.passed:
         raise PreconditionError("the input map must be a semi-entwining map", pre)
     tau = twist(a.field, a.space, a.space)
-    twisted = check_semi_entwining(a, a.space, tau * psi * tau)
-    op_fact = check_algebra_factorization(a, opposite_algebra(a), psi)
+    twisted = verify(EntwiningData(kind="semi", psi=tau * psi * tau, algebra=a))
+    op_fact = verify(
+        EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=opposite_algebra(a))
+    )
     return merge(
         "twist-conjugation",
         pre.prefixed("entwining"),
@@ -379,37 +363,17 @@ def make_braiding(a: Algebra) -> LinearMap:
     return mult_twist(a, a.field.one)
 
 
-def check_braided_algebra(a: Algebra, psi: LinearMap, suite: str = "braided-algebra") -> Report:
-    """Unit and product compatibilities of a braiding, plus the operator laws."""
-    field = a.field
-    ida = identity(field, a.space)
-    unit_left = check_map_identity(
-        "unit-left",
-        [psi, insert_left(field, a.unit, a.space, a.space)],
-        insert_right(field, a.space, a.unit, a.space),
-    )
-    unit_right = check_map_identity(
-        "unit-right",
-        [psi, insert_right(field, a.space, a.unit, a.space)],
-        insert_left(field, a.unit, a.space, a.space),
-    )
-    product_right = check_map_identity(
-        "product-right-leg",
-        [psi, lazy_kron(ida, a.mult)],
-        [lazy_kron(a.mult, ida), lazy_kron(ida, psi), lazy_kron(psi, ida)],
-    )
-    product_left = check_map_identity(
-        "product-left-leg",
-        [psi, lazy_kron(a.mult, ida)],
-        [lazy_kron(ida, a.mult), lazy_kron(psi, ida), lazy_kron(ida, psi)],
-    )
+def check_braided_algebra(a: Algebra, psi: LinearMap) -> Report:
+    """Unit and product compatibilities of a braiding on both legs, plus the operator laws."""
+    unit_right, product_right = algebra_axioms(a, a.space, psi)
+    unit_left, product_left = algebra_axioms(a, a.space, psi, left=True)
     return merge(
-        suite,
+        "braided-algebra",
         check_yb_operator(psi).prefixed("yb"),
-        unit_left,
-        unit_right,
-        product_right,
-        product_left,
+        replace(unit_left, name="unit-left"),
+        replace(unit_right, name="unit-right"),
+        replace(product_right, name="product-right-leg"),
+        replace(product_left, name="product-left-leg"),
     )
 
 

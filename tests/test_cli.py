@@ -8,7 +8,10 @@ import pytest
 
 from entwiner.cli import main
 from entwiner.entwine import EntwiningData
-from entwiner.serial import parse
+from entwiner.fields import QQ
+from entwiner.linalg import ShapeError
+from entwiner.serial import document, emit, ensure_space, parse
+from entwiner.suite import worker_count
 
 
 def run(capsys, *argv):
@@ -80,6 +83,35 @@ def test_verify_file_target(capsys, tmp_path):
     assert "field" in err
 
 
+def test_verify_refuses_checks_whose_structures_are_missing(capsys, tmp_path, flip_entwining):
+    wrong = {
+        "entwining-rr": ("algebra-factorization", "product-iff"),
+        "entwining-ll": ("coalgebra-factorization", "coproduct-iff"),
+    }
+    for kind, checks in wrong.items():
+        e = flip_entwining(kind)
+        sf = document(QQ)
+        for sp in (e.left_space, e.right_space):
+            ensure_space(sf, sp)
+        sf.add("A", e.algebra or e.left_algebra)
+        sf.add("C", e.coalgebra or e.left_coalgebra)
+        sf.add("psi", e)
+        p = tmp_path / f"{kind}.json"
+        p.write_text(emit(sf))
+        code, out, _ = run(capsys, "verify", f"{p}:psi")
+        assert code == 0, out
+        for check in checks:
+            code, _, err = run(capsys, "verify", "--check", check, f"{p}:psi")
+            assert code == 2, (kind, check)
+            assert kind in err
+
+
+def test_verify_deeply_nested_corrupt(capsys):
+    code, out, err = run(capsys, "verify", "corrupt:" * 5000 + "mult_twist@K,q=1")
+    assert code == 1, err
+    assert "verdict: FAIL" in out
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "no_such_file.json:psi")
     assert code == 2
@@ -111,6 +143,36 @@ def test_suite_unknown_row_is_usage_error(capsys):
 def test_suite_bad_field_is_usage_error(capsys):
     code, _, err = run(capsys, "suite", "--field", "fp:6", "--grid", "twists")
     assert code == 2
+
+
+def test_suite_refuses_a_field_without_its_grid_points(capsys):
+    code, out, err = run(capsys, "suite", "--field", "fp:2", "--grid", "twists")
+    assert code == 2
+    assert "1/2" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("jobs", ("0", "-5"))
+def test_suite_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "suite", "--grid", "twists", "--jobs", jobs)
+    assert code == 2
+    assert "jobs" in err
+    assert out == ""
+
+
+def test_worker_count_is_capped_by_tasks_and_cpus(monkeypatch):
+    import entwiner.suite
+
+    monkeypatch.setattr(entwiner.suite.os, "cpu_count", lambda: 4)
+    assert worker_count(1, 10) == 1
+    assert worker_count(3, 10) == 3
+    assert worker_count(10_000, 10) == 4
+    assert worker_count(10_000, 2) == 2
+    monkeypatch.setattr(entwiner.suite.os, "cpu_count", lambda: None)
+    assert worker_count(8, 10) == 1
+    for jobs in (0, -5):
+        with pytest.raises(ShapeError):
+            worker_count(jobs, 10)
 
 
 def test_suite_json(capsys):

@@ -1,18 +1,16 @@
 """Entwining maps, factorizations, entwined modules, and biproducts."""
 
+from dataclasses import replace
+
 import pytest
 
 from entwiner.entwine import (
     EntwiningData,
     MeasuredModule,
-    check_algebra_factorization,
-    check_coalgebra_factorization,
     check_coproduct_iff,
-    check_cosemi_entwining,
     check_entwined_variant,
     check_intertwining,
     check_product_iff,
-    check_semi_entwining,
     cofactorization_coproduct,
     comm_twist,
     dualize_cosemi,
@@ -29,6 +27,7 @@ from entwiner.entwine import (
 )
 from entwiner.fields import QQ
 from entwiner.linalg import (
+    ShapeError,
     identity,
     insert_right,
     kron,
@@ -74,15 +73,42 @@ def test_registry_verdicts(name):
     "name", [n for n in INSTANCE_NAMES if "twist@" in n or n.startswith("quad")]
 )
 def test_factorization_axioms_contain_semi_axioms(name):
+    # a (co)factorization verdict implies its one-sided (co)semi verdict
     e = resolve_instance(name, QQ)
-    if e.kind != "factorization":
-        pytest.skip("algebra-side instances only")
-    fact = check_algebra_factorization(e.algebra, e.left_algebra, e.psi)
-    semi = check_semi_entwining(e.algebra, e.left_space, e.psi)
+    assert e.kind in ("factorization", "cofactorization")
+    fact = verify(e)
+    semi = verify(replace(e, kind="semi" if e.kind == "factorization" else "cosemi"))
     if fact.passed:
         assert semi.passed
     if not semi.passed:
         assert not fact.passed
+
+
+@pytest.mark.parametrize(
+    "kind, names",
+    (
+        ("entwining-ll", ("unit", "multiplicativity", "left-counit", "left-comultiplicativity")),
+        ("entwining-rr", ("counit", "comultiplicativity", "left-unit", "left-multiplicativity")),
+    ),
+)
+def test_mixed_entwinings_of_the_flip(flip_entwining, kind, names):
+    e = flip_entwining(kind)
+    rep = verify(e)
+    assert rep.passed, rep.render()
+    assert rep.suite == kind
+    assert tuple(c.name for c in rep.checks) == names
+    bad = verify(replace(e, psi=corrupt_map(e.psi)))
+    assert not bad.passed
+    assert bad.failures()[0].witness is not None
+
+
+@pytest.mark.parametrize(
+    "kind, other", (("entwining-ll", "cofactorization"), ("entwining-rr", "factorization"))
+)
+def test_redeclaring_a_kind_needs_its_structures(flip_entwining, kind, other):
+    e = flip_entwining(kind)
+    with pytest.raises(ShapeError):
+        replace(e, kind=other)
 
 
 def test_twisted_product_of_flip_is_plain_tensor_product():
@@ -115,9 +141,9 @@ def test_twisted_product_of_flip_is_plain_tensor_product():
 )
 def test_product_verdict_agreement(expr):
     e = resolve_instance(expr, QQ)
-    rep = check_product_iff(e.algebra, e.left_algebra, e.psi)
+    rep = check_product_iff(e)
     assert rep.check("verdict-agreement").passed, rep.render()
-    fact = check_algebra_factorization(e.algebra, e.left_algebra, e.psi)
+    fact = verify(e)
     prod = factorization_product(e.algebra, e.left_algebra, e.psi)
     assert check_algebra(prod).passed == fact.passed
 
@@ -128,17 +154,18 @@ def test_product_verdict_agreement_randomized():
         b = algebra(bn, QQ)
         for i in range(20):
             psi = random_entwining_matrix(QQ, b.space, a.space, seed=991 * idx + i)
-            rep = check_product_iff(a, b, psi)
+            e = EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=b)
+            rep = check_product_iff(e)
             assert rep.check("verdict-agreement").passed, rep.render()
 
 
 def test_cosemi_and_dualization():
     e = resolve_instance("cotwist@Kx2-1*,GL2", QQ)
-    cosemi = check_cosemi_entwining(e.coalgebra, e.left_space, e.psi)
+    cosemi = verify(replace(e, kind="cosemi"))
     assert cosemi.passed, cosemi.render()
     dual = dualize_cosemi(e.coalgebra, e.left_space, e.psi)
     assert dual.kind in SEMI_KINDS
-    semi = check_semi_entwining(dual.algebra, dual.left_space, dual.psi)
+    semi = verify(dual)
     assert semi.passed, semi.render()
 
 
@@ -157,9 +184,10 @@ def test_transpose_preserves_verdict(expr):
 )
 def test_coproduct_verdict_agreement(expr, expect):
     e = resolve_instance(expr, QQ)
-    cofact = check_coalgebra_factorization(e.coalgebra, e.left_coalgebra, e.psi)
+    cofact = verify(e)
+    assert e.kind == "cofactorization"
     assert cofact.passed == expect, cofact.render()
-    rep = check_coproduct_iff(e.coalgebra, e.left_coalgebra, e.psi)
+    rep = check_coproduct_iff(e)
     assert rep.check("verdict-agreement").passed, rep.render()
     cop = cofactorization_coproduct(e.coalgebra, e.left_coalgebra, e.psi)
     assert check_coalgebra(cop).passed == cofact.passed
@@ -167,13 +195,13 @@ def test_coproduct_verdict_agreement(expr, expect):
 
 def test_crossed_instances():
     sign = resolve_instance("dk-KZ2-sign", QQ)
-    assert check_semi_entwining(sign.algebra, sign.left_space, sign.psi).passed
+    assert sign.kind == "semi" and verify(sign).passed
     reg = resolve_instance("dk-KZ2-regular", QQ)
     rep = verify(reg)
     assert not rep.passed
     assert rep.failures()[0].witness is not None
     # the same map still satisfies the one-sided axioms
-    assert check_semi_entwining(reg.algebra, reg.left_space, reg.psi).passed
+    assert verify(replace(reg, kind="semi")).passed
     alt = resolve_instance("dkalt-KZ2-regular", QQ)
     assert verify(alt).passed, verify(alt).render()
 
@@ -225,7 +253,7 @@ def test_entwined_module_roundtrip(expr):
         triangle = b.mult
     else:
         triangle = materialize([b.mult, twist(QQ, a.space, b.space)])
-    rep = entwined_roundtrip(a, b, e.psi, a.mult, triangle)
+    rep = entwined_roundtrip(e, a.mult, triangle)
     assert rep.passed, rep.render()
     mod = module_from_pair(a, b, e.psi, a.mult, triangle)
     act_back, tri_back = pair_from_module(a, b, mod)
@@ -238,7 +266,7 @@ def test_induced_module_and_intertwining():
     a, b_sp = e.algebra, e.left_space
     ind = induced_AtensorB_module(a, b_sp, e.psi)
     assert check_module(ind).passed
-    rep = intertwining_from_semi(a, b_sp, e.psi)
+    rep = intertwining_from_semi(e)
     assert rep.passed, rep.render()
     # a flipped map is generally not an intertwiner between the two structures
     wrong = twist(QQ, a.space, b_sp)

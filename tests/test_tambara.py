@@ -1,15 +1,14 @@
 """Generator actions: relation checks, refinements, round trips, closed forms."""
 
+from dataclasses import replace
+
 import pytest
 
 from entwiner.entwine import (
     EntwiningData,
-    check_algebra_factorization,
-    check_coalgebra_factorization,
-    check_cosemi_entwining,
-    check_semi_entwining,
     dualize_cosemi,
     mult_twist,
+    verify,
 )
 from entwiner.fields import QQ
 from entwiner.registry import algebra, make_twist, resolve_instance
@@ -38,7 +37,7 @@ SEMI_EXPRS = (
 @pytest.mark.parametrize("expr", SEMI_EXPRS)
 def test_relations_verdict_equals_semi_verdict(expr):
     e = resolve_instance(expr, QQ)
-    semi = check_semi_entwining(e.algebra, e.left_space, e.psi)
+    semi = verify(replace(e, kind="semi"))
     rel = check_tambara_relations(action_from_semi(e))
     assert rel.passed == semi.passed, rel.render()
 
@@ -48,7 +47,7 @@ def test_action_roundtrip(expr):
     e = resolve_instance(expr, QQ)
     rep = check_action_roundtrip(e)
     assert rep.passed, rep.render()
-    if check_semi_entwining(e.algebra, e.left_space, e.psi).passed:
+    if verify(replace(e, kind="semi")).passed:
         back = semi_from_action(action_from_semi(e))
         assert back.psi.rows == e.psi.rows
     else:
@@ -130,7 +129,8 @@ def test_closed_form_regular_module(name):
 )
 def test_module_algebra_refinement_matches_factorization(expr, expect):
     e = resolve_instance(expr, QQ)
-    fact = check_algebra_factorization(e.algebra, e.left_algebra, e.psi)
+    fact = verify(e)
+    assert e.kind == "factorization"
     assert fact.passed == expect
     g = action_from_semi(e)
     refined = check_module_algebra_refinement(g, e.left_algebra)
@@ -168,7 +168,7 @@ def test_cotambara_matches_dualized_action(expr):
 @pytest.mark.parametrize("expr", COSEMI_EXPRS + ("dual:mult_twist@Kx3,q=1/2",))
 def test_cotambara_relations_match_cosemi_verdict(expr):
     e = resolve_instance(expr, QQ)
-    cosemi = check_cosemi_entwining(e.coalgebra, e.left_space, e.psi)
+    cosemi = verify(replace(e, kind="cosemi"))
     rel = check_cotambara_relations(e)
     assert rel.passed == cosemi.passed, rel.render()
 
@@ -179,7 +179,8 @@ def test_cotambara_relations_match_cosemi_verdict(expr):
 )
 def test_comodule_coalgebra_refinement(expr, expect):
     e = resolve_instance(expr, QQ)
-    cofact = check_coalgebra_factorization(e.coalgebra, e.left_coalgebra, e.psi)
+    cofact = verify(e)
+    assert e.kind == "cofactorization"
     assert cofact.passed == expect
     rep = check_comodule_coalgebra_refinement(e, e.left_coalgebra)
     assert rep.passed == cofact.passed, rep.render()

@@ -7,9 +7,9 @@ import pytest
 from entwiner.entwine import (
     EntwiningData,
     MeasuredModule,
-    check_semi_entwining,
     comm_twist,
     mult_twist,
+    verify,
 )
 from entwiner.fields import QQ
 from entwiner.linalg import (
@@ -38,7 +38,6 @@ from entwiner.yangbaxter import (
     check_twist_conjugation,
     check_type2,
     check_wxz,
-    check_wxz_system,
     check_yb_operator,
     commutator_check,
     is_commutative,
@@ -187,8 +186,8 @@ def test_paired_system_from_semi():
     psi = mult_twist(a, QQ.one)
     tau = twist(QQ, a.space, a.space)
     conj = materialize([tau, psi, tau])
-    assert check_semi_entwining(a, a.space, psi).passed
-    assert check_semi_entwining(a, a.space, conj).passed
+    assert verify(EntwiningData(kind="semi", psi=psi, algebra=a)).passed
+    assert verify(EntwiningData(kind="semi", psi=conj, algebra=a)).passed
     one = QQ.one
     ts = make_type2_from_semi(a, psi, one, one, one, one)
     rep = check_type2(ts)
@@ -276,7 +275,7 @@ def test_wxz_and_type2_dataclasses_validate():
     a = algebra("Kx2-1", QQ)
     w = make_algebra_rmatrix(a, QQ.one, QQ.one)
     s = WXZSystem(w, w, w)
-    assert check_wxz_system(s).passed == check_wxz(w, w, w).passed
+    assert isinstance(check_wxz(s.w, s.x, s.z).passed, bool)
     t = TypeIISystem(w, w, w, w)
     assert isinstance(check_type2(t).passed, bool)
     from entwiner.linalg import ShapeError
