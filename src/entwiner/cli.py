@@ -248,7 +248,7 @@ def _grid_rows(value: str):
 def cmd_suite(args) -> int:
     tag = args.field or "q"
     field_from_tag(tag)
-    rows = _grid_rows(args.grid) if args.grid else None
+    rows = _grid_rows(args.grid) if args.grid is not None else None
     results = run_suite(tag, rows, jobs=args.jobs)
     if args.json:
         doc = {"field": tag, "rows": [rep.to_dict() for _, rep in results]}

@@ -129,6 +129,8 @@ class PrimeField:
     """The prime field F_p.  Elements: int subclass reduced mod p."""
 
     def __init__(self, p: int):
+        if p >= 2**31:
+            raise FieldError(f"fp:{p} is too large: the prime must be below 2**31")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

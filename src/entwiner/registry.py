@@ -359,13 +359,23 @@ INSTANCE_NAMES = (
 def resolve_instance(expr: str, field: Field) -> EntwiningData:
     """Turn an instance expression into entwining data (see module docstring)."""
     wrappers = []
-    while expr.startswith(("corrupt:", "dual:")):
-        wrapper, _, expr = expr.partition(":")
-        wrappers.append(wrapper)
-    e = _resolve_base(expr, field)
-    for wrapper in reversed(wrappers):
-        e = replace(e, psi=corrupt_map(e.psi)) if wrapper == "corrupt" else transpose_entwining(e)
+    start = 0
+    while expr.startswith(("corrupt:", "dual:"), start):
+        wrappers.append(start)
+        start = expr.index(":", start) + 1
+    e = _resolve_base(expr[start:], field)
+    for pos in reversed(wrappers):
+        if expr.startswith("corrupt:", pos):
+            e = replace(e, psi=corrupt_map(e.psi))
+        elif e.kind == "factorization":
+            e = transpose_entwining(e)
+        else:
+            inner = expr[pos + len("dual:") :]
+            raise ShapeError(f"dual: needs a factorization; '{inner}' is {e.kind}")
     return e
+
+
+_INSTANCE_KEYS = {"mult_twist": ("q",), "comm_twist": ("q",), "quad": ("p", "q")}
 
 
 def _resolve_base(expr: str, field: Field) -> EntwiningData:
@@ -376,6 +386,9 @@ def _resolve_base(expr: str, field: Field) -> EntwiningData:
     for tok in tokens:
         if "=" in tok:
             key, _, val = tok.partition("=")
+            if key in named or key not in _INSTANCE_KEYS.get(head, ()):
+                why = "repeats" if key in named else "does not take"
+                raise ShapeError(f"instance '{expr}' {why} key '{key}'")
             named[key] = val
         else:
             positional.append(tok)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .entwine import (
@@ -29,7 +30,7 @@ from .entwine import (
     mult_twist,
     verify,
 )
-from .fields import QQ, PrimeField, Rationals, field_from_tag
+from .fields import Rationals, field_from_tag
 from .linalg import (
     LinearMap,
     ShapeError,
@@ -234,41 +235,22 @@ def row_entwined_modules(field) -> Report:
     for name in ALGEBRA_NAMES:
         a = algebra(name, field)
         rho_one = insert_right(field, a.space, a.unit, a.space)
-        for qs, q in (("0", field.zero), ("1", one), ("2", field.from_int(2))):
-            e_gamma = EntwiningData(kind="semi", psi=mult_twist(a, q), algebra=a)
-            mm_mod = MeasuredModule(
-                "semi-entwined-module", a.space, a.space, measuring=a.mult, act=a.mult
-            )
-            checks.append(
-                rollup(
-                    f"module:mult_twist@{name},q={qs}",
-                    check_entwined_variant(mm_mod, e_gamma),
-                )
-            )
-            e_eta = EntwiningData(kind="semi", psi=comm_twist(a, q), algebra=a)
-            mm_com = MeasuredModule(
-                "semi-entwined-comodule", a.space, a.space, measuring=rho_one, act=a.mult
-            )
-            checks.append(
-                rollup(
-                    f"comodule:comm_twist@{name},q={qs}",
-                    check_entwined_variant(mm_com, e_eta),
-                )
-            )
-        e_eta1 = EntwiningData(kind="semi", psi=comm_twist(a, one), algebra=a)
         mm_mod = MeasuredModule(
             "semi-entwined-module", a.space, a.space, measuring=a.mult, act=a.mult
         )
-        checks.append(
-            rollup(f"module:comm_twist@{name},q=1", check_entwined_variant(mm_mod, e_eta1))
-        )
-        e_gamma1 = EntwiningData(kind="semi", psi=mult_twist(a, one), algebra=a)
         mm_com = MeasuredModule(
             "semi-entwined-comodule", a.space, a.space, measuring=rho_one, act=a.mult
         )
-        checks.append(
-            rollup(f"comodule:mult_twist@{name},q=1", check_entwined_variant(mm_com, e_gamma1))
-        )
+
+        def add(label, mm, psi):
+            e = EntwiningData(kind="semi", psi=psi, algebra=a)
+            checks.append(rollup(label, check_entwined_variant(mm, e)))
+
+        for qs, q in (("0", field.zero), ("1", one), ("2", field.from_int(2))):
+            add(f"module:mult_twist@{name},q={qs}", mm_mod, mult_twist(a, q))
+            add(f"comodule:comm_twist@{name},q={qs}", mm_com, comm_twist(a, q))
+        add(f"module:comm_twist@{name},q=1", mm_mod, comm_twist(a, one))
+        add(f"comodule:mult_twist@{name},q=1", mm_com, mult_twist(a, one))
     for expr in ("twist@Kx2-0,Kx2-0", "quad@p=1,q=2"):
         e = resolve_instance(expr, field)
         a, b = e.algebra, e.left_algebra
@@ -474,18 +456,15 @@ def row_yb_systems(field) -> Report:
     rs_grid = (zero, one, -one, two)
     for name in ALGEBRA_NAMES:
         a = algebra(name, field)
-        bad = None
-        for r in rs_grid:
-            for s in rs_grid:
-                w = make_algebra_rmatrix(a, r, s)
-                cc = commutator_check("www", w, w, w)
-                if not cc.passed:
-                    wit = (f"r={field.render(r)}", f"s={field.render(s)}") + (cc.witness or ())
-                    bad = IdentityCheck(f"rmatrix-commutator:{name}", False, wit, cc.residual)
-                    break
-            if bad:
+        check = IdentityCheck(f"rmatrix-commutator:{name}", True)
+        for r, s in ((r, s) for r in rs_grid for s in rs_grid):
+            w = make_algebra_rmatrix(a, r, s)
+            cc = commutator_check("www", w, w, w)
+            if not cc.passed:
+                wit = (f"r={field.render(r)}", f"s={field.render(s)}") + (cc.witness or ())
+                check = IdentityCheck(f"rmatrix-commutator:{name}", False, wit, cc.residual)
                 break
-        checks.append(bad or IdentityCheck(f"rmatrix-commutator:{name}", True))
+        checks.append(check)
 
     for expr in (
         "mult_twist@Kx2-1,q=1",
@@ -641,34 +620,18 @@ def signature(rep: Report) -> tuple:
     return tuple((c.name, c.passed) for c in rep.checks)
 
 
-def row_field_independence(field) -> Report:
-    """Verdict-by-verdict agreement of every row with a run over another field."""
-    alt = PrimeField(7) if isinstance(field, Rationals) else QQ
+def row_field_independence(main: dict, alt: dict) -> Report:
+    """Verdict-by-verdict agreement of every base row's signature over two fields."""
     checks = []
     for name in BASE_ROWS:
-        sig_main = signature(ROW_BUILDERS[name](field))
-        sig_alt = signature(ROW_BUILDERS[name](alt))
-        if sig_main == sig_alt:
-            checks.append(IdentityCheck(f"verdicts-match:{name}", True))
-        else:
-            diff = next(
-                (m for m, a in zip(sig_main, sig_alt) if m != a),
-                ("row-lengths-differ", None),
-            )
-            checks.append(
-                IdentityCheck(f"verdicts-match:{name}", False, (str(diff[0]),))
-            )
+        lengths = ("row-lengths-differ",) if len(main[name]) != len(alt[name]) else None
+        diff = next(((str(m[0]),) for m, a in zip(main[name], alt[name]) if m != a), lengths)
+        checks.append(IdentityCheck(f"verdicts-match:{name}", diff is None, diff))
     return Report("field-independence", tuple(checks))
 
 
 def run_row(name: str, field_tag: str) -> Report:
-    field = field_from_tag(field_tag)
-    if name == "field-independence":
-        return row_field_independence(field)
-    builder = ROW_BUILDERS.get(name)
-    if builder is None:
-        raise ShapeError(f"unknown suite row '{name}'")
-    return builder(field)
+    return ROW_BUILDERS[name](field_from_tag(field_tag))
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -679,14 +642,34 @@ def worker_count(jobs: int, tasks: int) -> int:
 
 
 def run_suite(field_tag: str, rows=None, jobs: int = 1) -> list:
-    """Run the named rows (default all) and return (name, Report) pairs in order."""
-    names = list(rows) if rows else list(ROW_NAMES)
+    """Run the named rows (default all) and return (name, Report) pairs in order.
+
+    Each (row, field) pair is built once.  `field-independence` compares the
+    base rows built over the main field with the same rows built over the
+    alternate field (F_7 for Q, Q for any F_p), kept only as signatures.
+    """
+    names = list(ROW_NAMES if rows is None else rows)
+    if not names:
+        raise ShapeError("the suite grid names no rows")
     for n in names:
         if n not in ROW_NAMES:
             raise ShapeError(f"unknown suite row '{n}'")
-    workers = worker_count(jobs, len(names))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(run_row, n, field_tag) for n in names]
-            return [(n, f.result()) for n, f in zip(names, futures)]
-    return [(n, run_row(n, field_tag)) for n in names]
+    compare = "field-independence" in names
+    wanted = [n for n in names if n in BASE_ROWS] + list(BASE_ROWS if compare else ())
+    tasks = [(n, field_tag) for n in dict.fromkeys(wanted)]
+    if compare:
+        alt_tag = "fp:7" if isinstance(field_from_tag(field_tag), Rationals) else "q"
+        tasks += [(n, alt_tag) for n in BASE_ROWS]
+    workers = worker_count(jobs, len(tasks))
+    reports, alt = {}, {}
+    with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
+        built = (pool.map if pool else map)(run_row, *zip(*tasks))
+        for (name, tag), rep in zip(tasks, built):
+            if tag == field_tag:
+                reports[name] = rep
+            else:
+                alt[name] = signature(rep)
+    if compare:
+        main = {n: signature(reports[n]) for n in BASE_ROWS}
+        reports["field-independence"] = row_field_independence(main, alt)
+    return [(n, reports[n]) for n in names]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -60,6 +61,31 @@ def test_verify_unknown_instance_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nonsense@foo")
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "expr", ("quad@p=1,q=2,q=3", "quad@p=1,q=2,r=5", "mult_twist@Kx3,q=1,p=2", "module@Kx3,q=1")
+)
+def test_verify_refuses_repeated_and_foreign_keys(capsys, expr):
+    code, out, err = run(capsys, "verify", expr)
+    assert code == 2
+    assert out == ""
+    assert expr in err
+
+
+def test_verify_dual_of_a_non_factorization_names_it(capsys):
+    code, out, err = run(capsys, "verify", "dual:module@Kx3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: dual: needs a factorization; 'module@Kx3' is semi\n"
+
+
+def test_verify_refuses_a_huge_prime_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--field", "fp:1000000000000000003", "quad@p=1,q=2")
+    assert code == 2
+    assert "2**31" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_json_output(capsys):
@@ -132,6 +158,16 @@ def test_suite_grid_file(capsys, tmp_path):
     assert code == 0
     assert "row twists: PASS" in out
     assert "row biproduct: PASS" in out
+
+
+@pytest.mark.parametrize("grid", (",", "", "empty.json"))
+def test_suite_refuses_an_empty_grid(capsys, tmp_path, monkeypatch, grid):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text(json.dumps({"rows": []}))
+    code, out, err = run(capsys, "suite", "--grid", grid)
+    assert code == 2
+    assert "no rows" in err
+    assert out == ""
 
 
 def test_suite_unknown_row_is_usage_error(capsys):

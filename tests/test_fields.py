@@ -73,7 +73,8 @@ def test_field_from_tag():
     assert field_from_tag(" Q ") == QQ
     assert field_from_tag("fp:7") == PrimeField(7)
     assert field_from_tag("fp:7").tag == "fp:7"
-    for tag in ("r", "fp:", "fp:x", "fp:6", ""):
+    assert field_from_tag("fp:2147483647").p == 2**31 - 1
+    for tag in ("r", "fp:", "fp:x", "fp:6", "", "fp:2147483659", "fp:1000000000000000003"):
         with pytest.raises(FieldError):
             field_from_tag(tag)
 
