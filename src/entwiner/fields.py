@@ -4,7 +4,9 @@ Every verdict in this package reduces to equalities between scalars, so
 arithmetic is exact and equality decidable.  Floats never appear.  Over the
 rationals, elements are plain ints wherever possible and Fraction otherwise;
 over F_p they are int subclasses reduced mod p, so matrix code can use the
-ordinary operators (+, *, -, unary -) and truthiness for zero tests.
+ordinary operators (+, *, -, unary -, **) and truthiness for zero tests.  An
+F_p element refuses /, // and % (use `field.div`) and any operand that is
+neither an int nor an element of the same F_p, with FieldError.
 
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
@@ -75,6 +77,11 @@ class Rationals:
 _fp_element_classes: dict[int, type] = {}
 
 
+def _mixing(p: int, other):
+    kind = type(other).__name__
+    raise FieldError(f"an F_{p} element cannot be combined with {kind} {other!r}")
+
+
 def _fp_class(p: int) -> type:
     cls = _fp_element_classes.get(p)
     if cls is not None:
@@ -87,24 +94,47 @@ def _fp_class(p: int) -> type:
         def __new__(cls, v):
             return int.__new__(cls, v % p)
 
+        # an operand that is neither an int nor an element of this F_p is
+        # refused: returning NotImplemented would let Fraction or float win
         def __add__(self, other):
-            return Fp(int.__add__(self, int(other)))
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__add__(self, other))
 
         __radd__ = __add__
 
         def __sub__(self, other):
-            return Fp(int.__sub__(self, int(other)))
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__sub__(self, other))
 
         def __rsub__(self, other):
-            return Fp(int(other) - int(self))
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__sub__(other, self))
 
         def __mul__(self, other):
-            return Fp(int.__mul__(self, int(other)))
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__mul__(self, other))
 
         __rmul__ = __mul__
 
         def __neg__(self):
             return Fp(-int(self))
+
+        def __pow__(self, e):
+            if type(e) is not int:
+                raise FieldError(f"F_{p} powers take an int exponent, not {e!r}")
+            if e < 0 and not self:
+                raise ZeroDivisionError("division by zero scalar")
+            return Fp(pow(int(self), e, p))
+
+        def _no_division(self, other):
+            raise FieldError(f"F_{p} elements have no / // %; use field.div(a, b)")
+
+        __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _no_division
+        __mod__ = __rmod__ = __divmod__ = __rdivmod__ = _no_division
 
         def __repr__(self):
             return str(int(self))

@@ -3,10 +3,13 @@
 Everything is a finite-dimensional vector space with a fixed ordered basis.
 Tensor products use the row-major convention: the index of e_i (x) f_j in
 V (x) W is i*dim(W) + j, 0-based, and nested products are flattened left to
-right.  Maps are stored densely (rows of scalars); composition, Kronecker
-products, and identity checks skip zeros, and identity checks stream column
-by column so a failing check stops at the lexicographically-first failing
-basis tuple - which is exactly the witness reported.
+right.  Maps are stored densely (rows of scalars).  Every product - `compose`,
+`kron`, `LinearMap.apply`, `materialize` and the identity checks - streams
+sparse columns through a chain of maps and lazy Kronecker products; the only
+code that multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.
+Identity checks stream column by column, so a failing check stops at the
+lexicographically-first failing basis tuple - which is exactly the witness
+reported.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
 product.  All objects are immutable after construction.
@@ -144,16 +147,12 @@ class LinearMap:
         return {k: v for k, v in out.items() if v}
 
     def apply(self, vec) -> tuple[Scalar, ...]:
-        """Dense application to a coefficient tuple."""
+        """Application to a coefficient tuple."""
         if len(vec) != self.domain.dim:
             raise ShapeError("vector length does not match domain")
+        out = self.apply_sparse({j: v for j, v in enumerate(vec) if v})
         zero = self.field.zero
-        out = [zero] * self.codomain.dim
-        for j, v in enumerate(vec):
-            if v:
-                for r, m in self._cols[j]:
-                    out[r] = out[r] + m * v
-        return tuple(out)
+        return tuple(out.get(i, zero) for i in range(self.codomain.dim))
 
     def same_matrix(self, other: LinearMap) -> bool:
         return (
@@ -250,54 +249,12 @@ def zero_map(field: Field, domain: Space, codomain: Space) -> LinearMap:
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
     """f o g: apply g first."""
-    if f.field != g.field:
-        raise ShapeError("composition across fields")
-    if f.domain.dim != g.codomain.dim or f.domain.dims != g.codomain.dims:
-        raise ShapeError(
-            f"composition mismatch: inner spaces {f.domain.dims} vs {g.codomain.dims}"
-        )
-    zero = f.field.zero
-    out = [[zero] * g.domain.dim for _ in range(f.codomain.dim)]
-    fcols = f._cols
-    for i, grow in enumerate(g.rows):
-        col = fcols[i]
-        if not col:
-            continue
-        for j, x in enumerate(grow):
-            if x:
-                for r, v in col:
-                    out[r][j] = out[r][j] + v * x
-    return LinearMap(f.field, g.domain, f.codomain, tuple(tuple(r) for r in out))
+    return materialize([f, g])
 
 
 def kron(f: LinearMap, g: LinearMap) -> LinearMap:
     """Kronecker product, row-major: (f@g)[(i1,i2),(j1,j2)] = f[i1,j1]*g[i2,j2]."""
-    if f.field != g.field:
-        raise ShapeError("Kronecker product across fields")
-    zero = f.field.zero
-    gd, gc = g.domain.dim, g.codomain.dim
-    dd = f.domain.dim * gd
-    cd = f.codomain.dim * gc
-    out = [[zero] * dd for _ in range(cd)]
-    gnz = [
-        (i2, j2, b)
-        for i2, row in enumerate(g.rows)
-        for j2, b in enumerate(row)
-        if b
-    ]
-    for i1, row in enumerate(f.rows):
-        for j1, a in enumerate(row):
-            if a:
-                base_r = i1 * gc
-                base_c = j1 * gd
-                for i2, j2, b in gnz:
-                    out[base_r + i2][base_c + j2] = a * b
-    return LinearMap(
-        f.field,
-        tensor(f.domain, g.domain),
-        tensor(f.codomain, g.codomain),
-        tuple(tuple(r) for r in out),
-    )
+    return materialize([lazy_kron(f, g)])
 
 
 def twist(field: Field, v: Space, w: Space) -> LinearMap:
@@ -388,6 +345,8 @@ def _as_chain(x: Chain) -> list[ChainElt]:
     if not chain:
         raise ShapeError("empty composition chain")
     for outer, inner in zip(chain, chain[1:]):
+        if outer.field != inner.field:
+            raise ShapeError("composition across fields")
         if outer.domain.dim != inner.codomain.dim or outer.domain.dims != inner.codomain.dims:
             raise ShapeError(
                 f"chain mismatch: {outer.domain.dims} vs {inner.codomain.dims}"
@@ -458,15 +417,6 @@ def check_vector_identity(
             residual = tuple(field.render(x - y) for x, y in zip(lhs, rhs))
             return IdentityCheck(name, False, space_.basis_tuple(i), residual)
     return IdentityCheck(name, True)
-
-
-def embed13(s: LinearMap, mid: Space) -> LinearMap:
-    """Embed an endomorphism of V (x) W as an operator on V (x) mid (x) W."""
-    if len(s.domain.dims) != 2:
-        raise ShapeError("embed13 needs a map on a two-factor tensor square")
-    if s.domain.dims != s.codomain.dims:
-        raise ShapeError("embed13 needs an endomorphism")
-    return materialize(embed13_chain(s, mid))
 
 
 def embed13_chain(s: LinearMap, mid: Space) -> list[ChainElt]:

@@ -376,10 +376,14 @@ def resolve_instance(expr: str, field: Field) -> EntwiningData:
 
 
 _INSTANCE_KEYS = {"mult_twist": ("q",), "comm_twist": ("q",), "quad": ("p", "q")}
+# registry names each named head takes before its keys; dk-/dkalt- heads take none
+_INSTANCE_ARITY = {"twist": 2, "cotwist": 2, "mult_twist": 1, "comm_twist": 1, "module": 1, "quad": 0}
 
 
 def _resolve_base(expr: str, field: Field) -> EntwiningData:
     head, _, argstr = expr.partition("@")
+    if head not in _INSTANCE_ARITY and not head.startswith(("dk-", "dkalt-")):
+        raise ShapeError(f"unknown instance '{expr}'")
     tokens = argstr.split(",") if argstr else []
     named = {}
     positional = []
@@ -392,6 +396,11 @@ def _resolve_base(expr: str, field: Field) -> EntwiningData:
             named[key] = val
         else:
             positional.append(tok)
+    arity = _INSTANCE_ARITY.get(head, 0)
+    if len(positional) != arity:
+        raise ShapeError(
+            f"instance '{expr}' takes {arity} registry name(s), not {len(positional)}"
+        )
 
     def scalar(key, default=None):
         if key not in named:
@@ -401,37 +410,25 @@ def _resolve_base(expr: str, field: Field) -> EntwiningData:
         return field.parse(named[key])
 
     if head == "twist":
-        if len(positional) != 2:
-            raise ShapeError("twist takes two registry algebra names")
         return make_twist(algebra(positional[0], field), algebra(positional[1], field))
     if head == "cotwist":
-        if len(positional) != 2:
-            raise ShapeError("cotwist takes two registry coalgebra names")
         return make_cotwist(
             coalgebra(positional[0], field), coalgebra(positional[1], field)
         )
     if head == "mult_twist":
-        if len(positional) != 1:
-            raise ShapeError("mult_twist takes one registry algebra name")
         return make_mult_twist(algebra(positional[0], field), scalar("q"))
     if head == "comm_twist":
-        if len(positional) != 1:
-            raise ShapeError("comm_twist takes one registry algebra name")
         return make_comm_twist(algebra(positional[0], field), scalar("q"))
     if head == "module":
-        if len(positional) != 1:
-            raise ShapeError("module takes one registry algebra name")
         return make_module_instance(algebra(positional[0], field))
     if head == "quad":
         return quad_factorization(field, scalar("p"), scalar("q"))
-    if head.startswith("dk-") or head.startswith("dkalt-"):
-        alt = head.startswith("dkalt-")
-        rest = head[len("dkalt-") :] if alt else head[len("dk-") :]
-        hname, _, modname = rest.partition("-")
-        if hname not in BIALGEBRA_NAMES or modname not in _DK_MODULES:
-            raise ShapeError(f"unknown crossed instance '{expr}'")
-        return make_crossed(hname, modname, field, alt=alt)
-    raise ShapeError(f"unknown instance '{expr}'")
+    alt = head.startswith("dkalt-")
+    rest = head[len("dkalt-") :] if alt else head[len("dk-") :]
+    hname, _, modname = rest.partition("-")
+    if hname not in BIALGEBRA_NAMES or modname not in _DK_MODULES:
+        raise ShapeError(f"unknown crossed instance '{expr}'")
+    return make_crossed(hname, modname, field, alt=alt)
 
 
 # ---------------------------------------------------------------------------

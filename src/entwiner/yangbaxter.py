@@ -91,12 +91,6 @@ def _triple_chains(ts: TripleSystem):
     return [left, *mid, right], [right, *mid, left]
 
 
-def yb_commutator(ts: TripleSystem) -> LinearMap:
-    """The exact difference r12 s13 t23 - t23 s13 r12 on V1 (x) V2 (x) V3."""
-    lhs, rhs = _triple_chains(ts)
-    return materialize(lhs) - materialize(rhs)
-
-
 def commutator_check(name: str, r12: LinearMap, s13: LinearMap, t23: LinearMap) -> IdentityCheck:
     """Column-streamed test that [r12, s13, t23] = 0."""
     lhs, rhs = _triple_chains(TripleSystem(r12, s13, t23))

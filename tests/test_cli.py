@@ -1,12 +1,14 @@
 """The command line: verify, suite, construct, list; exit codes 0/1/2."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import entwiner
 from entwiner.cli import main
 from entwiner.entwine import EntwiningData
 from entwiner.fields import QQ
@@ -58,13 +60,24 @@ def test_verify_misspelled_check_is_usage_error(capsys):
 
 
 def test_verify_unknown_instance_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "nonsense@foo")
-    assert code == 2
-    assert err
+    for expr in ("nonsense@foo", "nonsense@k=1"):
+        code, _, err = run(capsys, "verify", expr)
+        assert code == 2
+        assert err == f"error: unknown instance '{expr}'\n"
 
 
 @pytest.mark.parametrize(
-    "expr", ("quad@p=1,q=2,q=3", "quad@p=1,q=2,r=5", "mult_twist@Kx3,q=1,p=2", "module@Kx3,q=1")
+    "expr",
+    (
+        "quad@p=1,q=2,q=3",
+        "quad@p=1,q=2,r=5",
+        "mult_twist@Kx3,q=1,p=2",
+        "module@Kx3,q=1",
+        "quad@foo,p=1,q=2",
+        "dk-KZ2-sign@x",
+        "dkalt-KZ2-sign@x,y",
+        "quad@p=1,q=2,3",
+    ),
 )
 def test_verify_refuses_repeated_and_foreign_keys(capsys, expr):
     code, out, err = run(capsys, "verify", expr)
@@ -290,10 +303,14 @@ def test_list_json(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(entwiner.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "entwiner.cli", "verify", "quad@p=1,q=2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "verdict: PASS" in proc.stdout

@@ -113,3 +113,66 @@ def test_rational_render_is_fraction_string(x):
     s = QQ.render(x)
     assert "." not in s
     assert QQ.parse(s) == x
+
+
+F5 = PrimeField(5)
+
+
+def in_f7(x):
+    return isinstance(x, F7.elem) and 0 <= int(x) < 7
+
+
+@given(small_ints, small_ints, st.integers(min_value=0, max_value=12))
+def test_prime_field_ops_stay_in_the_field(x, y, e):
+    a = F7.from_int(x)
+    for got, want in (
+        (a + y, x + y),
+        (y + a, x + y),
+        (a - y, x - y),
+        (y - a, y - x),
+        (a * y, x * y),
+        (y * a, x * y),
+        (a * F7.from_int(y), x * y),
+        (-a, -x),
+        (a**e, x**e),
+    ):
+        assert in_f7(got)
+        assert int(got) == want % 7
+
+
+@given(small_ints, st.sampled_from((Fraction(1, 2), 2.5, F5.from_int(4), True, "3")))
+def test_prime_field_refuses_foreign_operands(x, other):
+    a = F7.from_int(x)
+    for op in (
+        lambda: a + other,
+        lambda: a - other,
+        lambda: a * other,
+        lambda: a**other,
+    ):
+        with pytest.raises(FieldError):
+            op()
+    with pytest.raises(FieldError):
+        F5.from_int(x) + a
+
+
+@given(small_ints, small_ints)
+def test_prime_field_division_operators_point_to_div(x, y):
+    a = F7.from_int(x)
+    for op in (
+        lambda: a / y,
+        lambda: y / a,
+        lambda: a // y,
+        lambda: y // a,
+        lambda: a % y,
+        lambda: y % a,
+        lambda: a / a,
+        lambda: divmod(a, y),
+    ):
+        with pytest.raises(FieldError, match=r"field\.div"):
+            op()
+
+
+def test_prime_field_negative_power_inverts():
+    assert F7.from_int(3) ** -1 == F7.div(F7.one, F7.from_int(3))
+    with pytest.raises(ZeroDivisionError):
+        F7.zero**-1

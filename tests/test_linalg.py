@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwiner.fields import QQ
+from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import (
     LinearMap,
     ShapeError,
@@ -17,7 +17,7 @@ from entwiner.linalg import (
     contract_left,
     contract_right,
     dual_space,
-    embed13,
+    embed13_chain,
     from_columns,
     identity,
     insert_left,
@@ -33,6 +33,7 @@ from entwiner.linalg import (
     twist,
     zero_map,
 )
+from entwiner.report import IdentityCheck
 
 V2 = space("a0", "a1")
 V3 = space("b0", "b1", "b2")
@@ -182,7 +183,7 @@ def test_embed13_matches_definition():
     rng = random.Random(53)
     s = dense(rng, tensor(V2, W2), tensor(V2, W2))
     mid = V3
-    e = embed13(s, mid)
+    e = materialize(embed13_chain(s, mid))
     dv, dm, dw = 2, 3, 2
     for i in range(dv):
         for m in range(dm):
@@ -199,10 +200,10 @@ def test_lazy_kron_matches_dense_kron():
     rng = random.Random(67)
     f = dense(rng, V2, V3)
     g = dense(rng, W3, W2)
-    assert materialize([lazy_kron(f, g)]).rows == kron(f, g).rows
+    assert materialize([lazy_kron(f, g)]).rows == ref_kron(f.rows, g.rows)
     h = dense(rng, tensor(V3, W2), V2)
-    assert (
-        materialize([h, lazy_kron(f, g)]).rows == compose(h, kron(f, g)).rows
+    assert materialize([h, lazy_kron(f, g)]).rows == ref_mul(
+        QQ, h.rows, ref_kron(f.rows, g.rows)
     )
 
 
@@ -293,3 +294,165 @@ def test_kron_bilinear_in_each_leg(f1, f2, g1, g2):
     )
     assert kron(add(f1, f2), g1).rows == add(kron(f1, g1), kron(f2, g1)).rows
     assert kron(f1, add(g1, g2)).rows == add(kron(f1, g1), kron(f1, g2)).rows
+
+
+# ---------------------------------------------------------------------------
+# Naive reference oracle: every product from its index formula, dense, with
+# no sparsity and no dicts.  The kernels are checked against it.
+
+F7 = PrimeField(7)
+
+
+def ref_kron(a, b):
+    # (a (x) b)[i1*m + i2][j1*n + j2] = a[i1][j1] * b[i2][j2]
+    m, n = len(b), len(b[0])
+    return tuple(
+        tuple(a[i // m][j // n] * b[i % m][j % n] for j in range(len(a[0]) * n))
+        for i in range(len(a) * m)
+    )
+
+
+def ref_mul(field, a, b):
+    # (a b)[i][j] = sum_k a[i][k] * b[k][j]
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = field.zero
+            for k in range(len(b)):
+                total = total + a[i][k] * b[k][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_chain(field, chain):
+    """Rows of the composite of a chain, outermost element first."""
+    product = None
+    for elt in chain:
+        rows = ((field.one,),)
+        for leg in getattr(elt, "legs", (elt,)):
+            rows = ref_kron(rows, leg.rows)
+        product = rows if product is None else ref_mul(field, product, rows)
+    return product
+
+
+def ref_check(name, field, lhs, rhs):
+    a, b = ref_chain(field, lhs), ref_chain(field, rhs)
+    for j in range(len(a[0])):
+        if any(a[i][j] != b[i][j] for i in range(len(a))):
+            residual = tuple(field.render(a[i][j] - b[i][j]) for i in range(len(a)))
+            return IdentityCheck(name, False, lhs[-1].domain.basis_tuple(j), residual)
+    return IdentityCheck(name, True)
+
+
+ATOMS = (space("p0"), space("q0", "q1"), space("r0", "r1", "r2"))
+ENTRIES = st.sampled_from(("0", "0", "0", "1", "-1", "2", "3", "1/2", "-3/2"))
+FIELDS = st.sampled_from((QQ, F7))
+
+
+def in_field(field, rows):
+    # over F_p every entry stays an element of the field, never a bare int
+    return field == QQ or all(isinstance(x, field.elem) for row in rows for x in row)
+
+
+@st.composite
+def maps(draw, field, dom=None, cod=None):
+    dom = dom or tensor(*draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2)))
+    cod = cod or tensor(*draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2)))
+    rows = tuple(
+        tuple(field.parse(draw(ENTRIES)) for _ in range(dom.dim)) for _ in range(cod.dim)
+    )
+    return LinearMap(field, dom, cod, rows)
+
+
+@st.composite
+def chains(draw, field, factors):
+    """A chain on tensor(*factors), outermost first, of dense maps and lazy
+    Kronecker products whose legs are identities, twists and dense maps."""
+    chain = []
+    for _ in range(draw(st.integers(1, 3))):
+        dom = tensor(*factors)
+        if draw(st.booleans()):
+            elt = draw(maps(field, dom))
+            factors = elt.codomain.factors or (elt.codomain,)
+        else:
+            legs, out, i = [], [], 0
+            while i < len(factors):
+                kind = draw(st.sampled_from(("id", "map", "twist")))
+                if kind == "twist" and i + 1 < len(factors):
+                    legs.append(twist(field, factors[i], factors[i + 1]))
+                    out += [factors[i + 1], factors[i]]
+                    i += 2
+                    continue
+                leg = identity(field, factors[i])
+                if kind != "id":
+                    leg = draw(maps(field, factors[i], draw(st.sampled_from(ATOMS))))
+                legs.append(leg)
+                out.append(leg.codomain)
+                i += 1
+            elt = lazy_kron(*legs)
+            factors = tuple(out)
+        chain.append(elt)
+    return chain[::-1]
+
+
+starts = st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3).map(tuple)
+
+
+@given(st.data())
+def test_compose_kron_apply_match_the_oracle(data):
+    field = data.draw(FIELDS)
+    f = data.draw(maps(field))
+    g = data.draw(maps(field, cod=f.domain))
+    h = data.draw(maps(field))
+    assert compose(f, g).rows == (f * g).rows == ref_mul(field, f.rows, g.rows)
+    assert kron(f, h).rows == (f @ h).rows == ref_kron(f.rows, h.rows)
+    vec = tuple(field.parse(data.draw(ENTRIES)) for _ in range(f.domain.dim))
+    want = ref_mul(field, f.rows, tuple((x,) for x in vec))
+    assert f.apply(vec) == tuple(row[0] for row in want)
+    for rows in (compose(f, g).rows, kron(f, h).rows, (f.apply(vec),)):
+        assert in_field(field, rows)
+
+
+@given(st.data())
+def test_materialize_matches_the_oracle(data):
+    field = data.draw(FIELDS)
+    chain = data.draw(chains(field, data.draw(starts)))
+    got = materialize(chain)
+    assert got.rows == ref_chain(field, chain)
+    assert in_field(field, got.rows)
+
+
+@given(st.data())
+def test_check_map_identity_matches_the_oracle(data):
+    field = data.draw(FIELDS)
+    start = data.draw(starts)
+    lhs = data.draw(chains(field, start))
+    cod = lhs[0].codomain
+    if data.draw(st.booleans()):
+        # the lhs composite itself, possibly with one entry bumped
+        rows = [list(r) for r in ref_chain(field, lhs)]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, cod.dim - 1))
+            j = data.draw(st.integers(0, len(rows[0]) - 1))
+            rows[i][j] = rows[i][j] + field.one
+        rhs = [LinearMap(field, lhs[-1].domain, cod, tuple(tuple(r) for r in rows))]
+    else:
+        inner = data.draw(chains(field, start))
+        rhs = [data.draw(maps(field, inner[0].codomain, cod)), *inner]
+    assert check_map_identity("law", lhs, rhs) == ref_check("law", field, lhs, rhs)
+
+
+def test_a_chain_mixing_fields_is_refused():
+    f7 = LinearMap(F7, V2, V2, ((F7.one, F7.zero), (F7.zero, F7.one)))
+    q = identity(QQ, V2)
+    for chain in ([q, f7], [lazy_kron(q), f7], [q, q, f7]):
+        with pytest.raises(ShapeError, match="composition across fields"):
+            materialize(chain)
+        with pytest.raises(ShapeError, match="composition across fields"):
+            check_map_identity("mixed", chain, q)
+    with pytest.raises(ShapeError):
+        compose(q, f7)
+    with pytest.raises(ShapeError):
+        kron(q, f7)

@@ -16,8 +16,10 @@ from entwiner.linalg import (
     LinearMap,
     check_map_identity,
     compose,
+    embed13_chain,
     identity,
     is_invertible,
+    kron,
     materialize,
     space,
     tensor,
@@ -47,7 +49,7 @@ from entwiner.yangbaxter import (
     make_type2_from_semi,
     semi_system_equivalence,
     trivial_extension,
-    yb_commutator,
+    _triple_chains,
 )
 
 V = space("v0", "v1")
@@ -114,17 +116,21 @@ def test_rmatrix_commutator_vanishes(name):
             assert c.passed, f"{name} r={r} s={s}: {c.witness}"
 
 
+def yb_commutator(ts):
+    """The exact difference r12 s13 t23 - t23 s13 r12 on V1 (x) V2 (x) V3."""
+    lhs, rhs = _triple_chains(ts)
+    return materialize(lhs) - materialize(rhs)
+
+
 def test_yb_commutator_matches_definition():
     # [R, S, T] = R12 S13 T23 - T23 S13 R12, built here from raw Kronecker legs
     rng = random.Random(77)
     r, s, t = random_endo(rng), random_endo(rng), random_endo(rng)
     ts = TripleSystem(r, s, t)
     got = yb_commutator(ts)
-    from entwiner.linalg import embed13, kron
-
     idv = identity(QQ, V)
     r12 = kron(r, idv)
-    s13 = embed13(s, V)
+    s13 = materialize(embed13_chain(s, V))
     t23 = kron(idv, t)
     lhs = compose(r12, compose(s13, t23))
     rhs = compose(t23, compose(s13, r12))
