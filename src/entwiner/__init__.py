@@ -32,6 +32,7 @@ from .linalg import (
     LinearMap,
     ShapeError,
     Space,
+    check_law,
     check_map_identity,
     dual_space,
     identity,

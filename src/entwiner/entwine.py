@@ -2,11 +2,11 @@
 
 A map psi : B (x) A -> A (x) B over an algebra A (or psi : D (x) C -> C (x) D
 over a coalgebra C) can satisfy several graded axiom sets.  Each named kind is
-one row of KIND_TABLE: the algebra pair (unit, product) or the coalgebra pair
-(counit, coproduct) on the right leg, optionally followed by one of the two
-pairs mirrored onto the left leg.  Sweedler sums are never symbolic: every
-axiom is compiled to an equality of composition chains and checked on basis
-columns.
+one row of KIND_TABLE: the algebra pair SEMI_LAWS (unit, product) or the
+coalgebra pair COSEMI_LAWS (counit, coproduct) on the right leg, optionally
+followed by one of the two pairs mirrored onto the left leg.  Sweedler sums
+are never symbolic: every axiom is a word of tensor layers of named maps (see
+`linalg.check_law`), checked on basis columns.
 
 The second half builds what a verified map induces: the twisted product on
 A (x) B (an algebra iff the map is a factorization), the dual coproduct, the
@@ -24,15 +24,16 @@ from .linalg import (
     LinearMap,
     ShapeError,
     Space,
+    check_law,
     check_map_identity,
     contract_left,
-    contract_right,
     from_columns,
     identity,
     insert_left,
     insert_right,
     lazy_kron,
     materialize,
+    mirror,
     space,
     tensor,
     tensor_vec,
@@ -53,7 +54,9 @@ from .structures import (
     check_grouplike_bilateral_integral,
     check_module,
     convolution_algebra,
+    counit_maps,
     dualize_algebra,
+    unit_maps,
 )
 
 # kind -> (report name, structure on the right factor, structure on the left factor)
@@ -68,6 +71,17 @@ KIND_TABLE = {
 KINDS = tuple(KIND_TABLE)
 SEMI_KINDS = tuple(k for k in KINDS if KIND_TABLE[k][1] == "algebra")
 COSEMI_KINDS = tuple(k for k in KINDS if KIND_TABLE[k][1] == "coalgebra")
+
+# psi : B (x) A -> A (x) B with the algebra (A, m, η) on the right leg
+SEMI_LAWS = (
+    ("unit", ["ψ", ("B", "η")], [("η", "B")]),
+    ("multiplicativity", ["ψ", ("B", "m")], [("m", "B"), ("A", "ψ"), ("ψ", "A")]),
+)
+# psi : D (x) C -> C (x) D with the coalgebra (C, Δ, ε) on the right leg
+COSEMI_LAWS = (
+    ("counit", [("ε", "D"), "ψ"], [("D", "ε")]),
+    ("comultiplicativity", [("Δ", "D"), "ψ"], [("C", "ψ"), ("ψ", "C"), ("D", "Δ")]),
+)
 
 
 @dataclass(frozen=True)
@@ -130,26 +144,10 @@ def algebra_axioms(
     respects the product of A; on the left leg psi : A (x) B -> B (x) A, the
     mirror image of both, named left-unit and left-multiplicativity.
     """
-    field = a.field
-    ida = identity(field, a.space)
-    ido = identity(field, other)
-    before = insert_right(field, other, a.unit, a.space)
-    after = insert_left(field, a.unit, a.space, other)
-    if left:
-        before, after = after, before
-
-    def ordered(x, y):  # x (x) y on the right leg, y (x) x on the left
-        return lazy_kron(y, x) if left else lazy_kron(x, y)
-
-    prefix = "left-" if left else ""
-    return (
-        check_map_identity(prefix + "unit", [psi, before], after),
-        check_map_identity(
-            prefix + "multiplicativity",
-            [psi, ordered(ido, a.mult)],
-            [ordered(a.mult, ido), ordered(ida, psi), ordered(psi, ida)],
-        ),
-    )
+    maps = {"ψ": psi, "m": a.mult, **unit_maps(a, B=other)}
+    maps |= {"A": identity(a.field, a.space), "B": identity(a.field, other)}
+    laws = map(mirror, SEMI_LAWS) if left else SEMI_LAWS
+    return tuple(check_law(law, maps) for law in laws)
 
 
 def coalgebra_axioms(
@@ -161,26 +159,10 @@ def coalgebra_axioms(
     psi : C (x) D -> D (x) C, with the mirrored left-counit and
     left-comultiplicativity.
     """
-    field = c.field
-    idc = identity(field, c.space)
-    ido = identity(field, other)
-    before = contract_left(field, c.counit, c.space, other)
-    after = contract_right(field, other, c.counit, c.space)
-    if left:
-        before, after = after, before
-
-    def ordered(x, y):  # x (x) y on the right leg, y (x) x on the left
-        return lazy_kron(y, x) if left else lazy_kron(x, y)
-
-    prefix = "left-" if left else ""
-    return (
-        check_map_identity(prefix + "counit", [before, psi], after),
-        check_map_identity(
-            prefix + "comultiplicativity",
-            [ordered(c.comult, ido), psi],
-            [ordered(idc, psi), ordered(psi, idc), ordered(ido, c.comult)],
-        ),
-    )
+    maps = {"ψ": psi, "Δ": c.comult, **counit_maps(c, D=other)}
+    maps |= {"C": identity(c.field, c.space), "D": identity(c.field, other)}
+    laws = map(mirror, COSEMI_LAWS) if left else COSEMI_LAWS
+    return tuple(check_law(law, maps) for law in laws)
 
 
 _AXIOMS = {"algebra": algebra_axioms, "coalgebra": coalgebra_axioms}
@@ -349,14 +331,11 @@ def check_intertwining(f: LinearMap, source: ModuleAction, target: ModuleAction)
     """f is a module map: f(m . a) = f(m) . a for the two given actions."""
     if source.algebra.space.dim != target.algebra.space.dim:
         raise ShapeError("intertwining requires actions of the same algebra")
-    ida = identity(source.field, source.algebra.space)
+    maps = {"f": f, "ρ": source.act, "σ": target.act}
+    maps["A"] = identity(source.field, source.algebra.space)
     return Report(
         "intertwining",
-        (
-            check_map_identity(
-                "intertwining", [f, source.act], [target.act, lazy_kron(f, ida)]
-            ),
-        ),
+        (check_law(("intertwining", ["f", "ρ"], ["σ", ("f", "A")]), maps),),
     )
 
 
@@ -388,6 +367,16 @@ class BiproductResult:
     coaction: LinearMap
     integral_coaction: LinearMap | None
     report: Report
+
+
+# the left action λ : A (x) B -> B and the right action ρ : B (x) A -> B of make_biproduct
+BIMODULE_LAWS = (
+    ("left-associativity", ["λ", ("A", "λ")], ["λ", ("m", "B")]),
+    ("left-unit", ["λ", ("η", "B")], ["B"]),
+    ("right-associativity", ["ρ", ("ρ", "A")], ["ρ", ("B", "m")]),
+    ("right-unit", ["ρ", ("B", "η")], ["B"]),
+    ("bimodule-compatibility", ["ρ", ("λ", "A")], ["λ", ("A", "ρ")]),
+)
 
 
 def make_biproduct(
@@ -444,31 +433,9 @@ def make_biproduct(
             cols.append(tuple(col))
         return from_columns(field, e_sp, tensor(e_sp, a_sp), cols)
 
-    ida = identity(field, a_sp)
-    idb = identity(field, b)
-    bimodule = (
-        check_map_identity(
-            "left-associativity",
-            [l_act, lazy_kron(ida, l_act)],
-            [l_act, lazy_kron(h.mult, idb)],
-        ),
-        check_map_identity(
-            "left-unit", [l_act, insert_left(field, h.unit, a_sp, b)], idb
-        ),
-        check_map_identity(
-            "right-associativity",
-            [r_act, lazy_kron(r_act, ida)],
-            [r_act, lazy_kron(idb, h.mult)],
-        ),
-        check_map_identity(
-            "right-unit", [r_act, insert_right(field, b, h.unit, a_sp)], idb
-        ),
-        check_map_identity(
-            "bimodule-compatibility",
-            [r_act, lazy_kron(l_act, ida)],
-            [l_act, lazy_kron(ida, r_act)],
-        ),
-    )
+    maps = {"λ": l_act, "ρ": r_act, "m": h.mult, **unit_maps(h.algebra, B=b)}
+    maps |= {"A": identity(field, a_sp), "B": identity(field, b)}
+    bimodule = tuple(check_law(law, maps) for law in BIMODULE_LAWS)
 
     coact_unit = coaction(h.unit)
     parts = [
@@ -495,11 +462,17 @@ def make_biproduct(
 # entwined modules and comodules
 
 
-VARIANTS = (
-    "semi-entwined-module",
-    "semi-entwined-comodule",
-    "cosemi-entwined-module",
-    "cosemi-entwined-comodule",
+# the measuring φ, a right action ρ : M (x) A -> M or left coaction δ : M -> C (x) M
+VARIANT_LAWS = {
+    "semi-entwined-module": ("compatibility", ["φ", ("ρ", "V"), ("M", "ψ")], ["ρ", ("φ", "A")]),
+    "semi-entwined-comodule": ("compatibility", ["φ", "ρ"], [("ρ", "V"), ("M", "ψ"), ("φ", "A")]),
+    "cosemi-entwined-module": ("compatibility", ["δ", "φ"], [("C", "φ"), ("ψ", "M"), ("V", "δ")]),
+    "cosemi-entwined-comodule": ("compatibility", [("C", "φ"), "δ"], [("ψ", "M"), ("V", "δ"), "φ"]),
+}
+VARIANTS = tuple(VARIANT_LAWS)
+LEFT_COMODULE_LAWS = (
+    ("coassociativity", [("Δ", "M"), "δ"], [("C", "δ"), "δ"]),
+    ("counit", [("ε", "M"), "δ"], ["M"]),
 )
 
 
@@ -547,66 +520,26 @@ def check_entwined_variant(mm: MeasuredModule, e: EntwiningData) -> Report:
     m_sp, v_sp, psi = mm.carrier, mm.vee, e.psi
     if v_sp.dims != e.left_space.dims:
         raise ShapeError("measured module V-factor does not match the entwining left factor")
-    idm = identity(field, m_sp)
-    idv = identity(field, v_sp)
-
+    maps = {"φ": mm.measuring, "ψ": psi, "M": identity(field, m_sp), "V": identity(field, v_sp)}
     if semi_side:
         a = e.algebra
-        ida = identity(field, a.space)
-        act = mm.act
-        prereq = [
-            verify(e).prefixed("entwining"),
-            check_module(ModuleAction(a, m_sp, act)).prefixed("module"),
-        ]
-        if mm.variant == "semi-entwined-module":
-            compat = check_map_identity(
-                "compatibility",
-                [mm.measuring, lazy_kron(act, idv), lazy_kron(idm, psi)],
-                [act, lazy_kron(mm.measuring, ida)],
-            )
-        else:
-            compat = check_map_identity(
-                "compatibility",
-                [mm.measuring, act],
-                [lazy_kron(act, idv), lazy_kron(idm, psi), lazy_kron(mm.measuring, ida)],
-            )
+        maps |= {"ρ": mm.act, "A": identity(field, a.space)}
+        prereq = check_module(ModuleAction(a, m_sp, mm.act)).prefixed("module")
     else:
         c = e.coalgebra
-        idc = identity(field, c.space)
         coact = mm.coact
         if coact.domain.dims != m_sp.dims or coact.codomain.dims != c.space.dims + m_sp.dims:
             raise ShapeError("left coaction must map M -> C (x) M")
-        prereq = [
-            verify(e).prefixed("entwining"),
-            Report(
-                "comodule",
-                (
-                    check_map_identity(
-                        "coassociativity",
-                        [lazy_kron(c.comult, idm), coact],
-                        [lazy_kron(idc, coact), coact],
-                    ),
-                    check_map_identity(
-                        "counit",
-                        [contract_left(field, c.counit, c.space, m_sp), coact],
-                        idm,
-                    ),
-                ),
-            ).prefixed("comodule"),
-        ]
-        if mm.variant == "cosemi-entwined-module":
-            compat = check_map_identity(
-                "compatibility",
-                [coact, mm.measuring],
-                [lazy_kron(idc, mm.measuring), lazy_kron(psi, idm), lazy_kron(idv, coact)],
-            )
-        else:
-            compat = check_map_identity(
-                "compatibility",
-                [lazy_kron(idc, mm.measuring), coact],
-                [lazy_kron(psi, idm), lazy_kron(idv, coact), mm.measuring],
-            )
-    return merge(mm.variant, *prereq, compat)
+        maps |= {"δ": coact, "Δ": c.comult, "C": identity(field, c.space)}
+        maps |= counit_maps(c, M=m_sp)
+        prereq = tuple(check_law(law, maps) for law in LEFT_COMODULE_LAWS)
+        prereq = Report("comodule", prereq).prefixed("comodule")
+    return merge(
+        mm.variant,
+        verify(e).prefixed("entwining"),
+        prereq,
+        check_law(VARIANT_LAWS[mm.variant], maps),
+    )
 
 
 def module_from_pair(
@@ -636,14 +569,12 @@ def entwined_roundtrip(e: EntwiningData, act: LinearMap, triangle: LinearMap) ->
     e = replace(e, kind="factorization")
     a, b, psi = e.algebra, e.left_algebra, e.psi
     m_sp = act.domain.factors[0]
-    idm = identity(a.field, m_sp)
     mod = module_from_pair(a, b, psi, act, triangle)
     split_act, split_tri = pair_from_module(a, b, mod)
-    compat = check_map_identity(
-        "split-compatibility",
-        [split_tri, lazy_kron(split_act, identity(a.field, b.space)), lazy_kron(idm, psi)],
-        [split_act, lazy_kron(split_tri, identity(a.field, a.space))],
-    )
+    maps = {"φ": split_tri, "ρ": split_act, "ψ": psi, "M": identity(a.field, m_sp)}
+    maps |= {"V": identity(a.field, b.space), "A": identity(a.field, a.space)}
+    _, lhs, rhs = VARIANT_LAWS["semi-entwined-module"]
+    compat = check_law(("split-compatibility", lhs, rhs), maps)
     return merge(
         "entwined-roundtrip",
         verify(e).prefixed("factorization"),

@@ -11,6 +11,10 @@ Identity checks stream column by column, so a failing check stops at the
 lexicographically-first failing basis tuple - which is exactly the witness
 reported.
 
+A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
+maps, outermost layer first.  `check_law` binds the names and runs the two
+chains through `check_map_identity`; `mirror` moves a law onto the left leg.
+
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
 product.  All objects are immutable after construction.
 """
@@ -332,6 +336,8 @@ class KronApply:
 
 ChainElt = LinearMap | KronApply
 Chain = ChainElt | list | tuple
+# (name, lhs, rhs): each side a list of layers, a layer a name or a tuple of names
+Law = tuple[str, list, list]
 
 
 def lazy_kron(*legs) -> KronApply:
@@ -419,19 +425,31 @@ def check_vector_identity(
     return IdentityCheck(name, True)
 
 
-def embed13_chain(s: LinearMap, mid: Space) -> list[ChainElt]:
-    if len(s.domain.dims) != 2 or s.domain.dims != s.codomain.dims:
-        raise ShapeError("embed13 needs an endomorphism of a two-factor tensor square")
-    v, w = s.domain.factors
-    field = s.field
-    idv = identity(field, v)
-    idw = identity(field, w)
-    idm = identity(field, mid)
-    return [
-        lazy_kron(idv, twist(field, w, mid)),
-        lazy_kron(s, idm),
-        lazy_kron(idv, twist(field, mid, w)),
-    ]
+def mirror(law: Law) -> Law:
+    """The same law on the left leg: every tuple layer reversed, name prefixed `left-`."""
+    name, lhs, rhs = law
+
+    def flip(side):
+        return [w[::-1] if isinstance(w, tuple) else w for w in side]
+
+    return ("left-" + name, flip(lhs), flip(rhs))
+
+
+def check_law(law: Law, maps: dict) -> IdentityCheck:
+    """Evaluate the law `(name, lhs, rhs)` on the maps bound to its names.
+
+    Each side lists its layers outermost first.  A layer is a bound name, or a
+    tuple of names tensored left to right; a tuple bound as a whole (a unit
+    insertion such as ("B", "η")) is looked up before it is split.  Each
+    distinct layer is built once, so the two sides share their lazy Kronecker
+    products.
+    """
+    name, lhs, rhs = law
+    built = {
+        w: maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
+        for w in dict.fromkeys([*lhs, *rhs])
+    }
+    return check_map_identity(name, [built[w] for w in lhs], [built[w] for w in rhs])
 
 
 def is_invertible(f: LinearMap) -> bool:

@@ -453,30 +453,3 @@ def coalgebra_pairs():
             yield left, right
     yield from EXTRA_COPAIRS
 
-
-def registry_document(field) -> "StructureFile":
-    """Every named registry structure in one structure file.
-
-    The packaged `data/registry.json` is the canonical emission of this
-    document over the rationals; a test regenerates it so the data file and
-    the builders cannot drift apart.
-    """
-    from .serial import document
-
-    sf = document(field)
-    seen = {}
-
-    def carry(name, obj):
-        if obj.space not in seen:
-            seen[obj.space] = sf.add(f"{name}-space", obj.space)
-        sf.add(name, obj)
-
-    for name in BIALGEBRA_NAMES:
-        carry(name, bialgebra(name, field))
-    for name in ALGEBRA_NAMES:
-        if name not in BIALGEBRA_NAMES:
-            carry(name, algebra(name, field))
-    for name in COALGEBRA_NAMES:
-        if name not in BIALGEBRA_NAMES:
-            carry(name, coalgebra(name, field))
-    return sf

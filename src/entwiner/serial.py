@@ -45,6 +45,8 @@ class StructureFile:
         return obj
 
     def __getitem__(self, name: str):
+        if not isinstance(name, str):
+            raise FormatError(f"object references must be names, got {type(name).__name__}")
         try:
             return self.objects[name]
         except KeyError:

@@ -7,6 +7,12 @@ whose failures carry the first failing basis tuple and the exact residual.
 Conventions: modules are right modules (act : M (x) A -> M), comodules are
 right comodules (coact : M -> M (x) C), units are coefficient vectors and
 counits coefficient covectors over the fixed basis.
+
+Each map law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
+`MODULE_LAWS`, `COMODULE_LAWS`) checked by `linalg.check_law`.  Names: m and
+Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
+identity, and (X, "η"), ("η", X), (X, "ε"), ("ε", X) the unit insertions and
+counit contractions that `unit_maps` and `counit_maps` bind.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .linalg import (
     ShapeError,
     Space,
     apply_covector,
+    check_law,
     check_map_identity,
     check_vector_identity,
     contract_left,
@@ -28,7 +35,6 @@ from .linalg import (
     insert_left,
     insert_right,
     kron,
-    lazy_kron,
     rank_one,
     space,
     tensor,
@@ -36,6 +42,25 @@ from .linalg import (
     twist,
 )
 from .report import Report, merge
+
+ALGEBRA_LAWS = (
+    ("associativity", ["m", ("m", "A")], ["m", ("A", "m")]),
+    ("unit-left", ["m", ("η", "A")], ["A"]),
+    ("unit-right", ["m", ("A", "η")], ["A"]),
+)
+COALGEBRA_LAWS = (
+    ("coassociativity", [("Δ", "C"), "Δ"], [("C", "Δ"), "Δ"]),
+    ("counit-left", [("ε", "C"), "Δ"], ["C"]),
+    ("counit-right", [("C", "ε"), "Δ"], ["C"]),
+)
+MODULE_LAWS = (
+    ("action-associativity", ["ρ", ("ρ", "A")], ["ρ", ("M", "m")]),
+    ("action-unit", ["ρ", ("M", "η")], ["M"]),
+)
+COMODULE_LAWS = (
+    ("coaction-coassociativity", [("δ", "C"), "δ"], [("M", "Δ"), "δ"]),
+    ("coaction-counit", [("M", "ε"), "δ"], ["M"]),
+)
 
 
 @dataclass(frozen=True)
@@ -57,24 +82,18 @@ class Algebra:
             raise ShapeError("multiplication field mismatch")
 
 
+def unit_maps(a: Algebra, **spaces: Space) -> dict:
+    """Bind (X, "η") : X -> X (x) A and ("η", X) : X -> A (x) X for each named space X."""
+    out = {}
+    for name, v in spaces.items():
+        out[(name, "η")] = insert_right(a.field, v, a.unit, a.space)
+        out[("η", name)] = insert_left(a.field, a.unit, a.space, v)
+    return out
+
+
 def check_algebra(a: Algebra) -> Report:
-    ida = identity(a.field, a.space)
-    return Report(
-        "algebra",
-        (
-            check_map_identity(
-                "associativity",
-                [a.mult, lazy_kron(a.mult, ida)],
-                [a.mult, lazy_kron(ida, a.mult)],
-            ),
-            check_map_identity(
-                "unit-left", [a.mult, insert_left(a.field, a.unit, a.space, a.space)], ida
-            ),
-            check_map_identity(
-                "unit-right", [a.mult, insert_right(a.field, a.space, a.unit, a.space)], ida
-            ),
-        ),
-    )
+    maps = {"m": a.mult, "A": identity(a.field, a.space), **unit_maps(a, A=a.space)}
+    return Report("algebra", tuple(check_law(law, maps) for law in ALGEBRA_LAWS))
 
 
 @dataclass(frozen=True)
@@ -96,28 +115,18 @@ class Coalgebra:
             raise ShapeError("comultiplication field mismatch")
 
 
+def counit_maps(c: Coalgebra, **spaces: Space) -> dict:
+    """Bind (X, "ε") : X (x) C -> X and ("ε", X) : C (x) X -> X for each named space X."""
+    out = {}
+    for name, v in spaces.items():
+        out[(name, "ε")] = contract_right(c.field, v, c.counit, c.space)
+        out[("ε", name)] = contract_left(c.field, c.counit, c.space, v)
+    return out
+
+
 def check_coalgebra(c: Coalgebra) -> Report:
-    idc = identity(c.field, c.space)
-    return Report(
-        "coalgebra",
-        (
-            check_map_identity(
-                "coassociativity",
-                [lazy_kron(c.comult, idc), c.comult],
-                [lazy_kron(idc, c.comult), c.comult],
-            ),
-            check_map_identity(
-                "counit-left",
-                [contract_left(c.field, c.counit, c.space, c.space), c.comult],
-                idc,
-            ),
-            check_map_identity(
-                "counit-right",
-                [contract_right(c.field, c.space, c.counit, c.space), c.comult],
-                idc,
-            ),
-        ),
-    )
+    maps = {"Δ": c.comult, "C": identity(c.field, c.space), **counit_maps(c, C=c.space)}
+    return Report("coalgebra", tuple(check_law(law, maps) for law in COALGEBRA_LAWS))
 
 
 @dataclass(frozen=True)
@@ -142,19 +151,12 @@ class Bialgebra:
 
 def check_bialgebra(b: Bialgebra) -> Report:
     field, h = b.field, b.space
-    idh = identity(field, h)
-    hh = tensor(h, h)
-    k = space("k")
-    eps = LinearMap(field, h, k, (tuple(b.counit),))
+    eps = LinearMap(field, h, space("k"), (tuple(b.counit),))
+    maps = {"m": b.mult, "Δ": b.comult, "ε": eps, "H": identity(field, h), "τ": twist(field, h, h)}
     compat = (
-        check_map_identity(
-            "comult-multiplicative",
-            [b.comult, b.mult],
-            [
-                lazy_kron(b.mult, b.mult),
-                lazy_kron(idh, twist(field, h, h), idh),
-                lazy_kron(b.comult, b.comult),
-            ],
+        check_law(
+            ("comult-multiplicative", ["Δ", "m"], [("m", "m"), ("H", "τ", "H"), ("Δ", "Δ")]),
+            maps,
         ),
         check_vector_identity(
             "comult-unit",
@@ -163,11 +165,7 @@ def check_bialgebra(b: Bialgebra) -> Report:
             b.comult.apply(b.unit),
             tensor_vec(b.unit, b.unit),
         ),
-        check_map_identity(
-            "counit-multiplicative",
-            [eps, b.mult],
-            LinearMap(field, hh, k, (tensor_vec(b.counit, b.counit),)),
-        ),
+        check_law(("counit-multiplicative", ["ε", "m"], [("ε", "ε")]), maps),
         check_vector_identity(
             "counit-unit",
             field,
@@ -204,23 +202,9 @@ class ModuleAction:
 
 def check_module(mod: ModuleAction) -> Report:
     a = mod.algebra
-    idm = identity(a.field, mod.space)
-    ida = identity(a.field, a.space)
-    return Report(
-        "module",
-        (
-            check_map_identity(
-                "action-associativity",
-                [mod.act, lazy_kron(mod.act, ida)],
-                [mod.act, lazy_kron(idm, a.mult)],
-            ),
-            check_map_identity(
-                "action-unit",
-                [mod.act, insert_right(a.field, mod.space, a.unit, a.space)],
-                idm,
-            ),
-        ),
-    )
+    maps = {"ρ": mod.act, "m": a.mult, **unit_maps(a, M=mod.space)}
+    maps |= {"M": identity(a.field, mod.space), "A": identity(a.field, a.space)}
+    return Report("module", tuple(check_law(law, maps) for law in MODULE_LAWS))
 
 
 @dataclass(frozen=True)
@@ -243,23 +227,9 @@ class ComoduleCoaction:
 
 def check_comodule(com: ComoduleCoaction) -> Report:
     c = com.coalgebra
-    idm = identity(c.field, com.space)
-    idc = identity(c.field, c.space)
-    return Report(
-        "comodule",
-        (
-            check_map_identity(
-                "coaction-coassociativity",
-                [lazy_kron(com.coact, idc), com.coact],
-                [lazy_kron(idm, c.comult), com.coact],
-            ),
-            check_map_identity(
-                "coaction-counit",
-                [contract_right(c.field, com.space, c.counit, c.space), com.coact],
-                idm,
-            ),
-        ),
-    )
+    maps = {"δ": com.coact, "Δ": c.comult, **counit_maps(c, M=com.space)}
+    maps |= {"M": identity(c.field, com.space), "C": identity(c.field, c.space)}
+    return Report("comodule", tuple(check_law(law, maps) for law in COMODULE_LAWS))
 
 
 def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Report:
@@ -267,15 +237,17 @@ def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Repo
     com = ComoduleCoaction(h.coalgebra, alg.space, coact)
     field = alg.field
     e = alg.space
-    ide = identity(field, e)
-    multiplicative = check_map_identity(
-        "coaction-multiplicative",
-        [coact, alg.mult],
-        [
-            lazy_kron(alg.mult, h.mult),
-            lazy_kron(ide, twist(field, h.space, e), identity(field, h.space)),
-            lazy_kron(coact, coact),
-        ],
+    maps = {
+        "δ": coact,
+        "m": alg.mult,
+        "μ": h.mult,
+        "E": identity(field, e),
+        "H": identity(field, h.space),
+        "τ": twist(field, h.space, e),
+    }
+    multiplicative = check_law(
+        ("coaction-multiplicative", ["δ", "m"], [("m", "μ"), ("E", "τ", "H"), ("δ", "δ")]),
+        maps,
     )
     unital = check_vector_identity(
         "coaction-unit",

@@ -3,8 +3,9 @@
 The triple commutator [R, S, T] = R12 S13 T23 - T23 S13 R12 is the working
 primitive: the braid relation, the quantum Yang-Baxter equation, WXZ systems,
 and four-map systems are all families of vanishing commutators.  Checks
-compare the two triple compositions column-by-column instead of materializing
-the commutator, so a failure surfaces the first bad basis vector.
+compare the two triple compositions (the word TRIPLE_LAW) column-by-column
+instead of materializing the commutator, so a failure surfaces the first bad
+basis vector.
 
 The bridge results relate these systems to the entwining axioms: the algebra
 R-matrix R_{r,s} pairs with a twisted entwining map to form a (semi) system
@@ -31,15 +32,14 @@ from .linalg import (
     LinearMap,
     ShapeError,
     Space,
+    check_law,
     check_map_identity,
     check_vector_identity,
-    embed13_chain,
     from_columns,
     identity,
     insert_left,
     insert_right,
     is_invertible,
-    lazy_kron,
     materialize,
     space,
     tensor,
@@ -47,6 +47,13 @@ from .linalg import (
 )
 from .report import IdentityCheck, PreconditionError, Report, merge
 from .structures import Algebra, check_algebra, check_derivation, opposite_algebra
+
+
+# R12 S13 T23 = T23 S13 R12 on U (x) V (x) W, where S13 is S (x) V conjugated
+# by τ : V (x) W -> W (x) V and τ⁻¹ : W (x) V -> V (x) W on the last two legs
+_S13 = [("U", "τ⁻¹"), ("S", "V"), ("U", "τ")]
+TRIPLE_LAW = ("commutator", [("R", "W"), *_S13, ("U", "T")], [("U", "T"), *_S13, ("R", "W")])
+BRAID_LAW = ("braid", [("φ", "V"), ("V", "φ"), ("φ", "V")], [("V", "φ"), ("φ", "V"), ("V", "φ")])
 
 
 def _square_endo(m: LinearMap, what: str):
@@ -82,19 +89,14 @@ class TripleSystem:
         )
 
 
-def _triple_chains(ts: TripleSystem):
-    field = ts.r12.field
-    v1, v2, v3 = ts.spaces
-    left = lazy_kron(ts.r12, identity(field, v3))
-    right = lazy_kron(identity(field, v1), ts.t23)
-    mid = embed13_chain(ts.s13, v2)
-    return [left, *mid, right], [right, *mid, left]
-
-
 def commutator_check(name: str, r12: LinearMap, s13: LinearMap, t23: LinearMap) -> IdentityCheck:
     """Column-streamed test that [r12, s13, t23] = 0."""
-    lhs, rhs = _triple_chains(TripleSystem(r12, s13, t23))
-    return check_map_identity(name, lhs, rhs)
+    u, v, w = TripleSystem(r12, s13, t23).spaces
+    field = r12.field
+    maps = {"R": r12, "S": s13, "T": t23, "τ": twist(field, v, w), "τ⁻¹": twist(field, w, v)}
+    maps |= {"U": identity(field, u), "V": identity(field, v), "W": identity(field, w)}
+    _, lhs, rhs = TRIPLE_LAW
+    return check_law((name, lhs, rhs), maps)
 
 
 def check_qybe(phi: LinearMap) -> Report:
@@ -110,10 +112,7 @@ def check_yb_operator(phi: LinearMap) -> Report:
     if v.dims != w.dims:
         raise ShapeError("a braid candidate needs equal tensor factors")
     field = phi.field
-    idv = identity(field, v)
-    f12 = lazy_kron(phi, idv)
-    f23 = lazy_kron(idv, phi)
-    braid = check_map_identity("braid", [f12, f23, f12], [f23, f12, f23])
+    braid = check_law(BRAID_LAW, {"φ": phi, "V": identity(field, v)})
     tau = twist(field, v, w)
     right = phi * tau
     left = tau * phi
@@ -383,16 +382,15 @@ def check_braided_morphism(
     f: LinearMap, a: Algebra, psi_a: LinearMap, b: Algebra, psi_b: LinearMap
 ) -> Report:
     """f is an algebra morphism intertwining the two braidings."""
-    field = a.field
-    ff = lazy_kron(f, f)
+    maps = {"f": f, "m": a.mult, "n": b.mult, "ψ": psi_a, "φ": psi_b}
     return Report(
         "braided-morphism",
         (
-            check_map_identity("morphism-mult", [f, a.mult], [b.mult, ff]),
+            check_law(("morphism-mult", ["f", "m"], ["n", ("f", "f")]), maps),
             check_vector_identity(
-                "morphism-unit", field, b.space, f.apply(a.unit), b.unit
+                "morphism-unit", a.field, b.space, f.apply(a.unit), b.unit
             ),
-            check_map_identity("braiding-compatibility", [ff, psi_a], [psi_b, ff]),
+            check_law(("braiding-compatibility", [("f", "f"), "ψ"], ["φ", ("f", "f")]), maps),
         ),
     )
 

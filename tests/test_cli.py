@@ -1,5 +1,8 @@
 """The command line: verify, suite, construct, list; exit codes 0/1/2."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -7,9 +10,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entwiner
-from entwiner.cli import main
+from entwiner.cli import CHECKS, main
 from entwiner.entwine import EntwiningData
 from entwiner.fields import QQ
 from entwiner.linalg import ShapeError
@@ -120,6 +125,39 @@ def test_verify_file_target(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--field", "fp:7", f"{p}:psi")
     assert code == 2
     assert "field" in err
+
+
+@pytest.mark.parametrize(
+    "construct, obj, key, value",
+    (
+        (("mult_twist", "Kx2-1", "1"), "psi", "algebra", []),
+        (("mult_twist", "Kx2-1", "1"), "psi", "algebra", {}),
+        (("mult_twist", "Kx2-1", "1"), "psi", "algebra", [1]),
+        (("mult_twist", "Kx2-1", "1"), "psi", "left_algebra", []),
+        (("mult_twist", "Kx2-1", "1"), "A", "space", [["x"]]),
+        (("rmatrix", "Kx3", "1", "2"), "W", "codomain", [{}]),
+    ),
+    ids=(
+        "algebra=[]",
+        "algebra={}",
+        "algebra=[1]",
+        "left_algebra=[]",
+        "space=[[x]]",
+        "codomain=[{}]",
+    ),
+)
+def test_verify_refuses_non_string_references(capsys, tmp_path, construct, obj, key, value):
+    code, out, _ = run(capsys, "construct", *construct)
+    assert code == 0
+    doc = json.loads(out)
+    next(o for o in doc["objects"] if o["name"] == obj)[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    target = "psi" if construct[0] == "mult_twist" else "W"
+    code, out, err = run(capsys, "verify", f"{p}:{target}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: object references must be names, got ")
 
 
 def test_verify_refuses_checks_whose_structures_are_missing(capsys, tmp_path, flip_entwining):
@@ -314,3 +352,63 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "verdict: PASS" in proc.stdout
+
+
+FUZZ_SOURCES = (
+    ("mult_twist", "Kx2-1", "1"),
+    ("action", "module@Kx3"),
+    ("dualize", "cotwist@GL2,GL2"),
+    ("rmatrix", "Kx3", "1", "2"),
+    ("biproduct", "Kmono", "mult_twist@Kmono,q=1", "0:1"),
+)
+FUZZ_VALUES = ([], {}, [1], [[]], [{}], 0, 3, -1, None, True, "", "nosuch", "1/0", "0.5")
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(node, list) and node:
+        for i, v in enumerate(node):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    docs = []
+    for argv in FUZZ_SOURCES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["construct", *argv]) == 0
+        doc = json.loads(out.getvalue())
+        docs.append((doc, list(_leaf_paths(doc)), [o["name"] for o in doc["objects"]]))
+    return tmp_path_factory.mktemp("fuzz") / "mutant.json", docs
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_structure_files_keep_the_exit_code_contract(fuzz_documents, data):
+    # one JSON leaf of a constructed file replaced by a value of the wrong
+    # type or an unknown name: every command exits 0, 1 or 2 and raises nothing
+    path, docs = fuzz_documents
+    doc, leaves, names = data.draw(st.sampled_from(docs))
+    where = data.draw(st.sampled_from(leaves))
+    mutant = copy.deepcopy(doc)
+    node = mutant
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+    path.write_text(json.dumps(mutant))
+    target = f"{path}:{data.draw(st.sampled_from(names))}"
+    argv = data.draw(
+        st.sampled_from(
+            [["verify", target]]
+            + [["verify", "--check", c, target] for c in CHECKS]
+            + [["construct", "entwining", target], ["construct", "product", target]]
+        )
+    )
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -17,7 +17,6 @@ from entwiner.linalg import (
     contract_left,
     contract_right,
     dual_space,
-    embed13_chain,
     from_columns,
     identity,
     insert_left,
@@ -34,6 +33,7 @@ from entwiner.linalg import (
     zero_map,
 )
 from entwiner.report import IdentityCheck
+from reference import embed13_chain
 
 V2 = space("a0", "a1")
 V3 = space("b0", "b1", "b2")

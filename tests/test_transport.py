@@ -1,0 +1,96 @@
+"""Transport of structure: a change of basis on every tensor factor keeps every verdict.
+
+The laws are basis-free, so conjugating psi and the structures on its two legs
+by invertible maps g_L, g_R must leave the per-check verdicts of `verify`
+unchanged, whichever laws the table assembles.  Unitriangular integer
+matrices have integral inverses, so the same change of basis is valid over Q
+and every F_p.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from entwiner.entwine import verify
+from entwiner.fields import QQ, PrimeField
+from entwiner.linalg import LinearMap, ShapeError
+from entwiner.registry import INSTANCE_NAMES, resolve_instance
+from entwiner.structures import Algebra, Coalgebra
+
+
+def unitriangular(rng, n):
+    """A random upper unitriangular integer matrix and its integral inverse."""
+    g = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0) for j in range(n)] for i in range(n)]
+    inv = [[0] * n for _ in range(n)]
+    for col in range(n):
+        for i in reversed(range(n)):
+            inv[i][col] = int(i == col) - sum(g[i][k] * inv[k][col] for k in range(i + 1, n))
+    return g, inv
+
+
+def basis_change(rng, field, v):
+    """g = L U on v with L lower and U upper unitriangular, and g^-1 = U^-1 L^-1.
+
+    A unitriangular g of one kind alone fixes a basis vector (e_0 for an upper
+    one), and registry units are often e_0, so both kinds are multiplied.
+    """
+
+    def as_map(m):
+        return LinearMap(field, v, v, tuple(tuple(field.from_int(x) for x in row) for row in m))
+
+    u, ui = unitriangular(rng, v.dim)
+    lt, lti = unitriangular(rng, v.dim)
+    l, li = as_map(list(zip(*lt))), as_map(list(zip(*lti)))
+    return l * as_map(u), as_map(ui) * li
+
+
+def transport_structure(s, g, gi):
+    """m' = g m (g^-1 (x) g^-1), unit' = g unit; Δ' = (g (x) g) Δ g^-1, counit' = counit g^-1."""
+    if s is None:
+        return None
+    if isinstance(s, Algebra):
+        return Algebra(s.field, s.space, g * s.mult * (gi @ gi), g.apply(s.unit))
+    assert isinstance(s, Coalgebra)
+    return Coalgebra(s.field, s.space, (g @ g) * s.comult * gi, gi.transpose().apply(s.counit))
+
+
+def transport(e, rng):
+    """psi' = (g_R (x) g_L) psi (g_L^-1 (x) g_R^-1), each leg's structure moved by its g."""
+    gl, gli = basis_change(rng, e.field, e.left_space)
+    gr, gri = basis_change(rng, e.field, e.right_space)
+    return replace(
+        e,
+        psi=(gr @ gl) * e.psi * (gli @ gri),
+        algebra=transport_structure(e.algebra, gr, gri),
+        coalgebra=transport_structure(e.coalgebra, gr, gri),
+        left_algebra=transport_structure(e.left_algebra, gl, gli),
+        left_coalgebra=transport_structure(e.left_coalgebra, gl, gli),
+    )
+
+
+def test_basis_change_inverse_and_moved_unit():
+    rng = random.Random(5)
+    a = resolve_instance("module@Kx3", QQ).algebra
+    g, gi = basis_change(rng, QQ, a.space)
+    one = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    assert (g * gi).rows == one and (gi * g).rows == one
+    assert a.unit == (1, 0, 0) and g.apply(a.unit) != a.unit
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_verdicts_survive_a_change_of_basis(field):
+    cases = moved_psi = 0
+    for name in INSTANCE_NAMES:
+        for expr in (name, "corrupt:" + name, "dual:" + name):
+            try:
+                e = resolve_instance(expr, field)
+            except ShapeError:  # dual: of a non-factorization
+                continue
+            moved = transport(e, random.Random(expr))
+            want = [(c.name, c.passed) for c in verify(e).checks]
+            assert [(c.name, c.passed) for c in verify(moved).checks] == want, expr
+            cases += 1
+            moved_psi += moved.psi != e.psi
+    assert cases == 76
+    assert moved_psi > cases // 2

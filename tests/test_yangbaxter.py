@@ -16,7 +16,6 @@ from entwiner.linalg import (
     LinearMap,
     check_map_identity,
     compose,
-    embed13_chain,
     identity,
     is_invertible,
     kron,
@@ -28,7 +27,6 @@ from entwiner.linalg import (
 from entwiner.registry import ALGEBRA_NAMES, algebra, resolve_instance
 from entwiner.report import PreconditionError
 from entwiner.yangbaxter import (
-    TripleSystem,
     TypeIISystem,
     WXZSystem,
     check_braided_algebra,
@@ -49,8 +47,8 @@ from entwiner.yangbaxter import (
     make_type2_from_semi,
     semi_system_equivalence,
     trivial_extension,
-    _triple_chains,
 )
+from reference import embed13_chain
 
 V = space("v0", "v1")
 VV = tensor(V, V)
@@ -116,28 +114,33 @@ def test_rmatrix_commutator_vanishes(name):
             assert c.passed, f"{name} r={r} s={s}: {c.witness}"
 
 
-def yb_commutator(ts):
-    """The exact difference r12 s13 t23 - t23 s13 r12 on V1 (x) V2 (x) V3."""
-    lhs, rhs = _triple_chains(ts)
-    return materialize(lhs) - materialize(rhs)
-
-
-def test_yb_commutator_matches_definition():
-    # [R, S, T] = R12 S13 T23 - T23 S13 R12, built here from raw Kronecker legs
-    rng = random.Random(77)
-    r, s, t = random_endo(rng), random_endo(rng), random_endo(rng)
-    ts = TripleSystem(r, s, t)
-    got = yb_commutator(ts)
+def yb_commutator(r, s, t):
+    """The exact difference r12 s13 t23 - t23 s13 r12, built from raw Kronecker legs."""
     idv = identity(QQ, V)
     r12 = kron(r, idv)
     s13 = materialize(embed13_chain(s, V))
     t23 = kron(idv, t)
-    lhs = compose(r12, compose(s13, t23))
-    rhs = compose(t23, compose(s13, r12))
-    want = tuple(
-        tuple(x - y for x, y in zip(lr, rr)) for lr, rr in zip(lhs.rows, rhs.rows)
-    )
-    assert got.rows == want
+    return compose(r12, compose(s13, t23)) - compose(t23, compose(s13, r12))
+
+
+def test_yb_commutator_matches_definition():
+    # commutator_check's verdict, witness and residual are the first nonzero
+    # column of [R, S, T] = R12 S13 T23 - T23 S13 R12
+    rng = random.Random(77)
+    tau = twist(QQ, V, V)
+    cases = [(tau, tau, tau)] + [
+        (random_endo(rng), random_endo(rng), random_endo(rng)) for _ in range(6)
+    ]
+    vvv = tensor(V, V, V)
+    for r, s, t in cases:
+        diff = yb_commutator(r, s, t)
+        got = commutator_check("c", r, s, t)
+        bad = [j for j in range(vvv.dim) if any(row[j] for row in diff.rows)]
+        assert got.passed == (not bad)
+        if bad:
+            assert got.witness == vvv.basis_tuple(bad[0])
+            assert got.residual == tuple(QQ.render(row[bad[0]]) for row in diff.rows)
+    assert commutator_check("c", tau, tau, tau).passed
 
 
 @pytest.mark.parametrize(
