@@ -7,6 +7,10 @@ right.  Maps are stored densely (rows of scalars).  Every product - `compose`,
 `kron`, `LinearMap.apply`, `materialize` and the identity checks - streams
 sparse columns through a chain of maps and lazy Kronecker products; the only
 code that multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.
+Over F_p both kernels multiply and add plain ints and reduce each output entry
+once, at the end.  `KronApply` never expands an identity leg: each run of
+adjacent identity legs is one stride block whose digit is copied from the input
+index to the output index.
 Identity checks stream column by column, so a failing check stops at the
 lexicographically-first failing basis tuple - which is exactly the witness
 reported.
@@ -118,7 +122,11 @@ class LinearMap:
     codomain: Space
     rows: tuple[tuple[Scalar, ...], ...]
 
+    # set on the maps that `identity` builds, so KronApply needs no scan
+    _is_identity = False
+
     def __post_init__(self):
+        object.__setattr__(self, "rows", self.field.matrix(self.rows))
         if len(self.rows) != self.codomain.dim:
             raise ShapeError(
                 f"matrix has {len(self.rows)} rows, codomain dim {self.codomain.dim}"
@@ -148,7 +156,7 @@ class LinearMap:
             for r, m in cols[j]:
                 cur = out.get(r)
                 out[r] = m * v if cur is None else cur + m * v
-        return {k: v for k, v in out.items() if v}
+        return self.field.nonzero(out)
 
     def apply(self, vec) -> tuple[Scalar, ...]:
         """Application to a coefficient tuple."""
@@ -242,7 +250,9 @@ def identity(field: Field, v: Space) -> LinearMap:
     rows = tuple(
         tuple(one if i == j else zero for j in range(v.dim)) for i in range(v.dim)
     )
-    return LinearMap(field, v, v, rows)
+    m = LinearMap(field, v, v, rows)
+    object.__setattr__(m, "_is_identity", True)
+    return m
 
 
 def zero_map(field: Field, domain: Space, codomain: Space) -> LinearMap:
@@ -276,10 +286,14 @@ class KronApply:
     """Lazy tensor product of maps, usable inside check chains only.
 
     Never materializes the product matrix; applies leg columns to sparse
-    vectors.  Legs are flattened, so nesting costs nothing.
+    vectors.  Legs are flattened, so nesting costs nothing.  A leg at input
+    stride s and output stride t reads its digit (j // s) % dim of the input
+    index j and adds r * t to the output index for each entry r of its column.
+    A run of adjacent identity legs is one block that adds the digit itself,
+    so identities cost one division per input term and no multiplication.
     """
 
-    __slots__ = ("legs", "field", "domain", "codomain", "_ddims", "_cdims")
+    __slots__ = ("legs", "field", "domain", "codomain", "_blocks", "_maps")
 
     def __init__(self, *legs):
         flat: list[LinearMap] = []
@@ -298,37 +312,41 @@ class KronApply:
         self.field = f0
         self.domain = tensor(*(l.domain for l in flat))
         self.codomain = tensor(*(l.codomain for l in flat))
-        self._ddims = tuple(l.domain.dim for l in flat)
-        self._cdims = tuple(l.codomain.dim for l in flat)
+        # right to left: (input stride, dim, output stride) per identity run,
+        # (input stride, dim, output stride, columns) per other leg
+        blocks: list[list[int]] = []
+        maps: list[tuple] = []
+        s = t = 1
+        run = False
+        for leg in reversed(flat):
+            d = leg.domain.dim
+            if not leg._is_identity:
+                maps.append((s, d, t, leg._cols))
+            elif run:
+                blocks[-1][1] *= d
+            else:
+                blocks.append([s, d, t])
+            run = leg._is_identity
+            s *= d
+            t *= leg.codomain.dim
+        self._blocks = tuple(tuple(b) for b in blocks if b[1] > 1)
+        self._maps = tuple(maps)
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
         out: dict[int, Scalar] = {}
-        legs = self.legs
-        ddims = self._ddims
-        cdims = self._cdims
+        blocks = self._blocks
+        maps = self._maps
         for j, v in col.items():
-            parts: list[int] = []
-            rem = j
-            for d in reversed(ddims):
-                parts.append(rem % d)
-                rem //= d
-            parts.reverse()
-            terms: list[tuple[int, Scalar]] = [(0, v)]
-            dead = False
-            for leg, jj, cdim in zip(legs, parts, cdims):
-                lcol = leg._cols[jj]
-                if not lcol:
-                    dead = True
-                    break
-                terms = [
-                    (base * cdim + r, val * m) for base, val in terms for r, m in lcol
-                ]
-            if dead:
-                continue
+            base = 0
+            for s, d, t in blocks:
+                base += j // s % d * t
+            terms: list[tuple[int, Scalar]] = [(base, v)]
+            for s, d, t, cols in maps:
+                terms = [(b + r * t, x * m) for b, x in terms for r, m in cols[j // s % d]]
             for idx, val in terms:
                 cur = out.get(idx)
                 out[idx] = val if cur is None else cur + val
-        return {k: v for k, v in out.items() if v}
+        return self.field.nonzero(out)
 
     def __repr__(self):
         return f"KronApply({self.domain.dim}->{self.codomain.dim})"
@@ -402,11 +420,14 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
         left = chain_apply_basis(lc, j, field)
         right = chain_apply_basis(rc, j, field)
         if left != right:
+            # only the entries of the two columns can be nonzero
             zero = field.zero
-            residual = tuple(
-                field.render(left.get(i, zero) - right.get(i, zero))
-                for i in range(cod_dim)
-            )
+            diff = {
+                i: field.render(left.get(i, zero) - right.get(i, zero))
+                for i in left.keys() | right.keys()
+            }
+            rendered_zero = field.render(zero)
+            residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
             return IdentityCheck(name, False, dom.basis_tuple(j), residual)
     return IdentityCheck(name, True)
 
@@ -414,8 +435,8 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
 def check_vector_identity(
     name: str, field: Field, space_: Space, lhs, rhs
 ) -> IdentityCheck:
-    lhs = tuple(lhs)
-    rhs = tuple(rhs)
+    lhs = field.vector(tuple(lhs))
+    rhs = field.vector(tuple(rhs))
     if len(lhs) != len(rhs) or len(lhs) != space_.dim:
         raise ShapeError("vector identity length mismatch")
     for i, (a, b) in enumerate(zip(lhs, rhs)):
@@ -474,7 +495,7 @@ def is_invertible(f: LinearMap) -> bool:
             x = rows[r][col]
             if x:
                 factor = field.div(x, pval)
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+                rows[r] = field.vector([a - factor * b for a, b in zip(rows[r], rows[col])])
     return True
 
 

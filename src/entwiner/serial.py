@@ -368,7 +368,7 @@ def parse(text: str) -> StructureFile:
         if not isinstance(entry, dict):
             raise FormatError("each object must be a JSON object")
         try:
-            sf.add(str(_need(entry, "name")), _decode(sf, entry))
+            sf.add(_need(entry, "name"), _decode(sf, entry))
         except ShapeError as exc:
             raise FormatError(f"object '{entry.get('name', '?')}': {exc}") from None
     return sf

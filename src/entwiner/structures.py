@@ -73,6 +73,7 @@ class Algebra:
     unit: tuple[Scalar, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "unit", self.field.vector(self.unit))
         d = self.space.dims
         if self.mult.domain.dims != d + d or self.mult.codomain.dims != d:
             raise ShapeError("multiplication must map A (x) A -> A")
@@ -106,6 +107,7 @@ class Coalgebra:
     counit: tuple[Scalar, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "counit", self.field.vector(self.counit))
         d = self.space.dims
         if self.comult.domain.dims != d or self.comult.codomain.dims != d + d:
             raise ShapeError("comultiplication must map C -> C (x) C")
@@ -139,6 +141,10 @@ class Bialgebra:
     unit: tuple[Scalar, ...]
     comult: LinearMap
     counit: tuple[Scalar, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "unit", self.field.vector(self.unit))
+        object.__setattr__(self, "counit", self.field.vector(self.counit))
 
     @property
     def algebra(self) -> Algebra:

@@ -365,9 +365,11 @@ def _closed_form_module(a):
 
 
 def _maps_match(g, grid) -> bool:
-    n = len(grid)
+    field, n = g.algebra.field, len(grid)
     return all(
-        list(map(list, g.maps[i][j].rows)) == grid[i][j] for i in range(n) for j in range(n)
+        g.maps[i][j].rows == field.matrix(tuple(map(tuple, grid[i][j])))
+        for i in range(n)
+        for j in range(n)
     )
 
 

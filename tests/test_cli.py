@@ -136,6 +136,9 @@ def test_verify_file_target(capsys, tmp_path):
         (("mult_twist", "Kx2-1", "1"), "psi", "left_algebra", []),
         (("mult_twist", "Kx2-1", "1"), "A", "space", [["x"]]),
         (("rmatrix", "Kx3", "1", "2"), "W", "codomain", [{}]),
+        (("mult_twist", "Kx2-1", "1"), "psi", "name", 7),
+        (("mult_twist", "Kx2-1", "1"), "psi", "name", ["psi"]),
+        (("mult_twist", "Kx2-1", "1"), "psi", "name", None),
     ),
     ids=(
         "algebra=[]",
@@ -144,6 +147,9 @@ def test_verify_file_target(capsys, tmp_path):
         "left_algebra=[]",
         "space=[[x]]",
         "codomain=[{}]",
+        "name=7",
+        "name=[psi]",
+        "name=null",
     ),
 )
 def test_verify_refuses_non_string_references(capsys, tmp_path, construct, obj, key, value):
@@ -153,11 +159,15 @@ def test_verify_refuses_non_string_references(capsys, tmp_path, construct, obj, 
     next(o for o in doc["objects"] if o["name"] == obj)[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    target = "psi" if construct[0] == "mult_twist" else "W"
+    # a renamed object is asked for by the name str() would give it
+    target = str(value) if key == "name" else "psi" if construct[0] == "mult_twist" else "W"
     code, out, err = run(capsys, "verify", f"{p}:{target}")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: object references must be names, got ")
+    if key == "name":
+        assert err.startswith("error: object names must be nonempty strings")
+    else:
+        assert err.startswith("error: object references must be names, got ")
 
 
 def test_verify_refuses_checks_whose_structures_are_missing(capsys, tmp_path, flip_entwining):

@@ -1,6 +1,7 @@
 """Tensor bookkeeping: spaces, Kronecker products, chains, identity checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -202,9 +203,7 @@ def test_lazy_kron_matches_dense_kron():
     g = dense(rng, W3, W2)
     assert materialize([lazy_kron(f, g)]).rows == ref_kron(f.rows, g.rows)
     h = dense(rng, tensor(V3, W2), V2)
-    assert materialize([h, lazy_kron(f, g)]).rows == ref_mul(
-        QQ, h.rows, ref_kron(f.rows, g.rows)
-    )
+    assert materialize([h, lazy_kron(f, g)]).rows == ref_mul(h.rows, ref_kron(f.rows, g.rows))
 
 
 def test_identity_and_zero():
@@ -298,7 +297,8 @@ def test_kron_bilinear_in_each_leg(f1, f2, g1, g2):
 
 # ---------------------------------------------------------------------------
 # Naive reference oracle: every product from its index formula, dense, with
-# no sparsity and no dicts.  The kernels are checked against it.
+# no sparsity and no dicts, in plain ints and Fractions.  Over F_p it reduces
+# mod p once, at the end.  The kernels are checked against it.
 
 F7 = PrimeField(7)
 
@@ -312,29 +312,27 @@ def ref_kron(a, b):
     )
 
 
-def ref_mul(field, a, b):
+def ref_mul(a, b):
     # (a b)[i][j] = sum_k a[i][k] * b[k][j]
-    out = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            total = field.zero
-            for k in range(len(b)):
-                total = total + a[i][k] * b[k][j]
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def ref_reduce(field, rows):
+    return rows if field == QQ else tuple(tuple(x % field.p for x in row) for row in rows)
 
 
 def ref_chain(field, chain):
     """Rows of the composite of a chain, outermost element first."""
     product = None
     for elt in chain:
-        rows = ((field.one,),)
+        rows = ((1,),)
         for leg in getattr(elt, "legs", (elt,)):
             rows = ref_kron(rows, leg.rows)
-        product = rows if product is None else ref_mul(field, product, rows)
-    return product
+        product = rows if product is None else ref_mul(product, rows)
+    return ref_reduce(field, product)
 
 
 def ref_check(name, field, lhs, rhs):
@@ -346,55 +344,91 @@ def ref_check(name, field, lhs, rhs):
     return IdentityCheck(name, True)
 
 
+def mod7(rows):
+    """Q rows mapped to F_7; every denominator the strategies draw is prime to 7."""
+    return tuple(
+        tuple(Fraction(x).numerator * pow(Fraction(x).denominator, -1, 7) % 7 for x in row)
+        for row in rows
+    )
+
+
+def in_field(field, rows):
+    # over F_p every entry is a plain int in [0, p)
+    return field == QQ or all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+
+
 ATOMS = (space("p0"), space("q0", "q1"), space("r0", "r1", "r2"))
 ENTRIES = st.sampled_from(("0", "0", "0", "1", "-1", "2", "3", "1/2", "-3/2"))
 FIELDS = st.sampled_from((QQ, F7))
 
+# A chain element is drawn as a spec and built over each field from the same
+# entry strings: ("id", V), ("twist", V, W), ("map", dom, cod, rows) or
+# ("kron", leg specs).
 
-def in_field(field, rows):
-    # over F_p every entry stays an element of the field, never a bare int
-    return field == QQ or all(isinstance(x, field.elem) for row in rows for x in row)
+
+def build(field, spec):
+    kind = spec[0]
+    if kind == "id":
+        return identity(field, spec[1])
+    if kind == "twist":
+        return twist(field, spec[1], spec[2])
+    if kind == "map":
+        _, dom, cod, rows = spec
+        return LinearMap(field, dom, cod, tuple(tuple(map(field.parse, r)) for r in rows))
+    return lazy_kron(*(build(field, leg) for leg in spec[1]))
 
 
 @st.composite
-def maps(draw, field, dom=None, cod=None):
+def map_specs(draw, dom=None, cod=None):
     dom = dom or tensor(*draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2)))
     cod = cod or tensor(*draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2)))
-    rows = tuple(
-        tuple(field.parse(draw(ENTRIES)) for _ in range(dom.dim)) for _ in range(cod.dim)
-    )
-    return LinearMap(field, dom, cod, rows)
+    rows = tuple(tuple(draw(ENTRIES) for _ in range(dom.dim)) for _ in range(cod.dim))
+    return ("map", dom, cod, rows)
+
+
+def maps(field, dom=None, cod=None):
+    return map_specs(dom, cod).map(lambda spec: build(field, spec))
 
 
 @st.composite
-def chains(draw, field, factors):
+def chain_specs(draw, factors):
     """A chain on tensor(*factors), outermost first, of dense maps and lazy
-    Kronecker products whose legs are identities, twists and dense maps."""
+    Kronecker products whose legs are identities, twists and dense maps.
+
+    Identity legs are drawn twice as often as each other kind, and a whole
+    product is all identities one time in four, so runs of adjacent identity
+    legs, identity legs at either end and all-identity products all occur.
+    """
     chain = []
     for _ in range(draw(st.integers(1, 3))):
         dom = tensor(*factors)
         if draw(st.booleans()):
-            elt = draw(maps(field, dom))
-            factors = elt.codomain.factors or (elt.codomain,)
+            spec = draw(map_specs(dom))
+            factors = spec[2].factors or (spec[2],)
         else:
+            only_ids = draw(st.integers(0, 3)) == 0
             legs, out, i = [], [], 0
             while i < len(factors):
-                kind = draw(st.sampled_from(("id", "map", "twist")))
+                kind = "id" if only_ids else draw(st.sampled_from(("id", "id", "map", "twist")))
                 if kind == "twist" and i + 1 < len(factors):
-                    legs.append(twist(field, factors[i], factors[i + 1]))
+                    legs.append(("twist", factors[i], factors[i + 1]))
                     out += [factors[i + 1], factors[i]]
                     i += 2
                     continue
-                leg = identity(field, factors[i])
+                leg = ("id", factors[i])
                 if kind != "id":
-                    leg = draw(maps(field, factors[i], draw(st.sampled_from(ATOMS))))
+                    leg = draw(map_specs(factors[i], draw(st.sampled_from(ATOMS))))
                 legs.append(leg)
-                out.append(leg.codomain)
+                out.append(leg[2] if leg[0] == "map" else factors[i])
                 i += 1
-            elt = lazy_kron(*legs)
+            spec = ("kron", tuple(legs))
             factors = tuple(out)
-        chain.append(elt)
+        chain.append(spec)
     return chain[::-1]
+
+
+def chains(field, factors):
+    return chain_specs(factors).map(lambda specs: [build(field, s) for s in specs])
 
 
 starts = st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3).map(tuple)
@@ -402,26 +436,69 @@ starts = st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3).map(tuple)
 
 @given(st.data())
 def test_compose_kron_apply_match_the_oracle(data):
-    field = data.draw(FIELDS)
-    f = data.draw(maps(field))
-    g = data.draw(maps(field, cod=f.domain))
-    h = data.draw(maps(field))
-    assert compose(f, g).rows == (f * g).rows == ref_mul(field, f.rows, g.rows)
-    assert kron(f, h).rows == (f @ h).rows == ref_kron(f.rows, h.rows)
-    vec = tuple(field.parse(data.draw(ENTRIES)) for _ in range(f.domain.dim))
-    want = ref_mul(field, f.rows, tuple((x,) for x in vec))
-    assert f.apply(vec) == tuple(row[0] for row in want)
-    for rows in (compose(f, g).rows, kron(f, h).rows, (f.apply(vec),)):
-        assert in_field(field, rows)
+    f = data.draw(map_specs())
+    g = data.draw(map_specs(cod=f[1]))
+    h = data.draw(map_specs())
+    vec = tuple(data.draw(ENTRIES) for _ in range(f[1].dim))
+    results = {}
+    for field in (QQ, F7):
+        ff, gg, hh = (build(field, s) for s in (f, g, h))
+        v = tuple(map(field.parse, vec))
+        want = ref_reduce(field, ref_mul(ff.rows, tuple((x,) for x in v)))
+        composed, kronned = ref_mul(ff.rows, gg.rows), ref_kron(ff.rows, hh.rows)
+        assert compose(ff, gg).rows == (ff * gg).rows == ref_reduce(field, composed)
+        assert kron(ff, hh).rows == (ff @ hh).rows == ref_reduce(field, kronned)
+        assert ff.apply(v) == tuple(row[0] for row in want)
+        results[field] = (compose(ff, gg).rows, kron(ff, hh).rows, (ff.apply(v),))
+        for rows in results[field]:
+            assert in_field(field, rows)
+    assert results[F7] == tuple(mod7(rows) for rows in results[QQ])
 
 
 @given(st.data())
 def test_materialize_matches_the_oracle(data):
-    field = data.draw(FIELDS)
-    chain = data.draw(chains(field, data.draw(starts)))
-    got = materialize(chain)
-    assert got.rows == ref_chain(field, chain)
-    assert in_field(field, got.rows)
+    specs = data.draw(chain_specs(data.draw(starts)))
+    got = {}
+    for field in (QQ, F7):
+        chain = [build(field, s) for s in specs]
+        got[field] = materialize(chain).rows
+        assert got[field] == ref_chain(field, chain)
+        assert in_field(field, got[field])
+    assert got[F7] == mod7(got[QQ])
+
+
+IDENTITY_LAYOUTS = (
+    ("id", "id", "map"),
+    ("map", "id", "id"),
+    ("id", "map", "id"),
+    ("id", "id", "id"),
+    ("id", "twist"),
+    ("twist", "id"),
+)
+
+
+@pytest.mark.parametrize("layout", IDENTITY_LAYOUTS, ids="-".join)
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_identity_legs_match_the_oracle(field, layout):
+    rng = random.Random("-".join(layout))
+    atoms = iter((V2, V3, W2, W3))
+    legs = []
+    for kind in layout:
+        if kind == "id":
+            legs.append(identity(field, next(atoms)))
+        elif kind == "twist":
+            legs.append(twist(field, next(atoms), next(atoms)))
+        else:
+            dom, cod = next(atoms), next(atoms)
+            rows = tuple(
+                tuple(field.from_int(rng.randrange(-3, 4)) for _ in range(dom.dim))
+                for _ in range(cod.dim)
+            )
+            legs.append(LinearMap(field, dom, cod, rows))
+    k = lazy_kron(*legs)
+    got = materialize([k]).rows
+    assert got == ref_chain(field, [k])
+    assert in_field(field, got)
 
 
 @given(st.data())
