@@ -3,13 +3,15 @@
 Every verdict in this package reduces to equalities between scalars, so
 arithmetic is exact and equality decidable.  Floats never appear.  Over the
 rationals, elements are plain ints wherever possible and Fraction otherwise;
-over F_p they are plain ints in [0, p).  Matrix code uses the ordinary
-operators (+, *, -, unary -) on both, so an F_p result is an int not yet
-reduced.  The field owns reduction (`matrix`, `vector`, `nonzero`), and it is
-applied at a few boundaries only: once per output entry of a product kernel,
-when a map or (co)unit is built, and where a check compares scalars.  Over F_p
-those hooks refuse any scalar that is not an int with FieldError; over Q they
-do nothing.
+over F_p they are int subclasses reduced mod p, so matrix code can use the
+ordinary operators (+, *, -, unary -, **) and truthiness for zero tests.  An
+F_p element refuses /, // and % (use `field.div`) and any operand that is
+neither an int nor an element of the same F_p, with FieldError.
+
+The product kernels of `linalg` compute on plain scalars instead: `plain`
+makes one (over F_p an int in [0, p); a foreign scalar is refused), `nonzero`
+reduces each kernel output entry once (delayed reduction, as in FFLAS-FFPACK)
+and `elem` makes an element again.  Over Q all three keep the value.
 
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
@@ -19,16 +21,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 
 
 class FieldError(ValueError):
-    """Malformed scalar string, bad field tag, or a scalar foreign to the field."""
+    """Malformed scalar string, bad field tag, or cross-field mixing."""
 
 
 _SCALAR_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
-Scalar = int | Fraction  # F_p elements are ints in [0, p)
+Scalar = int | Fraction  # F_p elements are int subclasses
 
 
 def _normalize(x):
@@ -72,21 +73,88 @@ class Rationals:
     def render(self, x) -> str:
         return str(_normalize(x))
 
-    # reduction hooks: Q elements are already canonical
-    def matrix(self, rows):
-        return rows
-
-    def vector(self, xs):
-        return xs
-
-    def nonzero(self, col: dict) -> dict:
-        """The entries of a sparse column that are not zero."""
-        return {k: v for k, v in col.items() if v}
-
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero scalar")
         return _normalize(Fraction(a) / Fraction(b))
+
+    def plain(self, x):
+        return x
+
+    elem = plain
+
+    def nonzero(self, col: dict) -> dict:
+        return {k: v for k, v in col.items() if v}
+
+
+_fp_element_classes: dict[int, type] = {}
+
+
+def _mixing(p: int, other):
+    kind = type(other).__name__
+    raise FieldError(f"an F_{p} element cannot be combined with {kind} {other!r}")
+
+
+def _fp_class(p: int) -> type:
+    cls = _fp_element_classes.get(p)
+    if cls is not None:
+        return cls
+
+    class Fp(int):
+        __slots__ = ()
+        modulus = p
+
+        def __new__(cls, v):
+            return int.__new__(cls, v % p)
+
+        # an operand that is neither an int nor an element of this F_p is
+        # refused: returning NotImplemented would let Fraction or float win
+        def __add__(self, other):
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__add__(self, other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__sub__(self, other))
+
+        def __rsub__(self, other):
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__sub__(other, self))
+
+        def __mul__(self, other):
+            if type(other) is not Fp and type(other) is not int:
+                _mixing(p, other)
+            return Fp(int.__mul__(self, other))
+
+        __rmul__ = __mul__
+
+        def __neg__(self):
+            return Fp(-int(self))
+
+        def __pow__(self, e):
+            if type(e) is not int:
+                raise FieldError(f"F_{p} powers take an int exponent, not {e!r}")
+            if e < 0 and not self:
+                raise ZeroDivisionError("division by zero scalar")
+            return Fp(pow(int(self), e, p))
+
+        def _no_division(self, other):
+            raise FieldError(f"F_{p} elements have no / // %; use field.div(a, b)")
+
+        __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _no_division
+        __mod__ = __rmod__ = __divmod__ = __rdivmod__ = _no_division
+
+        def __repr__(self):
+            return str(int(self))
+
+    Fp.__name__ = f"F{p}elem"
+    _fp_element_classes[p] = Fp
+    return Fp
 
 
 def _is_prime(n: int) -> bool:
@@ -101,10 +169,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The prime field F_p.  Elements: plain ints in [0, p)."""
-
-    zero = 0
-    one = 1
+    """The prime field F_p.  Elements: int subclass reduced mod p."""
 
     def __init__(self, p: int):
         if p >= 2**31:
@@ -112,6 +177,9 @@ class PrimeField:
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
+        self.elem = _fp_class(p)
+        self.zero = self.elem(0)
+        self.one = self.elem(1)
 
     @property
     def tag(self) -> str:
@@ -127,47 +195,35 @@ class PrimeField:
         return hash(("field:fp", self.p))
 
     def from_int(self, n: int):
-        return n % self.p
+        return self.elem(n)
 
     def parse(self, s: str):
         m = _SCALAR_RE.match(s.strip())
         if not m:
             raise FieldError(f"bad scalar string {s!r}")
-        num = int(m.group(1)) % self.p
+        num = self.elem(int(m.group(1)))
         if m.group(2) is None:
             return num
         den = int(m.group(2)) % self.p
         if den == 0:
             raise FieldError(f"denominator of {s!r} vanishes mod {self.p}")
-        return num * pow(den, -1, self.p) % self.p
+        return num * self.elem(pow(den, self.p - 2, self.p))
 
     def render(self, x) -> str:
-        return str(x % self.p)
+        return str(int(x) % self.p)
 
     def div(self, a, b):
-        b %= self.p
+        b = int(b) % self.p
         if b == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return a * pow(b, -1, self.p) % self.p
+        return self.elem(int(a) * pow(b, self.p - 2, self.p))
 
-    def matrix(self, rows) -> tuple:
-        """Rows reduced into [0, p); any entry that is not an int is refused."""
-        rows = tuple(rows)
-        foreign = set(map(type, chain.from_iterable(rows))) - {int}
-        if foreign:
-            names = ", ".join(sorted(k.__name__ for k in foreign))
-            raise FieldError(
-                f"an F_{self.p} scalar must be an int, not {names} (quotients come from field.div)"
-            )
-        p = self.p
-        return tuple([tuple([x % p for x in row]) for row in rows])
-
-    def vector(self, xs) -> tuple:
-        """A coefficient vector reduced into [0, p); any non-int is refused."""
-        return self.matrix((xs,))[0]
+    def plain(self, x) -> int:
+        if type(x) is not self.elem and type(x) is not int:
+            _mixing(self.p, x)
+        return int(x) % self.p
 
     def nonzero(self, col: dict) -> dict:
-        """The entries of a sparse column, each reduced once, that are not zero."""
         p = self.p
         return {k: r for k, v in col.items() if (r := v % p)}
 

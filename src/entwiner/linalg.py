@@ -7,10 +7,10 @@ right.  Maps are stored densely (rows of scalars).  Every product - `compose`,
 `kron`, `LinearMap.apply`, `materialize` and the identity checks - streams
 sparse columns through a chain of maps and lazy Kronecker products; the only
 code that multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.
-Over F_p both kernels multiply and add plain ints and reduce each output entry
-once, at the end.  `KronApply` never expands an identity leg: each run of
-adjacent identity legs is one stride block whose digit is copied from the input
-index to the output index.
+Their columns hold plain scalars (`field.plain`; over F_p, ints reduced once
+per output entry by `field.nonzero`), made elements again by `apply` and
+`materialize`.  `KronApply` copies the digit of each run of adjacent identity
+legs into the output index as one stride block, with no multiplication.
 Identity checks stream column by column, so a failing check stops at the
 lexicographically-first failing basis tuple - which is exactly the witness
 reported.
@@ -126,7 +126,6 @@ class LinearMap:
     _is_identity = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", self.field.matrix(self.rows))
         if len(self.rows) != self.codomain.dim:
             raise ShapeError(
                 f"matrix has {len(self.rows)} rows, codomain dim {self.codomain.dim}"
@@ -139,11 +138,13 @@ class LinearMap:
 
     @cached_property
     def _cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        # the nonzero entries of each column, as plain scalars
+        plain = self.field.plain
         cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.domain.dim)]
         for i, row in enumerate(self.rows):
             for j, x in enumerate(row):
                 if x:
-                    cols[j].append((i, x))
+                    cols[j].append((i, plain(x)))
         return tuple(tuple(c) for c in cols)
 
     def column(self, j: int) -> tuple[Scalar, ...]:
@@ -162,9 +163,10 @@ class LinearMap:
         """Application to a coefficient tuple."""
         if len(vec) != self.domain.dim:
             raise ShapeError("vector length does not match domain")
-        out = self.apply_sparse({j: v for j, v in enumerate(vec) if v})
-        zero = self.field.zero
-        return tuple(out.get(i, zero) for i in range(self.codomain.dim))
+        field = self.field
+        out = self.apply_sparse({j: field.plain(v) for j, v in enumerate(vec) if v})
+        elem, zero = field.elem, field.zero
+        return tuple(elem(out[i]) if i in out else zero for i in range(self.codomain.dim))
 
     def same_matrix(self, other: LinearMap) -> bool:
         return (
@@ -287,10 +289,9 @@ class KronApply:
 
     Never materializes the product matrix; applies leg columns to sparse
     vectors.  Legs are flattened, so nesting costs nothing.  A leg at input
-    stride s and output stride t reads its digit (j // s) % dim of the input
-    index j and adds r * t to the output index for each entry r of its column.
-    A run of adjacent identity legs is one block that adds the digit itself,
-    so identities cost one division per input term and no multiplication.
+    stride s and output stride t reads digit (j // s) % dim of input index j
+    and adds r * t to the output index for each entry r of that column; a run
+    of identity legs adds its digit itself.
     """
 
     __slots__ = ("legs", "field", "domain", "codomain", "_blocks", "_maps")
@@ -379,7 +380,7 @@ def _as_chain(x: Chain) -> list[ChainElt]:
 
 
 def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, Scalar]:
-    col: dict[int, Scalar] = {j: field.one}
+    col: dict[int, Scalar] = {j: field.plain(field.one)}
     for elt in reversed(chain):
         if not col:
             break
@@ -394,10 +395,10 @@ def materialize(chain: Chain) -> LinearMap:
     dom = chain[-1].domain
     cod = chain[0].codomain
     cols = []
-    zero = field.zero
+    elem, zero = field.elem, field.zero
     for j in range(dom.dim):
         col = chain_apply_basis(chain, j, field)
-        cols.append(tuple(col.get(i, zero) for i in range(cod.dim)))
+        cols.append(tuple(elem(col[i]) if i in col else zero for i in range(cod.dim)))
     return from_columns(field, dom, cod, cols)
 
 
@@ -420,13 +421,13 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
         left = chain_apply_basis(lc, j, field)
         right = chain_apply_basis(rc, j, field)
         if left != right:
-            # only the entries of the two columns can be nonzero
-            zero = field.zero
+            # only the entries of the two columns can be nonzero; they are
+            # plain scalars, so 0 is zero and render reduces the difference
             diff = {
-                i: field.render(left.get(i, zero) - right.get(i, zero))
+                i: field.render(left.get(i, 0) - right.get(i, 0))
                 for i in left.keys() | right.keys()
             }
-            rendered_zero = field.render(zero)
+            rendered_zero = field.render(field.zero)
             residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
             return IdentityCheck(name, False, dom.basis_tuple(j), residual)
     return IdentityCheck(name, True)
@@ -435,8 +436,8 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
 def check_vector_identity(
     name: str, field: Field, space_: Space, lhs, rhs
 ) -> IdentityCheck:
-    lhs = field.vector(tuple(lhs))
-    rhs = field.vector(tuple(rhs))
+    lhs = tuple(lhs)
+    rhs = tuple(rhs)
     if len(lhs) != len(rhs) or len(lhs) != space_.dim:
         raise ShapeError("vector identity length mismatch")
     for i, (a, b) in enumerate(zip(lhs, rhs)):
@@ -495,7 +496,7 @@ def is_invertible(f: LinearMap) -> bool:
             x = rows[r][col]
             if x:
                 factor = field.div(x, pval)
-                rows[r] = field.vector([a - factor * b for a, b in zip(rows[r], rows[col])])
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return True
 
 

@@ -73,7 +73,6 @@ class Algebra:
     unit: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "unit", self.field.vector(self.unit))
         d = self.space.dims
         if self.mult.domain.dims != d + d or self.mult.codomain.dims != d:
             raise ShapeError("multiplication must map A (x) A -> A")
@@ -107,7 +106,6 @@ class Coalgebra:
     counit: tuple[Scalar, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "counit", self.field.vector(self.counit))
         d = self.space.dims
         if self.comult.domain.dims != d or self.comult.codomain.dims != d + d:
             raise ShapeError("comultiplication must map C -> C (x) C")
@@ -141,10 +139,6 @@ class Bialgebra:
     unit: tuple[Scalar, ...]
     comult: LinearMap
     counit: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "unit", self.field.vector(self.unit))
-        object.__setattr__(self, "counit", self.field.vector(self.counit))
 
     @property
     def algebra(self) -> Algebra:

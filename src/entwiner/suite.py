@@ -365,11 +365,9 @@ def _closed_form_module(a):
 
 
 def _maps_match(g, grid) -> bool:
-    field, n = g.algebra.field, len(grid)
+    n = len(grid)
     return all(
-        g.maps[i][j].rows == field.matrix(tuple(map(tuple, grid[i][j])))
-        for i in range(n)
-        for j in range(n)
+        list(map(list, g.maps[i][j].rows)) == grid[i][j] for i in range(n) for j in range(n)
     )
 
 

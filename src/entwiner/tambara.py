@@ -93,7 +93,6 @@ def _first_failure(name: str, field, cases, column=lambda j: ()) -> IdentityChec
     residual is that column of lhs - rhs.
     """
     for witness, lhs, rhs in cases:
-        lhs, rhs = field.matrix(lhs), field.matrix(rhs)
         for j in range(len(lhs[0]) if lhs else 0):
             if any(row[j] != other[j] for row, other in zip(lhs, rhs)):
                 residual = tuple(field.render(row[j] - other[j]) for row, other in zip(lhs, rhs))

@@ -13,6 +13,7 @@ from entwiner.linalg import (
     ShapeError,
     Space,
     apply_covector,
+    chain_apply_basis,
     check_map_identity,
     compose,
     contract_left,
@@ -297,8 +298,9 @@ def test_kron_bilinear_in_each_leg(f1, f2, g1, g2):
 
 # ---------------------------------------------------------------------------
 # Naive reference oracle: every product from its index formula, dense, with
-# no sparsity and no dicts, in plain ints and Fractions.  Over F_p it reduces
-# mod p once, at the end.  The kernels are checked against it.
+# no sparsity and no dicts, in plain ints and Fractions.  Over F_p it turns the
+# entries into plain ints and reduces mod p once, at the end.  The kernels are
+# checked against it.
 
 F7 = PrimeField(7)
 
@@ -320,6 +322,10 @@ def ref_mul(a, b):
     )
 
 
+def ints(field, rows):
+    return rows if field == QQ else tuple(tuple(map(int, row)) for row in rows)
+
+
 def ref_reduce(field, rows):
     return rows if field == QQ else tuple(tuple(x % field.p for x in row) for row in rows)
 
@@ -330,7 +336,7 @@ def ref_chain(field, chain):
     for elt in chain:
         rows = ((1,),)
         for leg in getattr(elt, "legs", (elt,)):
-            rows = ref_kron(rows, leg.rows)
+            rows = ref_kron(rows, ints(field, leg.rows))
         product = rows if product is None else ref_mul(product, rows)
     return ref_reduce(field, product)
 
@@ -353,8 +359,15 @@ def mod7(rows):
 
 
 def in_field(field, rows):
-    # over F_p every entry is a plain int in [0, p)
-    return field == QQ or all(type(x) is int and 0 <= x < field.p for row in rows for x in row)
+    # over F_p every entry is an element of the field, never a bare int
+    return field == QQ or all(
+        type(x) is field.elem and 0 <= x < field.p for row in rows for x in row
+    )
+
+
+def plain_column(field, col):
+    # a kernel column over F_p holds plain ints in [1, p): reduced, zeros dropped
+    return field == QQ or all(type(x) is int and 0 < x < field.p for x in col.values())
 
 
 ATOMS = (space("p0"), space("q0", "q1"), space("r0", "r1", "r2"))
@@ -444,8 +457,9 @@ def test_compose_kron_apply_match_the_oracle(data):
     for field in (QQ, F7):
         ff, gg, hh = (build(field, s) for s in (f, g, h))
         v = tuple(map(field.parse, vec))
-        want = ref_reduce(field, ref_mul(ff.rows, tuple((x,) for x in v)))
-        composed, kronned = ref_mul(ff.rows, gg.rows), ref_kron(ff.rows, hh.rows)
+        fr, gr, hr = (ints(field, m.rows) for m in (ff, gg, hh))
+        want = ref_reduce(field, ref_mul(fr, tuple((x,) for x in ints(field, (v,))[0])))
+        composed, kronned = ref_mul(fr, gr), ref_kron(fr, hr)
         assert compose(ff, gg).rows == (ff * gg).rows == ref_reduce(field, composed)
         assert kron(ff, hh).rows == (ff @ hh).rows == ref_reduce(field, kronned)
         assert ff.apply(v) == tuple(row[0] for row in want)
@@ -464,6 +478,8 @@ def test_materialize_matches_the_oracle(data):
         got[field] = materialize(chain).rows
         assert got[field] == ref_chain(field, chain)
         assert in_field(field, got[field])
+        for j in range(chain[-1].domain.dim):
+            assert plain_column(field, chain_apply_basis(chain, j, field))
     assert got[F7] == mod7(got[QQ])
 
 
