@@ -100,9 +100,9 @@ def _resolve_target(arg: str, field, explicit_tag):
     head, sep, tail = arg.rpartition(":")
     if sep and head.endswith(".json"):
         sf = load(head)
-        if explicit_tag and sf.field.tag != explicit_tag:
+        if explicit_tag and sf.field != field:
             raise FormatError(
-                f"file declares field '{sf.field.tag}' but --field says '{explicit_tag}'"
+                f"file declares field '{sf.field.tag}' but --field says '{field.tag}'"
             )
         return sf[tail]
     return resolve_instance(arg, field)
@@ -246,12 +246,11 @@ def _grid_rows(value: str):
 
 
 def cmd_suite(args) -> int:
-    tag = args.field or "q"
-    field_from_tag(tag)
+    field = field_from_tag(args.field or "q")
     rows = _grid_rows(args.grid) if args.grid is not None else None
-    results = run_suite(tag, rows, jobs=args.jobs)
+    results = run_suite(field.tag, rows, jobs=args.jobs)
     if args.json:
-        doc = {"field": tag, "rows": [rep.to_dict() for _, rep in results]}
+        doc = {"field": field.tag, "rows": [rep.to_dict() for _, rep in results]}
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         total = failed = 0

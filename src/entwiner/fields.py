@@ -210,7 +210,7 @@ class PrimeField:
         return num * self.elem(pow(den, self.p - 2, self.p))
 
     def render(self, x) -> str:
-        return str(int(x) % self.p)
+        return str(self.plain(x))
 
     def div(self, a, b):
         b = int(b) % self.p

@@ -6,6 +6,12 @@ strings ("-3/2" style), row-major over the declared bases; objects refer to
 previously declared objects by name (space references are lists of atomic
 space names, tensored in order).  Emission is canonical, so parse then emit
 reproduces a canonically emitted file byte for byte.
+
+The format is data: `TYPES` gives each object type its class and its keys in
+emitted order, each with a codec (space references, a reference, a vector, a
+matrix, a map or a grid of maps).  One `_encode` and one `_decode` walk it;
+only `space` (labels, not references) and `entwining` (the kind picks the
+keys) are special cases.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as _field
 
-from .entwine import KINDS, SEMI_KINDS, EntwiningData
+from .entwine import KIND_TABLE, KINDS, EntwiningData
 from .fields import Field, field_from_tag
 from .linalg import LinearMap, ShapeError, Space, tensor
 from .structures import Algebra, Bialgebra, Coalgebra, ComoduleCoaction, ModuleAction
@@ -21,6 +27,68 @@ from .tambara import GeneratorAction
 from .yangbaxter import TypeIISystem, WXZSystem
 
 FORMAT = 1
+
+# Key codecs.  A map's domain and codomain are tensor words over earlier keys
+# of the same object; a key holding a structure stands for its space.
+SPACES = ("spaces",)  # list of atomic space names, tensored in order
+VEC = ("vec",)  # scalar vector
+ROWS = ("rows",)  # a bare matrix, row-major
+MULT = ("map", ("space", "space"), ("space",))
+COMULT = ("map", ("space",), ("space", "space"))
+MAP_REF = ("ref", "map")  # the name of an earlier object of that type
+
+# type tag -> (class, whether its constructor takes the field first, keys in
+# emitted order); `space` and `entwining` objects are special-cased
+TYPES = {
+    "map": (LinearMap, True, {"domain": SPACES, "codomain": SPACES, "rows": ROWS}),
+    "bialgebra": (
+        Bialgebra,
+        True,
+        {"space": SPACES, "mult": MULT, "unit": VEC, "comult": COMULT, "counit": VEC},
+    ),
+    "algebra": (Algebra, True, {"space": SPACES, "mult": MULT, "unit": VEC}),
+    "coalgebra": (Coalgebra, True, {"space": SPACES, "comult": COMULT, "counit": VEC}),
+    "module": (
+        ModuleAction,
+        False,
+        {
+            "algebra": ("ref", "algebra"),
+            "space": SPACES,
+            "act": ("map", ("space", "algebra"), ("space",)),
+        },
+    ),
+    "comodule": (
+        ComoduleCoaction,
+        False,
+        {
+            "coalgebra": ("ref", "coalgebra"),
+            "space": SPACES,
+            "coact": ("map", ("space",), ("space", "coalgebra")),
+        },
+    ),
+    "generator-action": (
+        GeneratorAction,
+        False,
+        {
+            "algebra": ("ref", "algebra"),
+            "carrier": SPACES,
+            "maps": ("grid", ("carrier",), ("carrier",)),
+        },
+    ),
+    "wxz-system": (WXZSystem, False, {"w": MAP_REF, "x": MAP_REF, "z": MAP_REF}),
+    "type2-system": (TypeIISystem, False, {"a": MAP_REF, "b": MAP_REF, "c": MAP_REF, "d": MAP_REF}),
+}
+
+
+# an entwining names its left structure, if it has one, else its `left` space
+LEFT_KEYS = ("left_algebra", "left_coalgebra")
+
+
+def _entwining_keys(kind: str, left: str) -> dict:
+    """An entwining's keys after `kind`: the right structure of its kind, `left`, psi."""
+    right = KIND_TABLE[kind][1]
+    left_codec = SPACES if left == "left" else ("ref", left.removeprefix("left_"))
+    return {right: ("ref", right), left: left_codec, "psi": ("map", (left, right), (right, left))}
 
 
 class FormatError(ValueError):
@@ -71,10 +139,6 @@ def _rows(field, rows) -> list:
     return [[field.render(v) for v in row] for row in rows]
 
 
-def _vec(field, vec) -> list:
-    return [field.render(v) for v in vec]
-
-
 def _name_of(sf: StructureFile, obj, what: str) -> str:
     for name in sf.order:
         if sf.objects[name] == obj:
@@ -98,102 +162,39 @@ def ensure_space(sf: StructureFile, sp: Space) -> None:
             sf.add(f"S{i}", f)
 
 
+def _encode_value(sf: StructureFile, codec: tuple, value):
+    how = codec[0]
+    if how == "spaces":
+        return _space_refs(sf, value)
+    if how == "ref":
+        return _name_of(sf, value, codec[1])
+    if how == "vec":
+        return [sf.field.render(v) for v in value]
+    if how == "grid":
+        return [[_rows(sf.field, m.rows) for m in row] for row in value]
+    return _rows(sf.field, value.rows if how == "map" else value)
+
+
 def _encode(sf: StructureFile, name: str, obj) -> dict:
-    field = sf.field
+    out = {"name": name}
     if isinstance(obj, Space):
         if not obj.labels:
             raise FormatError("only atomic spaces are named; tensor in references")
-        return {"name": name, "type": "space", "labels": list(obj.labels)}
-    if isinstance(obj, LinearMap):
-        return {
-            "name": name,
-            "type": "map",
-            "domain": _space_refs(sf, obj.domain),
-            "codomain": _space_refs(sf, obj.codomain),
-            "rows": _rows(field, obj.rows),
-        }
-    if isinstance(obj, Bialgebra):
-        return {
-            "name": name,
-            "type": "bialgebra",
-            "space": _space_refs(sf, obj.space),
-            "mult": _rows(field, obj.mult.rows),
-            "unit": _vec(field, obj.unit),
-            "comult": _rows(field, obj.comult.rows),
-            "counit": _vec(field, obj.counit),
-        }
-    if isinstance(obj, Algebra):
-        return {
-            "name": name,
-            "type": "algebra",
-            "space": _space_refs(sf, obj.space),
-            "mult": _rows(field, obj.mult.rows),
-            "unit": _vec(field, obj.unit),
-        }
-    if isinstance(obj, Coalgebra):
-        return {
-            "name": name,
-            "type": "coalgebra",
-            "space": _space_refs(sf, obj.space),
-            "comult": _rows(field, obj.comult.rows),
-            "counit": _vec(field, obj.counit),
-        }
-    if isinstance(obj, ModuleAction):
-        return {
-            "name": name,
-            "type": "module",
-            "algebra": _name_of(sf, obj.algebra, "algebra"),
-            "space": _space_refs(sf, obj.space),
-            "act": _rows(field, obj.act.rows),
-        }
-    if isinstance(obj, ComoduleCoaction):
-        return {
-            "name": name,
-            "type": "comodule",
-            "coalgebra": _name_of(sf, obj.coalgebra, "coalgebra"),
-            "space": _space_refs(sf, obj.space),
-            "coact": _rows(field, obj.coact.rows),
-        }
-    if isinstance(obj, EntwiningData):
-        out = {"name": name, "type": "entwining", "kind": obj.kind}
-        if obj.kind in SEMI_KINDS:
-            out["algebra"] = _name_of(sf, obj.algebra, "algebra")
-        else:
-            out["coalgebra"] = _name_of(sf, obj.coalgebra, "coalgebra")
-        if obj.left_algebra is not None:
-            out["left_algebra"] = _name_of(sf, obj.left_algebra, "algebra")
-        elif obj.left_coalgebra is not None:
-            out["left_coalgebra"] = _name_of(sf, obj.left_coalgebra, "coalgebra")
-        else:
-            out["left"] = _space_refs(sf, obj.left_space)
-        out["psi"] = _rows(field, obj.psi.rows)
+        out.update(type="space", labels=list(obj.labels))
         return out
-    if isinstance(obj, GeneratorAction):
-        return {
-            "name": name,
-            "type": "generator-action",
-            "algebra": _name_of(sf, obj.algebra, "algebra"),
-            "carrier": _space_refs(sf, obj.carrier),
-            "maps": [[_rows(field, m.rows) for m in row] for row in obj.maps],
-        }
-    if isinstance(obj, WXZSystem):
-        return {
-            "name": name,
-            "type": "wxz-system",
-            "w": _name_of(sf, obj.w, "map"),
-            "x": _name_of(sf, obj.x, "map"),
-            "z": _name_of(sf, obj.z, "map"),
-        }
-    if isinstance(obj, TypeIISystem):
-        return {
-            "name": name,
-            "type": "type2-system",
-            "a": _name_of(sf, obj.a, "map"),
-            "b": _name_of(sf, obj.b, "map"),
-            "c": _name_of(sf, obj.c, "map"),
-            "d": _name_of(sf, obj.d, "map"),
-        }
-    raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+    if isinstance(obj, EntwiningData):
+        out.update(type="entwining", kind=obj.kind)
+        left = next((k for k in LEFT_KEYS if getattr(obj, k) is not None), "left")
+        keys, values = _entwining_keys(obj.kind, left), vars(obj) | {"left": obj.left_space}
+    else:
+        typ = next((t for t, (cls, _, _) in TYPES.items() if isinstance(obj, cls)), None)
+        if typ is None:
+            raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+        out["type"] = typ
+        keys, values = TYPES[typ][2], vars(obj)
+    for key, codec in keys.items():
+        out[key] = _encode_value(sf, codec, values[key])
+    return out
 
 
 def emit(sf: StructureFile) -> str:
@@ -209,15 +210,6 @@ def emit(sf: StructureFile) -> str:
 # parsing
 
 
-def _parse_rows(field, data, what: str):
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise FormatError(f"{what} must be a list of rows")
-    try:
-        return tuple(tuple(field.parse(s) for s in row) for row in data)
-    except (TypeError, AttributeError):
-        raise FormatError(f"{what} entries must be scalar strings") from None
-
-
 def _parse_vec(field, data, what: str):
     if not isinstance(data, list):
         raise FormatError(f"{what} must be a list of scalar strings")
@@ -225,6 +217,12 @@ def _parse_vec(field, data, what: str):
         return tuple(field.parse(s) for s in data)
     except (TypeError, AttributeError):
         raise FormatError(f"{what} entries must be scalar strings") from None
+
+
+def _parse_rows(field, data, what: str):
+    if not isinstance(data, list):
+        raise FormatError(f"{what} must be a list of rows")
+    return tuple(_parse_vec(field, row, what) for row in data)
 
 
 def _ref_space(sf: StructureFile, refs, what: str) -> Space:
@@ -241,113 +239,60 @@ def _need(entry: dict, key: str):
     return entry[key]
 
 
+def _space_of(value) -> Space:
+    return value if isinstance(value, Space) else value.space
+
+
+def _decode_value(sf: StructureFile, codec: tuple, data, values: dict, key: str):
+    how = codec[0]
+    if how == "spaces":
+        return _ref_space(sf, data, key)
+    if how == "ref":
+        return sf.get(data, TYPES[codec[1]][0], codec[1])
+    if how == "vec":
+        return _parse_vec(sf.field, data, key)
+    if how == "rows":
+        return _parse_rows(sf.field, data, key)
+    dom, cod = (tensor(*[_space_of(values[k]) for k in word]) for word in codec[1:])
+    if how == "map":
+        return LinearMap(sf.field, dom, cod, _parse_rows(sf.field, data, key))
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise FormatError(f"{key} must be a grid of maps")
+    return tuple(
+        tuple(LinearMap(sf.field, dom, cod, _parse_rows(sf.field, m, key)) for m in row)
+        for row in data
+    )
+
+
+def _decode_keys(sf: StructureFile, entry: dict, keys) -> dict:
+    values = {}
+    for key, codec in keys.items():
+        values[key] = _decode_value(sf, codec, _need(entry, key), values, key)
+    return values
+
+
 def _decode(sf: StructureFile, entry: dict):
-    field = sf.field
     typ = _need(entry, "type")
-    name = _need(entry, "name")
+    name = entry["name"]
     if typ == "space":
         labels = _need(entry, "labels")
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise FormatError(f"space '{name}' labels must be strings")
         return Space(labels=tuple(labels))
-    if typ == "map":
-        dom = _ref_space(sf, _need(entry, "domain"), "domain")
-        cod = _ref_space(sf, _need(entry, "codomain"), "codomain")
-        return LinearMap(field, dom, cod, _parse_rows(field, _need(entry, "rows"), "rows"))
-    if typ == "algebra":
-        sp = _ref_space(sf, _need(entry, "space"), "space")
-        mult = LinearMap(field, tensor(sp, sp), sp, _parse_rows(field, _need(entry, "mult"), "mult"))
-        return Algebra(field, sp, mult, _parse_vec(field, _need(entry, "unit"), "unit"))
-    if typ == "coalgebra":
-        sp = _ref_space(sf, _need(entry, "space"), "space")
-        comult = LinearMap(
-            field, sp, tensor(sp, sp), _parse_rows(field, _need(entry, "comult"), "comult")
-        )
-        return Coalgebra(field, sp, comult, _parse_vec(field, _need(entry, "counit"), "counit"))
-    if typ == "bialgebra":
-        sp = _ref_space(sf, _need(entry, "space"), "space")
-        mult = LinearMap(field, tensor(sp, sp), sp, _parse_rows(field, _need(entry, "mult"), "mult"))
-        comult = LinearMap(
-            field, sp, tensor(sp, sp), _parse_rows(field, _need(entry, "comult"), "comult")
-        )
-        return Bialgebra(
-            field,
-            sp,
-            mult,
-            _parse_vec(field, _need(entry, "unit"), "unit"),
-            comult,
-            _parse_vec(field, _need(entry, "counit"), "counit"),
-        )
-    if typ == "module":
-        a = sf.get(_need(entry, "algebra"), Algebra, "algebra")
-        sp = _ref_space(sf, _need(entry, "space"), "space")
-        act = LinearMap(
-            field, tensor(sp, a.space), sp, _parse_rows(field, _need(entry, "act"), "act")
-        )
-        return ModuleAction(a, sp, act)
-    if typ == "comodule":
-        c = sf.get(_need(entry, "coalgebra"), Coalgebra, "coalgebra")
-        sp = _ref_space(sf, _need(entry, "space"), "space")
-        coact = LinearMap(
-            field, sp, tensor(sp, c.space), _parse_rows(field, _need(entry, "coact"), "coact")
-        )
-        return ComoduleCoaction(c, sp, coact)
     if typ == "entwining":
         kind = _need(entry, "kind")
         if kind not in KINDS:
             raise FormatError(f"entwining '{name}' has unknown kind '{kind}'")
-        extra = {}
-        if kind in SEMI_KINDS:
-            right = sf.get(_need(entry, "algebra"), Algebra, "algebra")
-            extra["algebra"] = right
-        else:
-            right = sf.get(_need(entry, "coalgebra"), Coalgebra, "coalgebra")
-            extra["coalgebra"] = right
-        if "left_algebra" in entry:
-            left_obj = sf.get(entry["left_algebra"], Algebra, "algebra")
-            extra["left_algebra"] = left_obj
-            left_sp = left_obj.space
-        elif "left_coalgebra" in entry:
-            left_obj = sf.get(entry["left_coalgebra"], Coalgebra, "coalgebra")
-            extra["left_coalgebra"] = left_obj
-            left_sp = left_obj.space
-        else:
-            left_sp = _ref_space(sf, _need(entry, "left"), "left")
-        psi = LinearMap(
-            field,
-            tensor(left_sp, right.space),
-            tensor(right.space, left_sp),
-            _parse_rows(field, _need(entry, "psi"), "psi"),
-        )
-        return EntwiningData(kind=kind, psi=psi, **extra)
-    if typ == "generator-action":
-        a = sf.get(_need(entry, "algebra"), Algebra, "algebra")
-        carrier = _ref_space(sf, _need(entry, "carrier"), "carrier")
-        data = _need(entry, "maps")
-        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-            raise FormatError(f"generator-action '{name}' maps must be a grid")
-        maps = tuple(
-            tuple(
-                LinearMap(field, carrier, carrier, _parse_rows(field, m, "maps"))
-                for m in row
-            )
-            for row in data
-        )
-        return GeneratorAction(a, carrier, maps)
-    if typ == "wxz-system":
-        return WXZSystem(
-            sf.get(_need(entry, "w"), LinearMap, "map"),
-            sf.get(_need(entry, "x"), LinearMap, "map"),
-            sf.get(_need(entry, "z"), LinearMap, "map"),
-        )
-    if typ == "type2-system":
-        return TypeIISystem(
-            sf.get(_need(entry, "a"), LinearMap, "map"),
-            sf.get(_need(entry, "b"), LinearMap, "map"),
-            sf.get(_need(entry, "c"), LinearMap, "map"),
-            sf.get(_need(entry, "d"), LinearMap, "map"),
-        )
-    raise FormatError(f"unknown object type '{typ}'")
+        left = next((k for k in LEFT_KEYS if k in entry), "left")
+        values = _decode_keys(sf, entry, _entwining_keys(kind, left))
+        values.pop("left", None)
+        return EntwiningData(kind=kind, **values)
+    spec = TYPES.get(typ) if isinstance(typ, str) else None
+    if spec is None:
+        raise FormatError(f"unknown object type '{typ}'")
+    cls, takes_field, keys = spec
+    values = _decode_keys(sf, entry, keys)
+    return cls(sf.field, **values) if takes_field else cls(**values)
 
 
 def parse(text: str) -> StructureFile:

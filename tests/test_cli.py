@@ -18,6 +18,7 @@ from entwiner.cli import CHECKS, main
 from entwiner.entwine import EntwiningData
 from entwiner.fields import QQ
 from entwiner.linalg import ShapeError
+from entwiner.registry import INSTANCE_NAMES
 from entwiner.serial import document, emit, ensure_space, parse
 from entwiner.suite import worker_count
 
@@ -127,6 +128,20 @@ def test_verify_file_target(capsys, tmp_path):
     assert "field" in err
 
 
+@pytest.mark.parametrize("tag", ("fp:7", "FP:7", " fp:7", "fp:07"))
+def test_verify_file_target_compares_fields_not_tags(capsys, tmp_path, tag):
+    code, out, _ = run(capsys, "construct", "--field", "fp:7", "mult_twist", "Kx2-1", "1")
+    assert code == 0
+    p = tmp_path / "gamma.json"
+    p.write_text(out)
+    code, out, err = run(capsys, "verify", "--field", tag, f"{p}:psi")
+    assert code == 0, err
+    assert "verdict: PASS" in out
+    code, _, err = run(capsys, "verify", "--field", "FP:5", f"{p}:psi")
+    assert code == 2
+    assert "file declares field 'fp:7' but --field says 'fp:5'" in err
+
+
 @pytest.mark.parametrize(
     "construct, obj, key, value",
     (
@@ -139,6 +154,9 @@ def test_verify_file_target(capsys, tmp_path):
         (("mult_twist", "Kx2-1", "1"), "psi", "name", 7),
         (("mult_twist", "Kx2-1", "1"), "psi", "name", ["psi"]),
         (("mult_twist", "Kx2-1", "1"), "psi", "name", None),
+        (("mult_twist", "Kx2-1", "1"), "psi", "type", []),
+        (("mult_twist", "Kx2-1", "1"), "psi", "type", {}),
+        (("mult_twist", "Kx2-1", "1"), "psi", "kind", []),
     ),
     ids=(
         "algebra=[]",
@@ -150,6 +168,9 @@ def test_verify_file_target(capsys, tmp_path):
         "name=7",
         "name=[psi]",
         "name=null",
+        "type=[]",
+        "type={}",
+        "kind=[]",
     ),
 )
 def test_verify_refuses_non_string_references(capsys, tmp_path, construct, obj, key, value):
@@ -166,6 +187,8 @@ def test_verify_refuses_non_string_references(capsys, tmp_path, construct, obj, 
     assert out == ""
     if key == "name":
         assert err.startswith("error: object names must be nonempty strings")
+    elif key in ("type", "kind"):
+        assert f"unknown {'object type' if key == 'type' else 'kind'} '{value}'" in err
     else:
         assert err.startswith("error: object references must be names, got ")
 
@@ -279,6 +302,12 @@ def test_suite_json(capsys):
     assert doc["field"] == "q"
     assert [r["suite"] for r in doc["rows"]] == ["twists", "biproduct"]
     assert all(r["passed"] for r in doc["rows"])
+
+
+def test_suite_json_names_the_field_by_its_canonical_tag(capsys):
+    code, out, _ = run(capsys, "suite", "--json", "--field", " FP:07", "--grid", "biproduct")
+    assert code == 0
+    assert json.loads(out)["field"] == "fp:7"
 
 
 def test_suite_output_deterministic_across_jobs(capsys):
@@ -419,6 +448,51 @@ def test_mutated_structure_files_keep_the_exit_code_contract(fuzz_documents, dat
             + [["construct", "entwining", target], ["construct", "product", target]]
         )
     )
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+
+
+FIELD_TAGS = ("q", "Q", " fp:7", "FP:7", "fp:07", "fp:5", "fp:2", "fp:6", "fp:", "fp:x")
+FIELD_TAGS += ("fp:-7", "fp:2147483659", "r", "")
+INSTANCE_HEADS = ("twist", "cotwist", "mult_twist", "comm_twist", "module", "quad", "nosuch")
+INSTANCE_HEADS += ("dk-KZ2-sign", "dkalt-Kmono-trivial", "dk-nosuch-trivial", "dk-KZ2", "")
+INSTANCE_TOKENS = ("K", "Kx2-1", "Kx3", "M2", "GL2", "KZ2", "Kmono", "Kx2-1*", "nosuch", "")
+INSTANCE_TOKENS += ("q=1", "q=1/2", "q=x", "q=1/0", "p=2", "r=1")
+# only the cheap `biproduct` row runs, so the test stays fast
+GRID_FILES = ({"rows": ["biproduct"]}, {"rows": ["biproduct", "nosuch"]}, {"rows": []})
+GRID_FILES += ({"rows": "biproduct"}, {"rows": [1]}, ["biproduct"], {}, "{", "")
+
+
+@st.composite
+def instance_expressions(draw):
+    # a registry instance, or a head with up to three drawn arguments
+    wrappers = draw(st.lists(st.sampled_from(("corrupt:", "dual:")), max_size=3))
+    if draw(st.booleans()):
+        return "".join(wrappers) + draw(st.sampled_from(INSTANCE_NAMES))
+    tokens = draw(st.lists(st.sampled_from(INSTANCE_TOKENS), max_size=3))
+    at = draw(st.sampled_from(("@", ""))) if not tokens else "@"
+    return "".join(wrappers) + draw(st.sampled_from(INSTANCE_HEADS)) + at + ",".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def grid_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("grid") / "grid.json"
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_instances_fields_and_grids_keep_the_exit_code_contract(grid_path, data):
+    # every command over the instance grammar, --field tags and grid files
+    # exits 0, 1 or 2 and raises nothing
+    field = data.draw(st.sampled_from(((),) + tuple(("--field", t) for t in FIELD_TAGS)))
+    if data.draw(st.booleans()):
+        check = data.draw(st.sampled_from(((),) + tuple(("--check", c) for c in CHECKS)))
+        argv = ["verify", *field, *check, data.draw(instance_expressions())]
+    else:
+        grid = data.draw(st.sampled_from(GRID_FILES))
+        grid_path.write_text(grid if isinstance(grid, str) else json.dumps(grid))
+        argv = ["suite", "--json", *field, "--grid", str(grid_path)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2), argv

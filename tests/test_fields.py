@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entwiner.fields import QQ, FieldError, PrimeField, field_from_tag
 from entwiner.linalg import LinearMap, space
+from entwiner.serial import document, emit
 
 F7 = PrimeField(7)
 
@@ -155,11 +156,21 @@ def test_prime_field_refuses_foreign_operands(x, other):
             op()
     with pytest.raises(FieldError):
         F5.from_int(x) + a
-    # nor does one get into a product kernel
+    # nor does one get into a product kernel or a rendered residue
     f = LinearMap(F7, V, V, ((F7.one, F7.zero), (F7.zero, F7.one)))
-    for op in (lambda: F7.plain(other), lambda: f.apply((other, a))):
+    for op in (lambda: F7.plain(other), lambda: f.apply((other, a)), lambda: F7.render(other)):
         with pytest.raises(FieldError):
             op()
+
+
+@pytest.mark.parametrize("other", (Fraction(1, 2), 2.5, True), ids=("fraction", "float", "bool"))
+def test_structure_files_refuse_a_foreign_scalar_in_an_f_p_map(other):
+    # the map builds, but its entry is not written down as some residue
+    sf = document(F7)
+    sf.add("V", V)
+    sf.add("f", LinearMap(F7, V, V, ((other, 0), (0, 1))))
+    with pytest.raises(FieldError):
+        emit(sf)
 
 
 @given(small_ints, small_ints)

@@ -6,7 +6,10 @@ stdout bytes:
 
 - `suite --json` over `q` and `fp:7`;
 - `verify` and `verify --json` with every `--check` name, on every registry
-  instance in its plain, `corrupt:` and `dual:` forms, over `q` and `fp:7`.
+  instance in its plain, `corrupt:` and `dual:` forms, over `q` and `fp:7`;
+- `construct` of every construction on fixed arguments over `q` and `fp:7`,
+  each output written to a structure file in a temporary directory, then
+  `verify` and `verify --json` on every object that file names.
 
 Two checkouts whose digests match give the same stdout and exit code on every
 command of the sweep.  Stderr is not part of the digest: it carries only the
@@ -21,15 +24,29 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from entwiner.cli import CHECKS, main  # noqa: E402
+from entwiner.cli import CHECKS, CONSTRUCTIONS, main  # noqa: E402
 from entwiner.registry import INSTANCE_NAMES  # noqa: E402
 
 FIELDS = ("q", "fp:7")
+# construction -> arguments; `entwining` reads the file `action` wrote
+CONSTRUCT_ARGS = {
+    "mult_twist": ["Kx2-1", "2"],
+    "comm_twist": ["Kx3", "2"],
+    "rmatrix": ["Kx3", "1", "-1"],
+    "type2": ["Kx2-1", "2", "3"],
+    "biproduct": ["Kmono", "mult_twist@Kmono,q=1", "0:1"],
+    "product": ["quad@p=1,q=2"],
+    "dualize": ["cotwist@GL2,GL2"],
+    "action": ["module@Kx3"],
+    "entwining": ["action.json:action"],
+}
 
 
 def run(argv: list[str]) -> tuple[int, bytes]:
@@ -42,15 +59,19 @@ def run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode("utf-8")
 
 
-def digest(commands) -> tuple[int, str]:
+def digest(results) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
-    for argv in commands:
-        code, stdout = run(argv)
+    for argv, code, stdout in results:
         h.update(repr((argv, code, len(stdout))).encode("utf-8"))
         h.update(stdout)
         count += 1
     return count, h.hexdigest()
+
+
+def ran(commands):
+    for argv in commands:
+        yield (argv, *run(argv))
 
 
 def suite_commands():
@@ -67,7 +88,34 @@ def verify_commands():
                         yield ["verify", *json_flag, "--field", tag, "--check", check, expr]
 
 
+def construct_results():
+    # files go by relative name into a fresh directory, so argv does not vary
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for tag in FIELDS:
+                for what in CONSTRUCTIONS:
+                    argv = ["construct", "--field", tag, what, *CONSTRUCT_ARGS[what]]
+                    code, stdout = run(argv)
+                    yield argv, code, stdout
+                    if code != 0:
+                        continue
+                    with open(f"{what}.json", "wb") as fh:
+                        fh.write(stdout)
+                    for obj in json.loads(stdout)["objects"]:
+                        for json_flag in ([], ["--json"]):
+                            argv = ["verify", *json_flag, f"{what}.json:{obj['name']}"]
+                            yield (argv, *run(argv))
+        finally:
+            os.chdir(home)
+
+
 if __name__ == "__main__":
-    for group, commands in (("suite", suite_commands()), ("verify", verify_commands())):
-        count, sha = digest(commands)
+    for group, results in (
+        ("suite", ran(suite_commands())),
+        ("verify", ran(verify_commands())),
+        ("construct", construct_results()),
+    ):
+        count, sha = digest(results)
         print(f"{group}: {count} commands sha256={sha}", flush=True)
