@@ -9,9 +9,12 @@ F_p element refuses /, // and % (use `field.div`) and any operand that is
 neither an int nor an element of the same F_p, with FieldError.
 
 The product kernels of `linalg` compute on plain scalars instead: `plain`
-makes one (over F_p an int in [0, p); a foreign scalar is refused), `nonzero`
-reduces each kernel output entry once (delayed reduction, as in FFLAS-FFPACK)
-and `elem` makes an element again.  Over Q all three keep the value.
+makes one (over F_p an int in [0, p); a foreign scalar is refused, as it is by
+`from_int`, `div` and `render`), the kernels add raw sums, `nonzero` drops the
+zeros of a chain's column and reduces each entry once, at the end of the chain
+(delayed reduction, as in FFLAS-FFPACK), and `elem` makes an element again.
+Over Q all three keep the value.  `types` is the set of entry types a map over
+the field may hold: int and the element class over F_p, unchecked (None) over Q.
 
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
@@ -45,6 +48,7 @@ class Rationals:
     tag = "q"
     zero = 0
     one = 1
+    types = None
 
     def __repr__(self):
         return "Q"
@@ -180,6 +184,7 @@ class PrimeField:
         self.elem = _fp_class(p)
         self.zero = self.elem(0)
         self.one = self.elem(1)
+        self.types = frozenset((int, self.elem))
 
     @property
     def tag(self) -> str:
@@ -195,7 +200,7 @@ class PrimeField:
         return hash(("field:fp", self.p))
 
     def from_int(self, n: int):
-        return self.elem(n)
+        return self.elem(self.plain(n))
 
     def parse(self, s: str):
         m = _SCALAR_RE.match(s.strip())
@@ -213,10 +218,10 @@ class PrimeField:
         return str(self.plain(x))
 
     def div(self, a, b):
-        b = int(b) % self.p
+        a, b = self.plain(a), self.plain(b)
         if b == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return self.elem(int(a) * pow(b, self.p - 2, self.p))
+        return self.elem(a * pow(b, self.p - 2, self.p))
 
     def plain(self, x) -> int:
         if type(x) is not self.elem and type(x) is not int:

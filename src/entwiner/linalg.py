@@ -3,15 +3,21 @@
 Everything is a finite-dimensional vector space with a fixed ordered basis.
 Tensor products use the row-major convention: the index of e_i (x) f_j in
 V (x) W is i*dim(W) + j, 0-based, and nested products are flattened left to
-right.  Maps are stored densely (rows of scalars).  Every product - `compose`,
-`kron`, `LinearMap.apply`, `materialize` and the identity checks - streams
-sparse columns through a chain of maps and lazy Kronecker products; the only
-code that multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.
-Their columns hold plain scalars (`field.plain`; over F_p, ints reduced once
-per output entry by `field.nonzero`), made elements again by `apply` and
-`materialize`.  `KronApply` copies the digit of each run of adjacent identity
-legs into the output index as one stride block, with no multiplication.
-Identity checks stream column by column, so a failing check stops at the
+right.  Maps are stored densely (rows of scalars); over F_p a map refuses, when
+it is built, any entry that is neither an int nor an element of that field.
+Every product - `compose`, `kron`, `LinearMap.apply`, `materialize` and the
+identity checks - streams sparse columns through a chain of maps and lazy
+Kronecker products; the only code that multiplies is `LinearMap.apply_sparse`
+and `KronApply.apply_sparse`.  They read plain scalars (`field.plain`) and
+return raw sums: zeros stay and, over F_p, entries are unreduced ints.
+`field.nonzero` drops the zeros and reduces once per chain, at the end of
+`chain_apply_basis` and in `apply`; `apply` and `materialize` make elements
+again, and `materialize` hands its result the sparse columns it computed.
+`KronApply` copies the digit of each run of adjacent identity legs into the
+output index as one stride block, with no multiplication, and a product with
+one other leg writes that leg's entries straight into the output.  `identity`
+and `twist` are memoised on (field, spaces), the last few kept.  Identity
+checks stream column by column, so a failing check stops at the
 lexicographically-first failing basis tuple - which is exactly the witness
 reported.
 
@@ -26,7 +32,7 @@ product.  All objects are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .fields import Field, Scalar
 from .report import IdentityCheck
@@ -130,11 +136,15 @@ class LinearMap:
             raise ShapeError(
                 f"matrix has {len(self.rows)} rows, codomain dim {self.codomain.dim}"
             )
+        types = self.field.types
         for r in self.rows:
             if len(r) != self.domain.dim:
                 raise ShapeError(
                     f"matrix row has {len(r)} entries, domain dim {self.domain.dim}"
                 )
+            if types is not None and not types.issuperset(map(type, r)):
+                for x in r:
+                    self.field.plain(x)  # raises FieldError on the first foreign entry
 
     @cached_property
     def _cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
@@ -151,20 +161,22 @@ class LinearMap:
         return tuple(row[j] for row in self.rows)
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
+        # raw sums: zeros kept and, over F_p, entries unreduced
         out: dict[int, Scalar] = {}
+        get = out.get
         cols = self._cols
         for j, v in col.items():
             for r, m in cols[j]:
-                cur = out.get(r)
+                cur = get(r)
                 out[r] = m * v if cur is None else cur + m * v
-        return self.field.nonzero(out)
+        return out
 
     def apply(self, vec) -> tuple[Scalar, ...]:
         """Application to a coefficient tuple."""
         if len(vec) != self.domain.dim:
             raise ShapeError("vector length does not match domain")
         field = self.field
-        out = self.apply_sparse({j: field.plain(v) for j, v in enumerate(vec) if v})
+        out = field.nonzero(self.apply_sparse({j: field.plain(v) for j, v in enumerate(vec) if v}))
         elem, zero = field.elem, field.zero
         return tuple(elem(out[i]) if i in out else zero for i in range(self.codomain.dim))
 
@@ -248,6 +260,14 @@ def from_columns(field: Field, domain: Space, codomain: Space, cols) -> LinearMa
 
 
 def identity(field: Field, v: Space) -> LinearMap:
+    return _identity(field, v)
+
+
+# Structural maps are pure functions of their content key (field, spaces).  Law
+# checks ask for the same few again and again, so the last few built are kept;
+# the public functions stay plain functions, so a tracer can still wrap them.
+@lru_cache(maxsize=8)
+def _identity(field: Field, v: Space) -> LinearMap:
     one, zero = field.one, field.zero
     rows = tuple(
         tuple(one if i == j else zero for j in range(v.dim)) for i in range(v.dim)
@@ -275,6 +295,11 @@ def kron(f: LinearMap, g: LinearMap) -> LinearMap:
 
 def twist(field: Field, v: Space, w: Space) -> LinearMap:
     """The flip v (x) w -> w (x) v on basis vectors."""
+    return _twist(field, v, w)
+
+
+@lru_cache(maxsize=8)
+def _twist(field: Field, v: Space, w: Space) -> LinearMap:
     one, zero = field.one, field.zero
     n, m = v.dim, w.dim
     rows = [[zero] * (n * m) for _ in range(n * m)]
@@ -334,9 +359,23 @@ class KronApply:
         self._maps = tuple(maps)
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
+        # raw sums, as LinearMap.apply_sparse
         out: dict[int, Scalar] = {}
+        get = out.get
         blocks = self._blocks
         maps = self._maps
+        if len(maps) == 1:
+            # one non-identity leg: each of its entries is one output term
+            ((s1, d1, t1, cols1),) = maps
+            for j, v in col.items():
+                base = 0
+                for s, d, t in blocks:
+                    base += j // s % d * t
+                for r, m in cols1[j // s1 % d1]:
+                    idx = base + r * t1
+                    cur = get(idx)
+                    out[idx] = m * v if cur is None else cur + m * v
+            return out
         for j, v in col.items():
             base = 0
             for s, d, t in blocks:
@@ -345,9 +384,9 @@ class KronApply:
             for s, d, t, cols in maps:
                 terms = [(b + r * t, x * m) for b, x in terms for r, m in cols[j // s % d]]
             for idx, val in terms:
-                cur = out.get(idx)
+                cur = get(idx)
                 out[idx] = val if cur is None else cur + val
-        return self.field.nonzero(out)
+        return out
 
     def __repr__(self):
         return f"KronApply({self.domain.dim}->{self.codomain.dim})"
@@ -380,12 +419,13 @@ def _as_chain(x: Chain) -> list[ChainElt]:
 
 
 def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, Scalar]:
+    """Column j of the composite: plain scalars, zeros dropped, reduced once at the end."""
     col: dict[int, Scalar] = {j: field.plain(field.one)}
     for elt in reversed(chain):
         if not col:
             break
         col = elt.apply_sparse(col)
-    return col
+    return field.nonzero(col)
 
 
 def materialize(chain: Chain) -> LinearMap:
@@ -394,12 +434,18 @@ def materialize(chain: Chain) -> LinearMap:
     field = chain[0].field
     dom = chain[-1].domain
     cod = chain[0].codomain
+    elem = field.elem
+    rows = [[field.zero] * dom.dim for _ in range(cod.dim)]
     cols = []
-    elem, zero = field.elem, field.zero
     for j in range(dom.dim):
-        col = chain_apply_basis(chain, j, field)
-        cols.append(tuple(elem(col[i]) if i in col else zero for i in range(cod.dim)))
-    return from_columns(field, dom, cod, cols)
+        col = sorted(chain_apply_basis(chain, j, field).items())
+        for i, x in col:
+            rows[i][j] = elem(x)
+        cols.append(tuple(col))
+    m = LinearMap(field, dom, cod, tuple(map(tuple, rows)))
+    # the columns just computed are the sparse columns the kernels read
+    object.__setattr__(m, "_cols", tuple(cols))
+    return m
 
 
 def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:

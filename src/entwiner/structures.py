@@ -12,12 +12,15 @@ Each map law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
 `MODULE_LAWS`, `COMODULE_LAWS`) checked by `linalg.check_law`.  Names: m and
 Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
 identity, and (X, "η"), ("η", X), (X, "ε"), ("ε", X) the unit insertions and
-counit contractions that `unit_maps` and `counit_maps` bind.
+counit contractions that `unit_maps` and `counit_maps` bind.  Like
+`linalg.identity`, those are built once per content key (field, unit or
+counit, spaces), the last few kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import Field, Scalar
 from .linalg import (
@@ -86,9 +89,13 @@ def unit_maps(a: Algebra, **spaces: Space) -> dict:
     """Bind (X, "η") : X -> X (x) A and ("η", X) : X -> A (x) X for each named space X."""
     out = {}
     for name, v in spaces.items():
-        out[(name, "η")] = insert_right(a.field, v, a.unit, a.space)
-        out[("η", name)] = insert_left(a.field, a.unit, a.space, v)
+        out[(name, "η")], out[("η", name)] = _insertions(a.field, tuple(a.unit), a.space, v)
     return out
+
+
+@lru_cache(maxsize=8)
+def _insertions(field: Field, unit: tuple, a: Space, v: Space) -> tuple[LinearMap, LinearMap]:
+    return insert_right(field, v, unit, a), insert_left(field, unit, a, v)
 
 
 def check_algebra(a: Algebra) -> Report:
@@ -119,9 +126,13 @@ def counit_maps(c: Coalgebra, **spaces: Space) -> dict:
     """Bind (X, "ε") : X (x) C -> X and ("ε", X) : C (x) X -> X for each named space X."""
     out = {}
     for name, v in spaces.items():
-        out[(name, "ε")] = contract_right(c.field, v, c.counit, c.space)
-        out[("ε", name)] = contract_left(c.field, c.counit, c.space, v)
+        out[(name, "ε")], out[("ε", name)] = _contractions(c.field, tuple(c.counit), c.space, v)
     return out
+
+
+@lru_cache(maxsize=8)
+def _contractions(field: Field, counit: tuple, c: Space, v: Space) -> tuple[LinearMap, LinearMap]:
+    return contract_right(field, v, counit, c), contract_left(field, counit, c, v)
 
 
 def check_coalgebra(c: Coalgebra) -> Report:

@@ -156,21 +156,32 @@ def test_prime_field_refuses_foreign_operands(x, other):
             op()
     with pytest.raises(FieldError):
         F5.from_int(x) + a
-    # nor does one get into a product kernel or a rendered residue
+    # nor does one get into a product kernel, a rendered residue, a division,
+    # an element or a map
     f = LinearMap(F7, V, V, ((F7.one, F7.zero), (F7.zero, F7.one)))
-    for op in (lambda: F7.plain(other), lambda: f.apply((other, a)), lambda: F7.render(other)):
+    for op in (
+        lambda: F7.plain(other),
+        lambda: f.apply((other, a)),
+        lambda: F7.render(other),
+        lambda: F7.div(other, a),
+        lambda: F7.div(a, other),
+        lambda: F7.div(F7.one, other),
+        lambda: F7.from_int(other),
+        lambda: LinearMap(F7, V, V, ((a, F7.zero), (other, F7.one))),
+        lambda: LinearMap(F7, V, V, ((x, 0), (0, other))),
+    ):
         with pytest.raises(FieldError):
             op()
 
 
 @pytest.mark.parametrize("other", (Fraction(1, 2), 2.5, True), ids=("fraction", "float", "bool"))
 def test_structure_files_refuse_a_foreign_scalar_in_an_f_p_map(other):
-    # the map builds, but its entry is not written down as some residue
+    # the map is refused when it is built, so no file can hold it as some residue
     sf = document(F7)
     sf.add("V", V)
-    sf.add("f", LinearMap(F7, V, V, ((other, 0), (0, 1))))
     with pytest.raises(FieldError):
-        emit(sf)
+        sf.add("f", LinearMap(F7, V, V, ((other, 0), (0, 1))))
+    assert '"f"' not in emit(sf)
 
 
 @given(small_ints, small_ints)

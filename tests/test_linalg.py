@@ -366,8 +366,10 @@ def in_field(field, rows):
 
 
 def plain_column(field, col):
-    # a kernel column over F_p holds plain ints in [1, p): reduced, zeros dropped
-    return field == QQ or all(type(x) is int and 0 < x < field.p for x in col.values())
+    # a column of a chain holds no zeros; over F_p, plain ints in [1, p), reduced
+    if field == QQ:
+        return all(col.values())
+    return all(type(x) is int and 0 < x < field.p for x in col.values())
 
 
 ATOMS = (space("p0"), space("q0", "q1"), space("r0", "r1", "r2"))
@@ -475,9 +477,12 @@ def test_materialize_matches_the_oracle(data):
     got = {}
     for field in (QQ, F7):
         chain = [build(field, s) for s in specs]
-        got[field] = materialize(chain).rows
+        m = materialize(chain)
+        got[field] = m.rows
         assert got[field] == ref_chain(field, chain)
         assert in_field(field, got[field])
+        # the sparse columns materialize fills are the ones its rows give
+        assert m._cols == LinearMap(field, m.domain, m.codomain, m.rows)._cols
         for j in range(chain[-1].domain.dim):
             assert plain_column(field, chain_apply_basis(chain, j, field))
     assert got[F7] == mod7(got[QQ])
@@ -515,6 +520,46 @@ def test_identity_legs_match_the_oracle(field, layout):
     got = materialize([k]).rows
     assert got == ref_chain(field, [k])
     assert in_field(field, got)
+
+
+# e0 + e1 goes to zero over both fields, or to (7, 0), which is zero mod 7 only
+CANCELLING = (((1, -1), (2, -2)), ((3, 4), (1, -1)))
+
+
+@pytest.mark.parametrize("rows", CANCELLING, ids=("cancels", "cancels-mod-7"))
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_a_column_cancelling_inside_a_chain_matches_the_oracle(field, rows):
+    # the kernels keep an entry that sums to zero mid-chain; the chain drops
+    # it once, at its end
+    def m(dom, cod, r):
+        return LinearMap(field, dom, cod, tuple(tuple(map(field.from_int, x)) for x in r))
+
+    spread = m(V2, V2, ((1, 0), (1, 0)))  # e0 -> e0 + e1, e1 -> 0
+    cancel = m(V2, V2, rows)
+    out = m(V2, V3, ((1, 2), (0, 1), (3, 0)))
+    idw = identity(field, W2)
+    for chain in (
+        [out, cancel, spread],
+        [lazy_kron(out, idw), lazy_kron(cancel, idw), lazy_kron(spread, idw)],
+        [lazy_kron(idw, out), lazy_kron(idw, cancel), lazy_kron(idw, spread)],
+        [lazy_kron(out, out), lazy_kron(cancel, spread), lazy_kron(spread, spread)],
+    ):
+        got = materialize(chain)
+        assert got.rows == ref_chain(field, chain)
+        for j in range(chain[-1].domain.dim):
+            assert plain_column(field, chain_apply_basis(chain, j, field))
+        zero = zero_map(field, chain[-1].domain, chain[0].codomain)
+        for rhs in ([zero], [got], [chain[0], chain[2]]):
+            assert check_map_identity("law", chain, rhs) == ref_check("law", field, chain, rhs)
+
+
+def test_structural_maps_are_built_once_per_field():
+    assert identity(QQ, V3) is identity(QQ, space("b0", "b1", "b2"))
+    assert twist(F7, V2, W3) is twist(F7, V2, W3)
+    assert identity(QQ, V3) is not identity(F7, V3)
+    assert twist(QQ, V2, W3) is not twist(F7, V2, W3)
+    assert identity(F7, V3).rows == ref_reduce(F7, identity(QQ, V3).rows)
+    assert in_field(F7, identity(F7, V3).rows) and in_field(F7, twist(F7, V2, W3).rows)
 
 
 @given(st.data())

@@ -30,9 +30,11 @@ from entwiner.structures import (
     check_grouplike_bilateral_integral,
     check_module,
     convolution_algebra,
+    counit_maps,
     dualize_algebra,
     opposite_algebra,
     regular_module,
+    unit_maps,
 )
 from entwiner.yangbaxter import is_commutative
 
@@ -59,6 +61,19 @@ def test_builtin_bialgebras_pass(name):
 def test_builtin_algebras_pass_mod_seven(name):
     rep = check_algebra(algebra(name, PrimeField(7)))
     assert rep.passed, rep.render()
+
+
+def test_unit_and_counit_maps_are_built_once_per_field():
+    v = space("x0", "x1")
+    f7 = PrimeField(7)
+    for make, bind, vec in ((algebra, unit_maps, "unit"), (coalgebra, counit_maps, "counit")):
+        q, p = make("KZ2", QQ), make("KZ2", f7)
+        assert getattr(q, vec) == getattr(p, vec)  # one vector, over two fields
+        once, again, other = bind(q, X=v), bind(q, Y=space("x0", "x1")), bind(p, X=v)
+        assert len(once) == 2
+        for m1, m2, m3 in zip(once.values(), again.values(), other.values()):
+            assert m1 is m2 and m1 is not m3
+            assert m1.field == QQ and m3.field == f7 and m1.rows == m3.rows
 
 
 def test_broken_associativity_reports_first_witness():
