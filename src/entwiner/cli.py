@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import lru_cache, partial
 
 from .entwine import (
     EntwiningData,
@@ -442,6 +442,15 @@ def cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser()
+
+
+# argparse takes about a millisecond to build the tree, so in-process callers of
+# `main` share one parser; `parse_args` leaves it unchanged and looks up
+# sys.stderr only when it reports an error.  The public function stays a plain
+# function, so a tracer can still wrap it.
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="entwiner",
         description="exact verification of entwining structures over Q or F_p",

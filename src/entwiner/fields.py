@@ -14,7 +14,9 @@ makes one (over F_p an int in [0, p); a foreign scalar is refused, as it is by
 zeros of a chain's column and reduces each entry once, at the end of the chain
 (delayed reduction, as in FFLAS-FFPACK), and `elem` makes an element again.
 Over Q all three keep the value.  `types` is the set of entry types a map over
-the field may hold: int and the element class over F_p, unchecked (None) over Q.
+the field may hold: int and Fraction over Q, int and the element class over
+F_p; a map refuses any other entry (a float, a bool, an element of another
+field) with FieldError when it is built.
 
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
@@ -48,7 +50,7 @@ class Rationals:
     tag = "q"
     zero = 0
     one = 1
-    types = None
+    types = frozenset((int, Fraction))
 
     def __repr__(self):
         return "Q"

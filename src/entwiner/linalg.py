@@ -3,8 +3,10 @@
 Everything is a finite-dimensional vector space with a fixed ordered basis.
 Tensor products use the row-major convention: the index of e_i (x) f_j in
 V (x) W is i*dim(W) + j, 0-based, and nested products are flattened left to
-right.  Maps are stored densely (rows of scalars); over F_p a map refuses, when
-it is built, any entry that is neither an int nor an element of that field.
+right.  A space's `dim` and `dims` are set when it is built.  Maps are stored
+densely (rows of scalars); a map refuses, when it is built, any entry whose type
+is not in its field's `types`: over Q an int or a Fraction, over F_p an int or
+an element of that field.
 Every product - `compose`, `kron`, `LinearMap.apply`, `materialize` and the
 identity checks - streams sparse columns through a chain of maps and lazy
 Kronecker products; the only code that multiplies is `LinearMap.apply_sparse`
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 
-from .fields import Field, Scalar
+from .fields import Field, FieldError, Scalar
 from .report import IdentityCheck
 
 
@@ -52,22 +55,12 @@ class Space:
     def __post_init__(self):
         if bool(self.labels) == bool(self.factors):
             raise ShapeError("a Space is atomic (labels) or a tensor product (factors), not both")
-
-    @cached_property
-    def dim(self) -> int:
-        if self.labels:
-            return len(self.labels)
-        n = 1
-        for f in self.factors:
-            n *= f.dim
-        return n
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        """Flat tuple of atomic factor dimensions."""
-        if self.labels:
-            return (self.dim,)
-        return tuple(f.dim for f in self.factors)
+        # `dim` and `dims` (the flat tuple of factor dimensions) are read on
+        # every chain built over the space, so they are set once, here; they
+        # are not fields, so equality and hashing still see labels and factors
+        dims = (len(self.labels),) if self.labels else tuple(f.dim for f in self.factors)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", prod(dims))
 
     def basis_tuple(self, i: int) -> tuple[str, ...]:
         """Labels of the atomic legs of basis vector i (row-major)."""
@@ -142,9 +135,11 @@ class LinearMap:
                 raise ShapeError(
                     f"matrix row has {len(r)} entries, domain dim {self.domain.dim}"
                 )
-            if types is not None and not types.issuperset(map(type, r)):
-                for x in r:
-                    self.field.plain(x)  # raises FieldError on the first foreign entry
+            if not types.issuperset(map(type, r)):
+                x = next(x for x in r if type(x) not in types)
+                raise FieldError(
+                    f"a map over {self.field!r} cannot hold {type(x).__name__} {x!r}"
+                )
 
     @cached_property
     def _cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:

@@ -11,7 +11,6 @@ assemble output in a fixed order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -662,6 +661,9 @@ def run_suite(field_tag: str, rows=None, jobs: int = 1) -> list:
         tasks += [(n, alt_tag) for n in BASE_ROWS]
     workers = worker_count(jobs, len(tasks))
     reports, alt = {}, {}
+    if jobs > 1:
+        # imported here, so that only --jobs > 1 pays for the process machinery
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if jobs > 1 else nullcontext() as pool:
         built = (pool.map if pool else map)(run_row, *zip(*tasks))
         for (name, tag), rep in zip(tasks, built):

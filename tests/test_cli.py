@@ -8,13 +8,15 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entwiner
-from entwiner.cli import CHECKS, main
+import entwiner.cli
+from entwiner.cli import CHECKS, build_parser, main
 from entwiner.entwine import EntwiningData
 from entwiner.fields import QQ
 from entwiner.linalg import ShapeError
@@ -379,18 +381,79 @@ def test_list_json(capsys):
     assert "twists" in doc["suite-rows"]
 
 
-def test_module_entry_point_runs():
+def _child_env():
     # the child imports the same package as the tests, installed or not
     src = os.path.dirname(os.path.dirname(entwiner.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "entwiner.cli", "verify", "quad@p=1,q=2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "verdict: PASS" in proc.stdout
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # only `suite --jobs N` with N > 1 imports the pool; --jobs 2 is covered by
+    # test_suite_output_deterministic_across_jobs
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, entwiner.cli; print('concurrent.futures.process' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of one `main` call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_is_built_once_behind_a_plain_function():
+    assert build_parser() is build_parser()
+    # a plain function, not a cache wrapper, so a tracer can still wrap it
+    assert type(entwiner.cli.build_parser) is types.FunctionType
+    assert not hasattr(entwiner.cli.build_parser, "cache_info")
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was():
+    argv = ["verify", "--json", "mult_twist@Kx3,q=1/2"]
+    first = run_in_process(argv)
+    assert first[0] == 1
+    for bad in (["verify", "--check"], ["verify", "--nosuch", "quad@p=1,q=2"], ["frobnicate"]):
+        code, out, err = run_in_process(bad)
+        assert (code, out) == (2, "")
+        assert "usage: entwiner" in err
+    assert run_in_process(argv) == first
+
+
+def test_usage_errors_reach_the_stderr_of_the_call_not_of_the_build():
+    entwiner.cli._parser.cache_clear()
+    at_build = io.StringIO()
+    with contextlib.redirect_stderr(at_build):
+        build_parser()
+    code, out, err = run_in_process(["verify"])
+    assert (code, out) == (2, "")
+    assert "usage: entwiner verify" in err and "instance" in err
+    assert at_build.getvalue() == ""
 
 
 FUZZ_SOURCES = (

@@ -174,6 +174,18 @@ def test_prime_field_refuses_foreign_operands(x, other):
             op()
 
 
+@pytest.mark.parametrize("other", (2.5, True, F7.from_int(3)), ids=("float", "bool", "f7"))
+def test_a_map_over_q_refuses_a_foreign_entry(other):
+    # the same rule as over F_p: an entry whose type is not in QQ.types is
+    # refused when the map is built, so no residual can report it
+    V = space("v0", "v1")
+    assert type(other) not in QQ.types
+    for rows in (((other, 0), (0, 1)), ((1, 0), (0, other))):
+        with pytest.raises(FieldError, match="a map over Q"):
+            LinearMap(QQ, V, V, rows)
+    assert LinearMap(QQ, V, V, ((Fraction(1, 2), 0), (0, Fraction(4, 2)))).apply((2, 1)) == (1, 2)
+
+
 @pytest.mark.parametrize("other", (Fraction(1, 2), 2.5, True), ids=("fraction", "float", "bool"))
 def test_structure_files_refuse_a_foreign_scalar_in_an_f_p_map(other):
     # the map is refused when it is built, so no file can hold it as some residue

@@ -1,6 +1,8 @@
 """Tensor bookkeeping: spaces, Kronecker products, chains, identity checks."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -53,10 +55,48 @@ def dense(rng, dom, cod, lo=-2, hi=3):
 def test_space_is_atomic_or_tensor():
     assert space("x").dim == 1
     assert V3.dims == (3,)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="not both"):
         Space()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="not both"):
         Space(labels=("x",), factors=(V2,))
+
+
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda s: replace(s),
+        lambda s: pickle.loads(pickle.dumps(s)),
+        lambda s: Space(labels=s.labels, factors=s.factors),
+    ),
+    ids=("replace", "pickle", "rebuilt"),
+)
+@pytest.mark.parametrize(
+    "s, dim, dims",
+    (
+        (V3, 3, (3,)),
+        (tensor(V2, V3, W2), 12, (2, 3, 2)),
+        (dual_space(tensor(V2, W3)), 6, (2, 3)),
+    ),
+    ids=("atomic", "tensor", "dual-tensor"),
+)
+def test_space_sizes_are_set_at_construction_and_survive_copies(make, s, dim, dims):
+    # dim and dims are plain attributes set when the space is built; equality
+    # and hashing see only labels and factors, so memo keys still hit
+    assert (s.dim, s.dims) == (dim, dims)
+    t = make(s)
+    assert t is not s
+    assert (t.dim, t.dims) == (dim, dims)
+    assert t == s and hash(t) == hash(s)
+    assert vars(t) == vars(s)
+    assert identity(QQ, t) is identity(QQ, s)
+    assert twist(QQ, t, V2) is twist(QQ, s, V2)
+
+
+def test_space_sizes_are_not_fields():
+    assert [f.name for f in fields(Space)] == ["labels", "factors"]
+    assert "dim" not in repr(V3) and "dims" not in repr(tensor(V2, V3))
+    with pytest.raises(FrozenInstanceError):
+        V3.dim = 4
 
 
 def test_tensor_flattens():
