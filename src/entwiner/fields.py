@@ -9,14 +9,16 @@ F_p element refuses /, // and % (use `field.div`) and any operand that is
 neither an int nor an element of the same F_p, with FieldError.
 
 The product kernels of `linalg` compute on plain scalars instead: `plain`
-makes one (over F_p an int in [0, p); a foreign scalar is refused, as it is by
-`from_int`, `div` and `render`), the kernels add raw sums, `nonzero` drops the
-zeros of a chain's column and reduces each entry once, at the end of the chain
-(delayed reduction, as in FFLAS-FFPACK), and `elem` makes an element again.
-Over Q all three keep the value.  `types` is the set of entry types a map over
-the field may hold: int and Fraction over Q, int and the element class over
-F_p; a map refuses any other entry (a float, a bool, an element of another
-field) with FieldError when it is built.
+makes one (over F_p an int in [0, p), a foreign scalar refused; over Q the
+value itself, unchecked, as map entries are checked when a map is built), the
+kernels add raw sums, `nonzero` drops the zeros of a chain's column and
+reduces each entry once, at the end of the chain (delayed reduction, as in
+FFLAS-FFPACK), and `elem` makes an element again.  Over Q all three keep the
+value.  `types` is the set of entry types a map over the field may hold: int
+and Fraction over Q, int and the element class over F_p; a map refuses any
+other entry (a float, a bool, an element of another field) with FieldError
+when it is built, and so does `LinearMap.apply` for a vector entry.
+`from_int`, `div` and `render` refuse such a scalar on both fields.
 
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
@@ -61,8 +63,14 @@ class Rationals:
     def __hash__(self):
         return hash("field:q")
 
+    def _own(self, x):
+        # plain and the kernels skip this: map entries are checked when built
+        if type(x) not in self.types:
+            raise FieldError(f"a scalar over Q is an int or a Fraction, not {type(x).__name__} {x!r}")
+        return x
+
     def from_int(self, n: int):
-        return n
+        return self._own(n)
 
     def parse(self, s: str):
         m = _SCALAR_RE.match(s.strip())
@@ -77,12 +85,14 @@ class Rationals:
         return _normalize(Fraction(num, den))
 
     def render(self, x) -> str:
-        return str(_normalize(x))
+        if type(x) is int:
+            return str(x)
+        return str(_normalize(self._own(x)))
 
     def div(self, a, b):
-        if not b:
+        if not self._own(b):
             raise ZeroDivisionError("division by zero scalar")
-        return _normalize(Fraction(a) / Fraction(b))
+        return _normalize(Fraction(self._own(a)) / Fraction(b))
 
     def plain(self, x):
         return x

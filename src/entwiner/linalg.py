@@ -5,34 +5,46 @@ Tensor products use the row-major convention: the index of e_i (x) f_j in
 V (x) W is i*dim(W) + j, 0-based, and nested products are flattened left to
 right.  A space's `dim` and `dims` are set when it is built.  Maps are stored
 densely (rows of scalars); a map refuses, when it is built, any entry whose type
-is not in its field's `types`: over Q an int or a Fraction, over F_p an int or
-an element of that field.
+is not in its field's `types` (over Q an int or a Fraction, over F_p an int or
+an element of that field), and `apply` refuses such a vector entry.
+
 Every product - `compose`, `kron`, `LinearMap.apply`, `materialize` and the
-identity checks - streams sparse columns through a chain of maps and lazy
-Kronecker products; the only code that multiplies is `LinearMap.apply_sparse`
-and `KronApply.apply_sparse`.  They read plain scalars (`field.plain`) and
-return raw sums: zeros stay and, over F_p, entries are unreduced ints.
-`field.nonzero` drops the zeros and reduces once per chain, at the end of
-`chain_apply_basis` and in `apply`; `apply` and `materialize` make elements
-again, and `materialize` hands its result the sparse columns it computed.
-`KronApply` copies the digit of each run of adjacent identity legs into the
-output index as one stride block, with no multiplication, and a product with
-one other leg writes that leg's entries straight into the output.  `identity`
-and `twist` are memoised on (field, spaces), the last few kept.  Identity
-checks stream column by column, so a failing check stops at the
-lexicographically-first failing basis tuple - which is exactly the witness
-reported.
+identity checks - streams sparse columns through a chain of elements: maps,
+lazy Kronecker products (`KronApply`) and `Composite`s.  The only code that
+multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.  They
+read plain scalars (`field.plain`) and return raw sums: zeros stay and, over
+F_p, entries are unreduced ints.  `field.nonzero` drops the zeros and reduces
+once per chain, at the end of `chain_apply_basis` and in `apply`.
+
+Every element carries its flat `domain_dims` and `codomain_dims`; chains are
+matched on those.  A `KronApply` lays out its legs from their dims alone and
+builds its `domain` and `codomain` spaces only when they are read (a failing
+check's witness, `materialize`).  It copies the digit of each run of adjacent
+identity legs into the output index as one stride block, with no
+multiplication, and a product with one other leg writes that leg's entries
+straight into the output.  A `Composite` wraps a chain and computes column j
+with `chain_apply_basis` the first time it is read, then keeps it, so a law
+that stops at its first failing column pays only for the columns it read.
+`materialize` reads every column of a chain's `Composite` and builds dense
+rows from them; it is the one dense path, and it hands its result the sparse
+columns it read.  `identity` and `twist` are memoised on (field, spaces), the
+last few kept.  Identity checks stream column by column, so a failing check
+stops at the lexicographically-first failing basis tuple - which is exactly
+the witness reported.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
 maps, outermost layer first.  `check_law` binds the names and runs the two
 chains through `check_map_identity`; `mirror` moves a law onto the left leg.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
-product.  All objects are immutable after construction.
+product.  All objects are immutable after construction; a `KronApply`'s
+spaces and a `Composite`'s columns are filled in when first read, and are
+determined by what the object was built from.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
@@ -136,10 +148,15 @@ class LinearMap:
                     f"matrix row has {len(r)} entries, domain dim {self.domain.dim}"
                 )
             if not types.issuperset(map(type, r)):
-                x = next(x for x in r if type(x) not in types)
-                raise FieldError(
-                    f"a map over {self.field!r} cannot hold {type(x).__name__} {x!r}"
-                )
+                _refuse_foreign(self.field, r, "hold")
+
+    @property
+    def domain_dims(self) -> tuple[int, ...]:
+        return self.domain.dims
+
+    @property
+    def codomain_dims(self) -> tuple[int, ...]:
+        return self.codomain.dims
 
     @cached_property
     def _cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
@@ -171,6 +188,8 @@ class LinearMap:
         if len(vec) != self.domain.dim:
             raise ShapeError("vector length does not match domain")
         field = self.field
+        if not field.types.issuperset(map(type, vec)):
+            _refuse_foreign(field, vec, "take")
         out = field.nonzero(self.apply_sparse({j: field.plain(v) for j, v in enumerate(vec) if v}))
         elem, zero = field.elem, field.zero
         return tuple(elem(out[i]) if i in out else zero for i in range(self.codomain.dim))
@@ -235,6 +254,13 @@ class LinearMap:
 
     def __repr__(self):
         return f"LinearMap({self.domain.dim}->{self.codomain.dim})"
+
+
+def _refuse_foreign(field: Field, entries, verb: str):
+    # a map's entries and the vectors it is applied to: any type outside
+    # field.types is refused, checked inline by `types.issuperset(map(type, ...))`
+    x = next(x for x in entries if type(x) not in field.types)
+    raise FieldError(f"a map over {field!r} cannot {verb} {type(x).__name__} {x!r}")
 
 
 def _require_same_shape(f: LinearMap, g: LinearMap):
@@ -311,13 +337,16 @@ class KronApply:
     vectors.  Legs are flattened, so nesting costs nothing.  A leg at input
     stride s and output stride t reads digit (j // s) % dim of input index j
     and adds r * t to the output index for each entry r of that column; a run
-    of identity legs adds its digit itself.
+    of identity legs adds its digit itself.  The layout needs only the legs'
+    dims, so `domain` and `codomain` are built the first time they are read.
     """
 
-    __slots__ = ("legs", "field", "domain", "codomain", "_blocks", "_maps")
+    __slots__ = (
+        "legs", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_blocks", "_maps"
+    )
 
     def __init__(self, *legs):
-        flat: list[LinearMap] = []
+        flat: list[ChainElt] = []
         for leg in legs:
             if isinstance(leg, KronApply):
                 flat.extend(leg.legs)
@@ -331,16 +360,20 @@ class KronApply:
                 raise ShapeError("Kronecker product across fields")
         self.legs = tuple(flat)
         self.field = f0
-        self.domain = tensor(*(l.domain for l in flat))
-        self.codomain = tensor(*(l.codomain for l in flat))
+        self._domain = self._codomain = None
         # right to left: (input stride, dim, output stride) per identity run,
         # (input stride, dim, output stride, columns) per other leg
         blocks: list[list[int]] = []
         maps: list[tuple] = []
+        dom: list[int] = []
+        cod: list[int] = []
         s = t = 1
         run = False
         for leg in reversed(flat):
-            d = leg.domain.dim
+            dd, cd = leg.domain_dims, leg.codomain_dims
+            dom[:0] = dd
+            cod[:0] = cd
+            d = prod(dd)
             if not leg._is_identity:
                 maps.append((s, d, t, leg._cols))
             elif run:
@@ -349,9 +382,23 @@ class KronApply:
                 blocks.append([s, d, t])
             run = leg._is_identity
             s *= d
-            t *= leg.codomain.dim
+            t *= prod(cd)
+        self.domain_dims = tuple(dom)
+        self.codomain_dims = tuple(cod)
         self._blocks = tuple(tuple(b) for b in blocks if b[1] > 1)
         self._maps = tuple(maps)
+
+    @property
+    def domain(self) -> Space:
+        if self._domain is None:
+            self._domain = tensor(*(l.domain for l in self.legs))
+        return self._domain
+
+    @property
+    def codomain(self) -> Space:
+        if self._codomain is None:
+            self._codomain = tensor(*(l.codomain for l in self.legs))
+        return self._codomain
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
         # raw sums, as LinearMap.apply_sparse
@@ -384,10 +431,84 @@ class KronApply:
         return out
 
     def __repr__(self):
-        return f"KronApply({self.domain.dim}->{self.codomain.dim})"
+        return f"KronApply({prod(self.domain_dims)}->{prod(self.codomain_dims)})"
 
 
-ChainElt = LinearMap | KronApply
+class _Columns(dict):
+    """Column j of a chain, sorted and plain, computed the first time it is read."""
+
+    __slots__ = ("chain", "field")
+
+    def __missing__(self, j: int) -> tuple[tuple[int, Scalar], ...]:
+        col = self[j] = tuple(sorted(chain_apply_basis(self.chain, j, self.field).items()))
+        return col
+
+
+class Composite:
+    """A chain read as one map, each column computed once, when first read.
+
+    `_cols` has the shape of `LinearMap._cols`, so the composite works as a
+    chain element (through `LinearMap.apply_sparse`) and as a Kronecker leg.
+    A law that fails at its first column computes only the columns that
+    column reaches, and a column read again costs a dict lookup.  The columns
+    live as long as the composite; nothing is cached across composites.
+    """
+
+    __slots__ = ("chain", "field", "domain_dims", "codomain_dims", "_cols")
+    _is_identity = False
+
+    def __init__(self, chain: Chain):
+        chain = _as_chain(chain)
+        self.chain = chain
+        self.field = chain[0].field
+        self.domain_dims = chain[-1].domain_dims
+        self.codomain_dims = chain[0].codomain_dims
+        # _Columns has no __init__ to call: every materialize builds one
+        cols = self._cols = _Columns()
+        cols.chain, cols.field = chain, self.field
+
+    @property
+    def domain(self) -> Space:
+        return self.chain[-1].domain
+
+    @property
+    def codomain(self) -> Space:
+        return self.chain[0].codomain
+
+    @property
+    def rows(self) -> tuple[Sequence[Scalar], ...]:
+        """Rows as read-only views, for readers of a map's `rows` (perfbench's
+        tracer tests each Kronecker leg for the identity this way): entry
+        (i, j) computes column j only."""
+        n = prod(self.domain_dims)
+        return tuple(_Row(self, i, n) for i in range(prod(self.codomain_dims)))
+
+    apply_sparse = LinearMap.apply_sparse
+
+    def __repr__(self):
+        return f"Composite({prod(self.domain_dims)}->{prod(self.codomain_dims)})"
+
+
+class _Row(Sequence):
+    __slots__ = ("_of", "_i", "_n")
+
+    def __init__(self, of: Composite, i: int, n: int):
+        self._of, self._i, self._n = of, i, n
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, j: int) -> Scalar:
+        if not 0 <= j < self._n:
+            raise IndexError(j)
+        field = self._of.field
+        for r, x in self._of._cols[j]:
+            if r == self._i:
+                return field.elem(x)
+        return field.zero
+
+
+ChainElt = LinearMap | KronApply | Composite
 Chain = ChainElt | list | tuple
 # (name, lhs, rhs): each side a list of layers, a layer a name or a tuple of names
 Law = tuple[str, list, list]
@@ -398,7 +519,7 @@ def lazy_kron(*legs) -> KronApply:
 
 
 def _as_chain(x: Chain) -> list[ChainElt]:
-    if isinstance(x, (LinearMap, KronApply)):
+    if isinstance(x, (LinearMap, KronApply, Composite)):
         return [x]
     chain = list(x)
     if not chain:
@@ -406,10 +527,8 @@ def _as_chain(x: Chain) -> list[ChainElt]:
     for outer, inner in zip(chain, chain[1:]):
         if outer.field != inner.field:
             raise ShapeError("composition across fields")
-        if outer.domain.dim != inner.codomain.dim or outer.domain.dims != inner.codomain.dims:
-            raise ShapeError(
-                f"chain mismatch: {outer.domain.dims} vs {inner.codomain.dims}"
-            )
+        if outer.domain_dims != inner.codomain_dims:
+            raise ShapeError(f"chain mismatch: {outer.domain_dims} vs {inner.codomain_dims}")
     return chain
 
 
@@ -424,22 +543,19 @@ def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, 
 
 
 def materialize(chain: Chain) -> LinearMap:
-    """Compose a chain into a single dense map (use on small shapes only)."""
-    chain = _as_chain(chain)
-    field = chain[0].field
-    dom = chain[-1].domain
-    cod = chain[0].codomain
+    """Read every column of the chain's `Composite`, then build dense rows (small shapes only)."""
+    c = chain if isinstance(chain, Composite) else Composite(chain)
+    field = c.field
+    n = prod(c.domain_dims)
+    cols = tuple(map(c._cols.__getitem__, range(n)))
     elem = field.elem
-    rows = [[field.zero] * dom.dim for _ in range(cod.dim)]
-    cols = []
-    for j in range(dom.dim):
-        col = sorted(chain_apply_basis(chain, j, field).items())
+    rows = [[field.zero] * n for _ in range(prod(c.codomain_dims))]
+    for j, col in enumerate(cols):
         for i, x in col:
             rows[i][j] = elem(x)
-        cols.append(tuple(col))
-    m = LinearMap(field, dom, cod, tuple(map(tuple, rows)))
+    m = LinearMap(field, c.domain, c.codomain, tuple(map(tuple, rows)))
     # the columns just computed are the sparse columns the kernels read
-    object.__setattr__(m, "_cols", tuple(cols))
+    object.__setattr__(m, "_cols", cols)
     return m
 
 
@@ -450,15 +566,17 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
     field = lc[0].field
     if field != rc[0].field:
         raise ShapeError("identity sides over different fields")
-    dom = lc[-1].domain
-    if dom.dim != rc[-1].domain.dim:
-        raise ShapeError(f"identity domains differ: {dom.dim} vs {rc[-1].domain.dim}")
-    cod_dim = lc[0].codomain.dim
-    if cod_dim != rc[0].codomain.dim:
+    dom_dim = prod(lc[-1].domain_dims)
+    if dom_dim != prod(rc[-1].domain_dims):
         raise ShapeError(
-            f"identity codomains differ: {cod_dim} vs {rc[0].codomain.dim}"
+            f"identity domains differ: {dom_dim} vs {prod(rc[-1].domain_dims)}"
         )
-    for j in range(dom.dim):
+    cod_dim = prod(lc[0].codomain_dims)
+    if cod_dim != prod(rc[0].codomain_dims):
+        raise ShapeError(
+            f"identity codomains differ: {cod_dim} vs {prod(rc[0].codomain_dims)}"
+        )
+    for j in range(dom_dim):
         left = chain_apply_basis(lc, j, field)
         right = chain_apply_basis(rc, j, field)
         if left != right:
@@ -470,7 +588,7 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
             }
             rendered_zero = field.render(field.zero)
             residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
-            return IdentityCheck(name, False, dom.basis_tuple(j), residual)
+            return IdentityCheck(name, False, lc[-1].domain.basis_tuple(j), residual)
     return IdentityCheck(name, True)
 
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 from .fields import Field, Scalar
 from .linalg import (
+    Composite,
     LinearMap,
     ShapeError,
     Space,
@@ -68,16 +69,20 @@ COMODULE_LAWS = (
 
 @dataclass(frozen=True)
 class Algebra:
-    """Multiplication A (x) A -> A with a unit vector; laws via check_algebra."""
+    """Multiplication A (x) A -> A with a unit vector; laws via check_algebra.
+
+    The multiplication is a dense map, or a `Composite` whose columns the laws
+    compute on demand.
+    """
 
     field: Field
     space: Space
-    mult: LinearMap
+    mult: LinearMap | Composite
     unit: tuple[Scalar, ...]
 
     def __post_init__(self):
         d = self.space.dims
-        if self.mult.domain.dims != d + d or self.mult.codomain.dims != d:
+        if self.mult.domain_dims != d + d or self.mult.codomain_dims != d:
             raise ShapeError("multiplication must map A (x) A -> A")
         if len(self.unit) != self.space.dim:
             raise ShapeError("unit vector length must equal dim A")
@@ -105,16 +110,19 @@ def check_algebra(a: Algebra) -> Report:
 
 @dataclass(frozen=True)
 class Coalgebra:
-    """Comultiplication C -> C (x) C with a counit covector; laws via check_coalgebra."""
+    """Comultiplication C -> C (x) C with a counit covector; laws via check_coalgebra.
+
+    The comultiplication is a dense map or a `Composite`, as in `Algebra`.
+    """
 
     field: Field
     space: Space
-    comult: LinearMap
+    comult: LinearMap | Composite
     counit: tuple[Scalar, ...]
 
     def __post_init__(self):
         d = self.space.dims
-        if self.comult.domain.dims != d or self.comult.codomain.dims != d + d:
+        if self.comult.domain_dims != d or self.comult.codomain_dims != d + d:
             raise ShapeError("comultiplication must map C -> C (x) C")
         if len(self.counit) != self.space.dim:
             raise ShapeError("counit covector length must equal dim C")

@@ -1,5 +1,6 @@
 """Entwining maps, factorizations, entwined modules, and biproducts."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,7 @@ from entwiner.entwine import (
 )
 from entwiner.fields import QQ
 from entwiner.linalg import (
+    Composite,
     ShapeError,
     identity,
     insert_right,
@@ -39,6 +41,7 @@ from entwiner.registry import (
     INSTANCE_NAMES,
     algebra,
     bialgebra,
+    coalgebra,
     corrupt_map,
     random_entwining_matrix,
     resolve_instance,
@@ -157,6 +160,48 @@ def test_product_verdict_agreement_randomized():
             e = EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=b)
             rep = check_product_iff(e)
             assert rep.check("verdict-agreement").passed, rep.render()
+
+
+@pytest.mark.parametrize("side", ("product", "coproduct"))
+def test_iff_checks_compute_the_twisted_columns_they_read(monkeypatch, side):
+    # the laws run on a Composite: a psi that fails early computes few of its
+    # columns, one that passes computes each once, and the report is the one
+    # the dense map gives, witnesses and residuals included
+    import entwiner.entwine as entwine
+
+    made = []
+
+    class Recording(Composite):
+        __slots__ = ()
+
+        def __init__(self, chain):
+            super().__init__(chain)
+            made.append(self)
+
+    monkeypatch.setattr(entwine, "Composite", Recording)
+    if side == "product":
+        a, b = algebra("Kx3", QQ), algebra("Kx2-1", QQ)
+        kind, kw = "factorization", dict(algebra=a, left_algebra=b)
+        check, dense, laws = check_product_iff, factorization_product, check_algebra
+    else:
+        a, b = coalgebra("GL2", QQ), coalgebra("Kx3*", QQ)
+        kind, kw = "cofactorization", dict(coalgebra=a, left_coalgebra=b)
+        check, dense, laws = check_coproduct_iff, cofactorization_coproduct, check_coalgebra
+    spaces = (b.space, a.space)
+    read = []
+    for psi in (twist(QQ, *spaces), *(random_entwining_matrix(QQ, *spaces, seed=s) for s in range(4))):
+        e = EntwiningData(kind=kind, psi=psi, **kw)
+        rep = check(e)
+        want = laws(dense(a, b, psi)).prefixed(side)
+        assert rep.checks[: len(want)] == want
+        (c,) = made
+        made.clear()
+        n = math.prod(c.domain_dims)
+        assert all(0 <= j < n for j in c._cols)
+        if all(x.passed for x in want):
+            assert len(c._cols) == n
+        read.append(len(c._cols) / n)
+    assert read[0] == 1 and min(read[1:]) < 1, read
 
 
 def test_cosemi_and_dualization():

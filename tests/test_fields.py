@@ -186,6 +186,54 @@ def test_a_map_over_q_refuses_a_foreign_entry(other):
     assert LinearMap(QQ, V, V, ((Fraction(1, 2), 0), (0, Fraction(4, 2)))).apply((2, 1)) == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "op",
+    (
+        lambda: QQ.div(2.5, 1),
+        lambda: QQ.div(1, 2.5),
+        lambda: QQ.div(F7.from_int(3), 2),
+        lambda: QQ.div(2, F7.from_int(3)),
+        lambda: QQ.from_int(True),
+        lambda: QQ.from_int(2.0),
+        lambda: QQ.render(2.5),
+        lambda: QQ.render(F7.from_int(3)),
+        lambda: LinearMap(QQ, V, V, ((1, 0), (0, 1))).apply((2.5, True)),
+        lambda: LinearMap(QQ, V, V, ((1, 0), (0, 1))).apply((1, F7.from_int(3))),
+    ),
+    ids=(
+        "div-float-num",
+        "div-float-den",
+        "div-f7-num",
+        "div-f7-den",
+        "from_int-bool",
+        "from_int-float",
+        "render-float",
+        "render-f7",
+        "apply-float-bool",
+        "apply-f7",
+    ),
+)
+def test_q_refuses_a_foreign_scalar_outside_map_construction(op):
+    # each of these used to give a value: Fraction(5, 2), Fraction(3, 2), True,
+    # '2.5', (2.5, 1), ...
+    with pytest.raises(FieldError):
+        op()
+
+
+def test_q_scalar_methods_still_take_ints_and_fractions():
+    assert QQ.div(Fraction(5, 2), 1) == Fraction(5, 2)
+    assert QQ.div(3, 6) == Fraction(1, 2) and QQ.div(4, 2) == 2
+    assert QQ.from_int(-3) == -3
+    assert QQ.render(Fraction(-3, 2)) == "-3/2" and QQ.render(Fraction(4, 2)) == "2"
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, Fraction(0))
+    f = LinearMap(QQ, V, V, ((1, 0), (0, 1)))
+    assert f.apply((Fraction(1, 2), 3)) == (Fraction(1, 2), 3)
+    # over F_7 apply refuses by the same rule, with the same message
+    with pytest.raises(FieldError, match="a map over F7 cannot take float 2.5"):
+        LinearMap(F7, V, V, ((1, 0), (0, 1))).apply((2.5, 1))
+
+
 @pytest.mark.parametrize("other", (Fraction(1, 2), 2.5, True), ids=("fraction", "float", "bool"))
 def test_structure_files_refuse_a_foreign_scalar_in_an_f_p_map(other):
     # the map is refused when it is built, so no file can hold it as some residue

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import (
+    Composite,
+    KronApply,
     LinearMap,
     ShapeError,
     Space,
@@ -514,6 +516,7 @@ def test_compose_kron_apply_match_the_oracle(data):
 @given(st.data())
 def test_materialize_matches_the_oracle(data):
     specs = data.draw(chain_specs(data.draw(starts)))
+    seed = data.draw(st.integers(0, 2**16))
     got = {}
     for field in (QQ, F7):
         chain = [build(field, s) for s in specs]
@@ -525,7 +528,24 @@ def test_materialize_matches_the_oracle(data):
         assert m._cols == LinearMap(field, m.domain, m.codomain, m.rows)._cols
         for j in range(chain[-1].domain.dim):
             assert plain_column(field, chain_apply_basis(chain, j, field))
+        assert_composite_matches(chain, m, seed)
     assert got[F7] == mod7(got[QQ])
+
+
+def assert_composite_matches(chain, m, seed):
+    """A Composite of the chain, its columns read in a shuffled order, is m."""
+    c = Composite(chain)
+    order = list(range(m.domain.dim))
+    random.Random(seed).shuffle(order)
+    cols = {j: c._cols[j] for j in order}
+    assert tuple(cols[j] for j in range(len(cols))) == m._cols
+    assert tuple(map(tuple, c.rows)) == m.rows
+    assert materialize(c).rows == m.rows
+    assert (c.domain, c.codomain) == (m.domain, m.codomain)
+    assert (c.domain_dims, c.codomain_dims) == (m.domain.dims, m.codomain.dims)
+    # and a fresh one, read as a Kronecker leg, is the dense map there too
+    idv = identity(m.field, V2)
+    assert materialize([lazy_kron(idv, Composite(chain))]).rows == materialize([lazy_kron(idv, m)]).rows
 
 
 IDENTITY_LAYOUTS = (
@@ -591,6 +611,9 @@ def test_a_column_cancelling_inside_a_chain_matches_the_oracle(field, rows):
         zero = zero_map(field, chain[-1].domain, chain[0].codomain)
         for rhs in ([zero], [got], [chain[0], chain[2]]):
             assert check_map_identity("law", chain, rhs) == ref_check("law", field, chain, rhs)
+            # a Composite of the chain, as a chain element, gives what the dense map gives
+            assert check_map_identity("law", Composite(chain), rhs) == ref_check("law", field, chain, rhs)
+        assert_composite_matches(chain, got, 7)
 
 
 def test_structural_maps_are_built_once_per_field():
@@ -634,3 +657,112 @@ def test_a_chain_mixing_fields_is_refused():
         compose(q, f7)
     with pytest.raises(ShapeError):
         kron(q, f7)
+
+
+# ---------------------------------------------------------------------------
+# Composite: a chain read as one map, each column computed when first read
+
+
+def bumped_at(m, j):
+    """m with entry (0, j) raised by one: an identity against m fails at column j."""
+    rows = [list(r) for r in m.rows]
+    rows[0][j] += m.field.one
+    return LinearMap(m.field, m.domain, m.codomain, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_a_failing_check_computes_only_the_columns_it_reads(field):
+    rng = random.Random(11)
+
+    def m(dom, cod):
+        rows = tuple(
+            tuple(field.from_int(rng.randrange(-2, 3)) for _ in range(dom.dim))
+            for _ in range(cod.dim)
+        )
+        return LinearMap(field, dom, cod, rows)
+
+    chain = [m(V3, V2), m(tensor(V2, W2), V3)]
+    n = 4
+    for j in range(n):
+        # innermost: the check reads columns 0..j of the composite, no more
+        c = Composite(chain)
+        got = check_map_identity("law", c, bumped_at(materialize(chain), j))
+        assert not got.passed and got.witness == c.domain.basis_tuple(j)
+        assert sorted(c._cols) == list(range(j + 1))
+        # as the left leg of the innermost layer: column k reads digit k // 3
+        c = Composite(chain)
+        idv = identity(field, V3)
+        dense_leg = materialize([lazy_kron(materialize(chain), idv)])
+        k = 3 * j + 1
+        got = check_map_identity("law", [lazy_kron(c, idv)], bumped_at(dense_leg, k))
+        assert not got.passed
+        assert sorted(c._cols) == sorted({i // 3 for i in range(k + 1)})
+    # a check that passes reads every column once
+    c = Composite(chain)
+    dense_ = materialize(chain)
+    assert check_map_identity("law", [lazy_kron(c, c)], [lazy_kron(dense_, dense_)]).passed
+    assert sorted(c._cols) == list(range(n))
+
+
+@given(st.data())
+def test_a_failing_kronecker_check_reports_the_witness_of_its_leg_domains(data):
+    field = data.draw(FIELDS)
+    specs = data.draw(chain_specs(data.draw(starts)))
+    chain = [build(field, s) for s in specs]
+    inner = chain[-1]
+    if not isinstance(inner, KronApply):
+        inner = lazy_kron(inner)
+        chain[-1] = inner
+    dense_ = materialize(chain)
+    j = data.draw(st.integers(0, dense_.domain.dim - 1))
+    got = check_map_identity("law", chain, bumped_at(dense_, j))
+    assert not got.passed
+    assert got.witness == tensor(*(leg.domain for leg in inner.legs)).basis_tuple(j)
+    assert got == ref_check("law", field, chain, [bumped_at(dense_, j)])
+
+
+def test_building_a_kronecker_layer_builds_no_space(monkeypatch):
+    import entwiner.linalg as linalg
+
+    f = dense(random.Random(3), V2, V3)
+    idw2, idv2, idv3 = identity(QQ, W2), identity(QQ, V2), identity(QQ, V3)
+    tw, tw2 = twist(QQ, V2, W3), twist(QQ, W2, V2)
+    built = []
+    real = linalg.tensor
+    monkeypatch.setattr(linalg, "tensor", lambda *s: built.append(s) or real(*s))
+    k = lazy_kron(idw2, f, tw, idv3)
+    c = Composite([lazy_kron(f, idw2), tw2])
+    kc = lazy_kron(c, idv2)
+    assert k.domain_dims == (2, 2, 2, 3, 3) and k.codomain_dims == (2, 3, 3, 2, 3)
+    assert kc.domain_dims == (2, 2, 2) and kc.codomain_dims == (3, 2, 2)
+    assert check_map_identity("law", [kc], [kc]).passed
+    assert built == []
+    # the spaces are built when read, once, as the tensor of the legs' spaces
+    assert k.domain == tensor(W2, V2, V2, W3, V3) and k.codomain == tensor(W2, V3, W3, V2, V3)
+    assert k.domain is k.domain
+    assert len(built) == 2
+
+
+def test_a_chain_mismatch_names_both_dims():
+    f = identity(QQ, V2)
+    g = identity(QQ, V3)
+    for chain, message in (
+        ([f, g], r"^chain mismatch: \(2,\) vs \(3,\)$"),
+        ([lazy_kron(f, g), lazy_kron(g, f)], r"^chain mismatch: \(2, 3\) vs \(3, 2\)$"),
+        ([Composite([f]), g], r"^chain mismatch: \(2,\) vs \(3,\)$"),
+    ):
+        for build_ in (materialize, Composite, lambda ch: check_map_identity("bad", ch, g)):
+            with pytest.raises(ShapeError, match=message):
+                build_(chain)
+    with pytest.raises(ShapeError, match=r"^identity domains differ: 6 vs 2$"):
+        check_map_identity("bad", lazy_kron(f, g), Composite([f]))
+    with pytest.raises(ShapeError, match=r"^identity codomains differ: 2 vs 6$"):
+        check_map_identity("bad", LinearMap(QQ, tensor(V2, V3), V2, ((0,) * 6,) * 2), lazy_kron(f, g))
+    f7 = identity(F7, V2)
+    for chain in ([Composite([f]), f7], [f, Composite([f7])]):
+        with pytest.raises(ShapeError, match="composition across fields"):
+            Composite(chain)
+        with pytest.raises(ShapeError, match="composition across fields"):
+            check_map_identity("mixed", chain, f)
+    with pytest.raises(ShapeError, match="Kronecker product across fields"):
+        lazy_kron(Composite([f]), f7)

@@ -1,0 +1,70 @@
+"""An exhaustive small-scope check of the product-iff theorem.
+
+psi : B (x) A -> A (x) B is an algebra factorization exactly when the twisted
+product on A (x) B is an algebra (Cap-Schichl-Vanzura 1995).  Over F_3, for
+the dim-2 algebras whose unit is basis vector 0, the unit axioms fix every
+column of a factorization but psi(x (x) x); all 3^4 choices of that column
+are enumerated.  The library's two halves of the theorem are compared on each
+psi, and its count of factorizations per pair with a naive structure-constant
+evaluator's.
+"""
+
+import functools
+import itertools
+
+import pytest
+
+from entwiner.entwine import EntwiningData, check_product_iff
+from entwiner.fields import PrimeField
+from entwiner.linalg import LinearMap, tensor
+from entwiner.registry import algebra
+from reference import twisted_product_is_algebra
+
+F3 = PrimeField(3)
+UNIT_FIRST = ("Kx2-0", "Kx2-1", "Kx2-2", "KZ2", "Kmono")
+# over F_3: x^2 = 0, K x K and the field F_9, so every pair of isomorphism
+# classes occurs among these; KZ2 and Kmono are K x K too
+LIBRARY_SIDE = ("Kx2-0", "Kx2-1", "Kx2-2", "KZ2")
+ISOMORPHIC = ("Kx2-1", "KZ2", "Kmono")
+
+
+def unital_psis(b, a):
+    """Every psi : B (x) A -> A (x) B fixing 1 (x) a -> a (x) 1 and b (x) 1 -> 1 (x) b."""
+    one, zero = F3.one, F3.zero
+    for free in itertools.product(range(3), repeat=4):
+        rows = [[zero] * 4 for _ in range(4)]
+        rows[0][0] = rows[2][1] = rows[1][2] = one  # 1(x)1, 1(x)x -> x(x)1, x(x)1 -> 1(x)x
+        for i, x in enumerate(free):
+            rows[i][3] = F3.from_int(x)
+        yield LinearMap(F3, tensor(b.space, a.space), tensor(a.space, b.space), tuple(map(tuple, rows)))
+
+
+@functools.cache
+def naive_count(an, bn):
+    a, b = algebra(an, F3), algebra(bn, F3)
+    assert a.unit == b.unit == (F3.one, F3.zero)
+    return sum(
+        twisted_product_is_algebra((a.mult.rows, a.unit), (b.mult.rows, b.unit), psi.rows, 3)
+        for psi in unital_psis(b, a)
+    )
+
+
+def test_the_naive_counts_are_invariant_under_isomorphism():
+    counts = {pair: naive_count(*pair) for pair in itertools.product(UNIT_FIRST, repeat=2)}
+    assert all(counts.values())  # the flip is always one
+    assert len({counts[pair] for pair in itertools.product(ISOMORPHIC, repeat=2)}) == 1
+    assert sum(counts.values()) == 149
+
+
+@pytest.mark.parametrize("an", LIBRARY_SIDE)
+def test_product_iff_holds_for_every_unital_psi_over_f3(an):
+    a = algebra(an, F3)
+    for bn in LIBRARY_SIDE:
+        b = algebra(bn, F3)
+        found = 0
+        for psi in unital_psis(b, a):
+            e = EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=b)
+            rep = check_product_iff(e)
+            assert rep.check("verdict-agreement").passed, (an, bn, psi.rows)
+            found += all(c.passed for c in rep.checks if c.name.startswith("factorization:"))
+        assert found == naive_count(an, bn), (an, bn)
