@@ -8,6 +8,10 @@ inner report printed), 2 usage or input error.
 
 Instances are named either by a registry expression (see `entwiner list`)
 or by `FILE.json:objectname`.
+
+Each command-line noun is written once, in one table that resolves it,
+refuses what it lacks and feeds `list`: `CHECKS`, `CONSTRUCTIONS`, and the
+registry's tables of names and instance heads.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .registry import (
     ALGEBRA_NAMES,
     BIALGEBRA_NAMES,
     COALGEBRA_NAMES,
+    INSTANCE_GRAMMAR,
     INSTANCE_NAMES,
     algebra,
     bialgebra,
@@ -43,7 +48,7 @@ from .registry import (
     resolve_instance,
 )
 from .report import PreconditionError, Report
-from .serial import FormatError, document, emit, ensure_space, load
+from .serial import FormatError, decode_json, document, emit, ensure_space, load, read_text
 from .structures import (
     Algebra,
     Bialgebra,
@@ -77,20 +82,6 @@ from .yangbaxter import (
     make_algebra_rmatrix,
     make_type2_family,
 )
-
-GRAMMAR = (
-    "twist@B,A           tensor-swap entwining of registry algebras B, A",
-    "cotwist@D,C         tensor-swap entwining of registry coalgebras D, C",
-    "mult_twist@A,q=Q    a(x)b -> 1(x)ab + q(ab(x)1) - q(b(x)a)",
-    "comm_twist@A,q=Q    a(x)b -> b(x)a + q(ab-ba)(x)1",
-    "module@A            b(x)a -> 1(x)ba from the regular action",
-    "quad@p=P,q=Q        two-generator factorization of K[x]/(x^2-p)",
-    "dk-H-M              crossed entwining of bialgebra H with module M",
-    "dkalt-H-M           its coalgebra-side variant",
-    "corrupt:EXPR        EXPR with one matrix entry bumped",
-    "dual:EXPR           transpose of a factorization EXPR",
-)
-
 
 # ---------------------------------------------------------------------------
 # target resolution
@@ -233,11 +224,7 @@ def cmd_verify(args) -> int:
 
 def _grid_rows(value: str):
     if os.path.exists(value):
-        try:
-            with open(value, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"grid file is not valid JSON: {exc}") from None
+        doc = decode_json(read_text(value, "grid file"), "grid file")
         rows = doc.get("rows") if isinstance(doc, dict) else None
         if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
             raise FormatError("grid file must be an object with a 'rows' list of names")
@@ -273,141 +260,98 @@ def cmd_suite(args) -> int:
 # construct
 
 
-def _params(argv, n, usage):
-    if len(argv) != n:
-        raise ShapeError(f"usage: {usage}")
-    return argv
-
-
-def _construct_twist(make, usage, field, argv, explicit_tag):
-    name, qs = _params(argv, 2, usage)
+def _twist_file(make, field, explicit_tag, name, qs):
     a = algebra(name, field)
-    e = make(a, field.parse(qs))
-    sf = document(field)
-    sf.add("A-space", a.space)
-    sf.add("A", a)
-    sf.add("psi", e)
-    return sf
+    return [("A-space", a.space), ("A", a), ("psi", make(a, field.parse(qs)))]
 
 
-def _construct_rmatrix(field, argv, explicit_tag):
-    name, rs, ss = _params(argv, 3, "construct rmatrix ALGEBRA r s")
+def _rmatrix_file(field, explicit_tag, name, rs, ss):
     a = algebra(name, field)
-    w = make_algebra_rmatrix(a, field.parse(rs), field.parse(ss))
-    sf = document(field)
-    sf.add("A-space", a.space)
-    sf.add("W", w)
-    return sf
+    return [("A-space", a.space), ("W", make_algebra_rmatrix(a, field.parse(rs), field.parse(ss)))]
 
 
-def _construct_type2(field, argv, explicit_tag):
-    name, l1, l2 = _params(argv, 3, "construct type2 ALGEBRA lam lam2")
+def _type2_file(field, explicit_tag, name, l1, l2):
     a = algebra(name, field)
     ts = make_type2_family(a, field.parse(l1), field.parse(l2))
-    sf = document(field)
-    sf.add("A-space", a.space)
-    for nm, m in (("a", ts.a), ("b", ts.b), ("c", ts.c), ("d", ts.d)):
-        sf.add(nm, m)
-    sf.add("system", ts)
-    return sf
+    return [("A-space", a.space), *zip("abcd", (ts.a, ts.b, ts.c, ts.d)), ("system", ts)]
 
 
-def _construct_biproduct(field, argv, explicit_tag):
-    if len(argv) not in (2, 3):
-        raise ShapeError("usage: construct biproduct BIALGEBRA INSTANCE [INTEGRAL]")
-    h = bialgebra(argv[0], field)
-    e = _entwining(_resolve_target(argv[1], field, explicit_tag), "semi")
-    integral = None
-    if len(argv) == 3:
-        integral = tuple(field.parse(s) for s in argv[2].split(":"))
+def _biproduct_file(field, explicit_tag, hname, expr, integral=None):
+    h = bialgebra(hname, field)
+    e = _entwining(_resolve_target(expr, field, explicit_tag), "semi")
+    if integral is not None:
+        integral = tuple(field.parse(s) for s in integral.split(":"))
     result = make_biproduct(h, e.left_space, e.psi, integral=integral)
     if not result.report.passed:
         raise PreconditionError("the biproduct preconditions fail", result.report)
-    sf = document(field)
-    ensure_space(sf, h.space)
-    sf.add("H", h)
-    cg = h.coalgebra
-    sf.add("H-coalgebra", cg)
-    sf.add("E-space", result.algebra.space)
-    sf.add("E", result.algebra)
-    e_sp = result.algebra.space
-    sf.add("coaction", ComoduleCoaction(cg, e_sp, result.coaction))
+    cg, e_sp = h.coalgebra, result.algebra.space
+    objects = [(None, h.space), ("H", h), ("H-coalgebra", cg), ("E-space", e_sp)]
+    objects += [("E", result.algebra), ("coaction", ComoduleCoaction(cg, e_sp, result.coaction))]
     if result.integral_coaction is not None:
-        sf.add(
-            "integral-coaction", ComoduleCoaction(cg, e_sp, result.integral_coaction)
-        )
-    return sf
+        objects.append(("integral-coaction", ComoduleCoaction(cg, e_sp, result.integral_coaction)))
+    return objects
 
 
-def _construct_product(field, argv, explicit_tag):
-    (expr,) = _params(argv, 1, "construct product INSTANCE")
+def _product_file(field, explicit_tag, expr):
     e = _entwining(_resolve_target(expr, field, explicit_tag), "factorization")
     prod = factorization_product(e.algebra, e.left_algebra, e.psi)
-    sf = document(field)
-    ensure_space(sf, prod.space)
-    sf.add("E", prod)
-    return sf
+    return [(None, prod.space), ("E", prod)]
 
 
-def _construct_dualize(field, argv, explicit_tag):
-    (expr,) = _params(argv, 1, "construct dualize INSTANCE")
+def _semi_file(e: EntwiningData):
+    return [(None, e.algebra.space), (None, e.left_space), ("A", e.algebra), ("psi", e)]
+
+
+def _dualize_file(field, explicit_tag, expr):
     e = _entwining(_resolve_target(expr, field, explicit_tag), "cosemi")
-    out = dualize_cosemi(e.coalgebra, e.left_space, e.psi)
-    sf = document(field)
-    ensure_space(sf, out.algebra.space)
-    ensure_space(sf, out.left_space)
-    sf.add("A", out.algebra)
-    sf.add("psi", out)
-    return sf
+    return _semi_file(dualize_cosemi(e.coalgebra, e.left_space, e.psi))
 
 
-def _construct_action(field, argv, explicit_tag):
-    (expr,) = _params(argv, 1, "construct action INSTANCE")
-    e = _entwining(_resolve_target(expr, field, explicit_tag), "semi")
-    g = action_from_semi(e)
-    sf = document(field)
-    ensure_space(sf, g.algebra.space)
-    ensure_space(sf, g.carrier)
-    sf.add("A", g.algebra)
-    sf.add("action", g)
-    return sf
+def _action_file(field, explicit_tag, expr):
+    g = action_from_semi(_entwining(_resolve_target(expr, field, explicit_tag), "semi"))
+    return [(None, g.algebra.space), (None, g.carrier), ("A", g.algebra), ("action", g)]
 
 
-def _construct_entwining(field, argv, explicit_tag):
-    (expr,) = _params(argv, 1, "construct entwining ACTION")
+def _entwining_file(field, explicit_tag, expr):
     obj = _resolve_target(expr, field, explicit_tag)
     if not isinstance(obj, GeneratorAction):
         raise ShapeError("construct entwining needs a generator action")
-    e = semi_from_action(obj)
-    sf = document(field)
-    ensure_space(sf, e.algebra.space)
-    ensure_space(sf, e.left_space)
-    sf.add("A", e.algebra)
-    sf.add("psi", e)
-    return sf
+    return _semi_file(semi_from_action(obj))
 
 
+# construction -> (its parameters, optional ones in brackets, and the builder
+# of the file's named objects in emission order, called with the field, the
+# --field tag and the parameters).  An object named None is a space, written
+# as its atomic spaces.
 CONSTRUCTIONS = {
-    "mult_twist": partial(_construct_twist, make_mult_twist, "construct mult_twist ALGEBRA q"),
-    "comm_twist": partial(_construct_twist, make_comm_twist, "construct comm_twist ALGEBRA q"),
-    "rmatrix": _construct_rmatrix,
-    "type2": _construct_type2,
-    "biproduct": _construct_biproduct,
-    "product": _construct_product,
-    "dualize": _construct_dualize,
-    "action": _construct_action,
-    "entwining": _construct_entwining,
+    "mult_twist": ("ALGEBRA q", partial(_twist_file, make_mult_twist)),
+    "comm_twist": ("ALGEBRA q", partial(_twist_file, make_comm_twist)),
+    "rmatrix": ("ALGEBRA r s", _rmatrix_file),
+    "type2": ("ALGEBRA lam lam2", _type2_file),
+    "biproduct": ("BIALGEBRA INSTANCE [INTEGRAL]", _biproduct_file),
+    "product": ("INSTANCE", _product_file),
+    "dualize": ("INSTANCE", _dualize_file),
+    "action": ("INSTANCE", _action_file),
+    "entwining": ("ACTION", _entwining_file),
 }
 
 
 def cmd_construct(args) -> int:
     field = field_from_tag(args.field or "q")
-    handler = CONSTRUCTIONS.get(args.what)
-    if handler is None:
+    if args.what not in CONSTRUCTIONS:
         raise ShapeError(
             f"unknown construction '{args.what}' (known: {', '.join(sorted(CONSTRUCTIONS))})"
         )
-    sf = handler(field, args.params, args.field)
+    params, build = CONSTRUCTIONS[args.what]
+    words = params.split()
+    if not sum(not w.startswith("[") for w in words) <= len(args.params) <= len(words):
+        raise ShapeError(f"usage: construct {args.what} {params}")
+    sf = document(field)
+    for name, obj in build(field, args.field, *args.params):
+        if name is None:
+            ensure_space(sf, obj)
+        else:
+            sf.add(name, obj)
     sys.stdout.write(emit(sf))
     return 0
 
@@ -422,7 +366,7 @@ def cmd_list(args) -> int:
         ("bialgebras", list(BIALGEBRA_NAMES)),
         ("coalgebras", list(COALGEBRA_NAMES)),
         ("instances", list(INSTANCE_NAMES)),
-        ("instance-grammar", list(GRAMMAR)),
+        ("instance-grammar", list(INSTANCE_GRAMMAR)),
         ("checks", sorted(CHECKS)),
         ("constructions", sorted(CONSTRUCTIONS)),
         ("suite-rows", list(ROW_NAMES)),

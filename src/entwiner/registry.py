@@ -5,24 +5,19 @@ algebras, bialgebras with and without a group-like bilateral integral, and a
 group-like coalgebra, all of dimension at most four with integral structure
 constants — so every verdict is meaningful over any coefficient field.
 
-Instance expressions name entwining data:
-
-    twist@B,A             flip map over two registry algebras
-    cotwist@D,C           flip map over two registry coalgebras
-    mult_twist@A,q=1      multiplication twist on a registry algebra
-    comm_twist@A,q=1/2    commutator twist on a registry algebra
-    module@A              regular-module map m (x) a -> 1 (x) ma
-    quad@p=1,q=2          the quadratic-pair factorization on K[x]/(x^2-p)
-    dk-KZ2-sign           crossed map from a comodule algebra and a module
-    dkalt-KZ2-sign        its coalgebra-side counterpart
-    corrupt:<expr>        same data with one psi entry bumped by one
-    dual:<expr>           transpose of a factorization instance
+Every name is written once, as a key of a table: `ALGEBRAS`, `COALGEBRAS`
+and `BIALGEBRAS` map each registry name to its builder, and `INSTANCE_HEADS`
+and `WRAPPERS` give each head and prefix of an instance expression (such as
+`mult_twist@Kx3,q=1/2` or `dual:quad@p=1,q=2`) with its `entwiner list` line.
+The lookups, `resolve_instance`, `INSTANCE_GRAMMAR` and `entwiner list` all
+read these tables, so a name that `list` does not show does not resolve.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 
 from .entwine import (
     EntwiningData,
@@ -137,54 +132,75 @@ def grouplike_coalgebra(field) -> Coalgebra:
     )
 
 
-_BASE_ALGEBRAS = ("K", "Kx2-0", "Kx2-1", "Kx2-2", "Kx3", "M2", "KZ2", "Kmono")
-ALGEBRA_NAMES = _BASE_ALGEBRAS + ("GL2*",)
-BIALGEBRA_NAMES = ("KZ2", "Kmono")
-COALGEBRA_NAMES = ("GL2", "KZ2", "Kmono") + tuple(f"{n}*" for n in _BASE_ALGEBRAS)
+def _quadratic(p: int, field) -> Algebra:
+    return quadratic_algebra(field, field.from_int(p))
+
+
+def _algebra_of(name: str, field) -> Algebra:
+    return bialgebra(name, field).algebra
+
+
+def _coalgebra_of(name: str, field) -> Coalgebra:
+    return bialgebra(name, field).coalgebra
+
+
+def _dual_algebra(name: str, field) -> Algebra:
+    return convolution_algebra(coalgebra(name, field))
+
+
+def _dual_coalgebra(name: str, field) -> Coalgebra:
+    return dualize_algebra(algebra(name, field))
+
+
+# Each registry name, mapped to the builder of its structure over a field.
+# The lookups below, the instance heads and `entwiner list` read these
+# tables; any other name is refused.
+BIALGEBRAS = {"KZ2": group_bialgebra_z2, "Kmono": monoid_bialgebra}
+ALGEBRAS = {
+    "K": ground_field,
+    **{f"Kx2-{p}": partial(_quadratic, p) for p in range(3)},
+    "Kx3": truncated_cubic,
+    "M2": matrix_algebra,
+    **{name: partial(_algebra_of, name) for name in BIALGEBRAS},
+    "GL2*": partial(_dual_algebra, "GL2"),
+}
+COALGEBRAS = {
+    "GL2": grouplike_coalgebra,
+    **{name: partial(_coalgebra_of, name) for name in BIALGEBRAS},
+    # a dual's dual is the structure itself, so it gets no second name
+    **{f"{name}*": partial(_dual_coalgebra, name) for name in ALGEBRAS if not name.endswith("*")},
+}
+ALGEBRA_NAMES = tuple(ALGEBRAS)
+BIALGEBRA_NAMES = tuple(BIALGEBRAS)
+COALGEBRA_NAMES = tuple(COALGEBRAS)
+
+
+def _build(table: dict, what: str, name: str, field):
+    build = table.get(name)
+    if build is None:
+        raise ShapeError(f"unknown registry {what} '{name}'")
+    return build(field)
 
 
 def bialgebra(name: str, field) -> Bialgebra:
-    if name == "KZ2":
-        return group_bialgebra_z2(field)
-    if name == "Kmono":
-        return monoid_bialgebra(field)
-    raise ShapeError(f"unknown registry bialgebra '{name}'")
+    return _build(BIALGEBRAS, "bialgebra", name, field)
 
 
 def algebra(name: str, field) -> Algebra:
-    if name == "K":
-        return ground_field(field)
-    if name.startswith("Kx2-"):
-        p = field.parse(name[4:])
-        return quadratic_algebra(field, p)
-    if name == "Kx3":
-        return truncated_cubic(field)
-    if name == "M2":
-        return matrix_algebra(field)
-    if name in BIALGEBRA_NAMES:
-        return bialgebra(name, field).algebra
-    if name == "GL2*":
-        return convolution_algebra(grouplike_coalgebra(field))
-    raise ShapeError(f"unknown registry algebra '{name}'")
+    return _build(ALGEBRAS, "algebra", name, field)
 
 
 def coalgebra(name: str, field) -> Coalgebra:
-    if name == "GL2":
-        return grouplike_coalgebra(field)
-    if name in BIALGEBRA_NAMES:
-        return bialgebra(name, field).coalgebra
-    if name.endswith("*"):
-        return dualize_algebra(algebra(name[:-1], field))
-    raise ShapeError(f"unknown registry coalgebra '{name}'")
+    return _build(COALGEBRAS, "coalgebra", name, field)
 
 
 # ---------------------------------------------------------------------------
 # modules, comodules, deterministic randomness
 
 
-def character_module(a: Algebra, values: tuple[Scalar, ...], label: str = "m") -> ModuleAction:
+def character_module(a: Algebra, values: tuple[Scalar, ...]) -> ModuleAction:
     """One-dimensional module where basis element a_j acts by the scalar values[j]."""
-    m = space(label)
+    m = space("m")
     act = LinearMap(a.field, tensor(m, a.space), m, (tuple(values),))
     return ModuleAction(a, m, act)
 
@@ -196,6 +212,10 @@ def trivial_module(h: Bialgebra) -> ModuleAction:
 def sign_module(h: Bialgebra) -> ModuleAction:
     """g acts by -1 on a one-dimensional carrier (for a dim-2 group bialgebra)."""
     return character_module(h.algebra, (h.field.one, -h.field.one))
+
+
+def self_module(h: Bialgebra) -> ModuleAction:
+    return regular_module(h.algebra)
 
 
 def self_comodule(h: Bialgebra) -> ComoduleCoaction:
@@ -232,11 +252,11 @@ def random_entwining_matrix(field, left: Space, right: Space, seed: int) -> Line
     return LinearMap(field, tensor(left, right), tensor(right, left), rows)
 
 
-def corrupt_map(m: LinearMap, row: int = 0, col: int | None = None) -> LinearMap:
-    """Bump one matrix entry by one (default: first row, last column)."""
-    c = m.domain.dim - 1 if col is None else col
+def corrupt_map(m: LinearMap) -> LinearMap:
+    """Bump the matrix entry in the first row and last column by one."""
+    last = m.domain.dim - 1
     rows = tuple(
-        tuple(v + m.field.one if (r == row and j == c) else v for j, v in enumerate(vals))
+        tuple(v + m.field.one if (r == 0 and j == last) else v for j, v in enumerate(vals))
         for r, vals in enumerate(m.rows)
     )
     return LinearMap(m.field, m.domain, m.codomain, rows)
@@ -288,7 +308,8 @@ def quad_factorization(field, p: Scalar, q: Scalar) -> EntwiningData:
     return EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=a)
 
 
-_DK_MODULES = ("trivial", "sign", "regular")
+# the H-modules a crossed instance names, each built from the bialgebra H
+DK_MODULES = {"trivial": trivial_module, "sign": sign_module, "regular": self_module}
 
 
 def make_crossed(hname: str, modname: str, field, alt: bool = False) -> EntwiningData:
@@ -296,17 +317,11 @@ def make_crossed(hname: str, modname: str, field, alt: bool = False) -> Entwinin
 
     The plain form entwines H (as a comodule algebra over itself) with a
     module carrier; the alt form entwines a parity-graded comodule coalgebra
-    with the same module carriers, landing on the coalgebra side.
+    with the same module carriers, landing on the coalgebra side.  The
+    regular module's carrier is H itself, so it entwines two (co)algebras.
     """
     h = bialgebra(hname, field)
-    if modname == "trivial":
-        mod = trivial_module(h)
-    elif modname == "sign":
-        mod = sign_module(h)
-    elif modname == "regular":
-        mod = regular_module(h.algebra)
-    else:
-        raise ShapeError(f"unknown module name '{modname}'")
+    mod = DK_MODULES[modname](h)
     if alt:
         comod, c = parity_comodule(h)
         psi = doi_koppinen(h, comod, mod)
@@ -321,6 +336,53 @@ def make_crossed(hname: str, modname: str, field, alt: bool = False) -> Entwinin
             kind="factorization", psi=psi, algebra=h.algebra, left_algebra=h.algebra
         )
     return EntwiningData(kind="semi", psi=psi, algebra=h.algebra)
+
+
+# head -> (the registry lookup for each positional name, the scalar keys it
+# needs, each once, its builder, its `entwiner list` line).  The builder takes
+# the looked-up structures (or the field, when the head names none), then the
+# scalars in key order.
+INSTANCE_HEADS = {
+    "twist": ((algebra, algebra), (), make_twist,
+              "twist@B,A           tensor-swap entwining of registry algebras B, A"),
+    "cotwist": ((coalgebra, coalgebra), (), make_cotwist,
+                "cotwist@D,C         tensor-swap entwining of registry coalgebras D, C"),
+    "mult_twist": ((algebra,), ("q",), make_mult_twist,
+                   "mult_twist@A,q=Q    a(x)b -> 1(x)ab + q(ab(x)1) - q(b(x)a)"),
+    "comm_twist": ((algebra,), ("q",), make_comm_twist,
+                   "comm_twist@A,q=Q    a(x)b -> b(x)a + q(ab-ba)(x)1"),
+    "module": ((algebra,), (), make_module_instance,
+               "module@A            b(x)a -> 1(x)ba from the regular action"),
+    "quad": ((), ("p", "q"), quad_factorization,
+             "quad@p=P,q=Q        two-generator factorization of K[x]/(x^2-p)"),
+    **{
+        f"{form}-{hname}-{modname}": ((), (), partial(make_crossed, hname, modname, alt=alt), line)
+        for form, alt, line in (
+            ("dk", False, "dk-H-M              crossed entwining of bialgebra H with module M"),
+            ("dkalt", True, "dkalt-H-M           its coalgebra-side variant"),
+        )
+        for hname in BIALGEBRAS
+        for modname in DK_MODULES
+    },
+}
+
+
+def _corrupt(e: EntwiningData) -> EntwiningData:
+    return replace(e, psi=corrupt_map(e.psi))
+
+
+# prefix -> (its map of the inner expression's data, the kind that data must
+# have or None, its `entwiner list` line)
+WRAPPERS = {
+    "corrupt:": (_corrupt, None,
+                 "corrupt:EXPR        EXPR with one matrix entry bumped"),
+    "dual:": (transpose_entwining, "factorization",
+              "dual:EXPR           transpose of a factorization EXPR"),
+}
+# the grammar `entwiner list` prints and README.md shows
+INSTANCE_GRAMMAR = tuple(
+    dict.fromkeys(line for *_, line in (*INSTANCE_HEADS.values(), *WRAPPERS.values()))
+)
 
 
 INSTANCE_NAMES = (
@@ -357,78 +419,50 @@ INSTANCE_NAMES = (
 
 
 def resolve_instance(expr: str, field: Field) -> EntwiningData:
-    """Turn an instance expression into entwining data (see module docstring)."""
-    wrappers = []
+    """Turn an instance expression into entwining data (see `INSTANCE_GRAMMAR`)."""
+    spans = []
     start = 0
-    while expr.startswith(("corrupt:", "dual:"), start):
-        wrappers.append(start)
-        start = expr.index(":", start) + 1
+    while expr.startswith(tuple(WRAPPERS), start):
+        end = expr.index(":", start) + 1
+        spans.append((start, end))
+        start = end
     e = _resolve_base(expr[start:], field)
-    for pos in reversed(wrappers):
-        if expr.startswith("corrupt:", pos):
-            e = replace(e, psi=corrupt_map(e.psi))
-        elif e.kind == "factorization":
-            e = transpose_entwining(e)
-        else:
-            inner = expr[pos + len("dual:") :]
-            raise ShapeError(f"dual: needs a factorization; '{inner}' is {e.kind}")
+    for start, end in reversed(spans):
+        apply, kind, _ = WRAPPERS[expr[start:end]]
+        if kind not in (None, e.kind):
+            raise ShapeError(f"{expr[start:end]} needs a {kind}; '{expr[end:]}' is {e.kind}")
+        e = apply(e)
     return e
-
-
-_INSTANCE_KEYS = {"mult_twist": ("q",), "comm_twist": ("q",), "quad": ("p", "q")}
-# registry names each named head takes before its keys; dk-/dkalt- heads take none
-_INSTANCE_ARITY = {"twist": 2, "cotwist": 2, "mult_twist": 1, "comm_twist": 1, "module": 1, "quad": 0}
 
 
 def _resolve_base(expr: str, field: Field) -> EntwiningData:
     head, _, argstr = expr.partition("@")
-    if head not in _INSTANCE_ARITY and not head.startswith(("dk-", "dkalt-")):
+    if head not in INSTANCE_HEADS:
         raise ShapeError(f"unknown instance '{expr}'")
-    tokens = argstr.split(",") if argstr else []
+    lookups, keys, build, _ = INSTANCE_HEADS[head]
     named = {}
     positional = []
-    for tok in tokens:
+    for tok in argstr.split(",") if argstr else ():
         if "=" in tok:
             key, _, val = tok.partition("=")
-            if key in named or key not in _INSTANCE_KEYS.get(head, ()):
+            if key in named or key not in keys:
                 why = "repeats" if key in named else "does not take"
                 raise ShapeError(f"instance '{expr}' {why} key '{key}'")
             named[key] = val
         else:
             positional.append(tok)
-    arity = _INSTANCE_ARITY.get(head, 0)
-    if len(positional) != arity:
+    if len(positional) != len(lookups):
         raise ShapeError(
-            f"instance '{expr}' takes {arity} registry name(s), not {len(positional)}"
+            f"instance '{expr}' takes {len(lookups)} registry name(s), not {len(positional)}"
         )
 
-    def scalar(key, default=None):
+    def scalar(key):
         if key not in named:
-            if default is None:
-                raise ShapeError(f"instance '{expr}' needs {key}=<scalar>")
-            return default
+            raise ShapeError(f"instance '{expr}' needs {key}=<scalar>")
         return field.parse(named[key])
 
-    if head == "twist":
-        return make_twist(algebra(positional[0], field), algebra(positional[1], field))
-    if head == "cotwist":
-        return make_cotwist(
-            coalgebra(positional[0], field), coalgebra(positional[1], field)
-        )
-    if head == "mult_twist":
-        return make_mult_twist(algebra(positional[0], field), scalar("q"))
-    if head == "comm_twist":
-        return make_comm_twist(algebra(positional[0], field), scalar("q"))
-    if head == "module":
-        return make_module_instance(algebra(positional[0], field))
-    if head == "quad":
-        return quad_factorization(field, scalar("p"), scalar("q"))
-    alt = head.startswith("dkalt-")
-    rest = head[len("dkalt-") :] if alt else head[len("dk-") :]
-    hname, _, modname = rest.partition("-")
-    if hname not in BIALGEBRA_NAMES or modname not in _DK_MODULES:
-        raise ShapeError(f"unknown crossed instance '{expr}'")
-    return make_crossed(hname, modname, field, alt=alt)
+    structures = [lookup(name, field) for lookup, name in zip(lookups, positional)]
+    return build(*(structures or [field]), *map(scalar, keys))
 
 
 # ---------------------------------------------------------------------------

@@ -295,11 +295,27 @@ def _decode(sf: StructureFile, entry: dict):
     return cls(sf.field, **values) if takes_field else cls(**values)
 
 
-def parse(text: str) -> StructureFile:
+def decode_json(text: str, what: str):
+    """`text` decoded as JSON; a FormatError naming `what` if it cannot be."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from None
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{what} is nested too deeply to decode") from None
+
+
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the file at `path`; a FormatError naming `what` if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8: {exc}") from None
+
+
+def parse(text: str) -> StructureFile:
+    doc = decode_json(text, "structure file")
     if not isinstance(doc, dict):
         raise FormatError("top level must be an object")
     if doc.get("format") != FORMAT:
@@ -320,5 +336,4 @@ def parse(text: str) -> StructureFile:
 
 
 def load(path: str) -> StructureFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path, "structure file"))

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 import entwiner
 import entwiner.cli
-from entwiner.cli import CHECKS, build_parser, main
+import entwiner.registry
+from entwiner.cli import CHECKS, CONSTRUCTIONS, build_parser, main
 from entwiner.entwine import EntwiningData
 from entwiner.fields import QQ
 from entwiner.linalg import ShapeError
-from entwiner.registry import INSTANCE_NAMES
+from entwiner.registry import INSTANCE_NAMES, algebra, bialgebra, coalgebra
 from entwiner.serial import document, emit, ensure_space, parse
 from entwiner.suite import worker_count
 
@@ -379,6 +380,81 @@ def test_list_json(capsys):
     doc = json.loads(out)
     assert "mult_twist@Kx2-1,q=1" in doc["instances"]
     assert "twists" in doc["suite-rows"]
+
+
+def test_every_listed_name_resolves(capsys):
+    code, out, _ = run(capsys, "list", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    lookups = {"algebras": algebra, "coalgebras": coalgebra, "bialgebras": bialgebra}
+    for section, build in lookups.items():
+        for name in doc[section]:
+            assert build(name, QQ).field == QQ, (section, name)
+    for name in doc["instances"]:
+        code, _, err = run(capsys, "verify", name)
+        assert code in (0, 1), (name, err)
+
+
+def test_every_instance_head_has_its_line_in_the_grammar(capsys):
+    _, out, _ = run(capsys, "list", "--json")
+    grammar = json.loads(out)["instance-grammar"]
+    for head, (*_, line) in entwiner.registry.INSTANCE_HEADS.items():
+        assert line in grammar, head
+
+
+@pytest.mark.parametrize(
+    "command, what, name",
+    (
+        ("verify twist@Kx2-5,K", "algebra", "Kx2-5"),
+        ("verify twist@Kx2-1/2,Kx3", "algebra", "Kx2-1/2"),
+        ("verify cotwist@GL2**,GL2", "coalgebra", "GL2**"),
+        ("verify cotwist@Kx2-7*,GL2", "coalgebra", "Kx2-7*"),
+        ("construct mult_twist Kx2-9 1", "algebra", "Kx2-9"),
+    ),
+)
+def test_names_that_list_does_not_show_are_refused(capsys, command, what, name):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown registry {what} '{name}'\n"
+
+
+def readme_block(after: str) -> list[str]:
+    """The lines of README.md's first code block after the text `after`."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read().split(after)[1].split("```")[1].strip("\n").splitlines()
+
+
+@pytest.mark.parametrize("what", sorted(CONSTRUCTIONS))
+def test_constructions_refuse_one_argument_too_few_or_too_many(capsys, what):
+    # README.md lists `construct WHAT PARAMS` for each construction
+    usages = dict(line.split(" ", 2)[1:] for line in readme_block("their parameters"))
+    assert set(usages) == set(CONSTRUCTIONS)
+    words = usages[what].split()
+    required = [w for w in words if not w.startswith("[")]
+    for count in (len(required) - 1, len(words) + 1):
+        code, out, err = run(capsys, "construct", what, *["x"] * count)
+        assert (code, out) == (2, ""), count
+        assert err == f"error: usage: construct {what} {usages[what]}\n"
+
+
+def test_the_readme_shows_the_grammar_that_list_prints(capsys):
+    _, out, _ = run(capsys, "list", "--json")
+    assert readme_block("expression grammar") == json.loads(out)["instance-grammar"]
+
+
+BAD_JSON = {"not UTF-8": b'{"rows": ["\xff"]}', "nested too deeply": b"[" * 200_000}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_JSON))
+@pytest.mark.parametrize("kind", ("structure file", "grid file"))
+def test_undecodable_json_inputs_are_usage_errors(capsys, tmp_path, kind, fault):
+    path = tmp_path / "bad.json"
+    path.write_bytes(BAD_JSON[fault])
+    argv = ("verify", f"{path}:psi") if kind == "structure file" else ("suite", "--grid", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind} is {fault}")
 
 
 def _child_env():

@@ -1,4 +1,4 @@
-"""An exhaustive small-scope check of the product-iff theorem.
+"""An exhaustive small-scope check of the product-iff and coproduct-iff theorems.
 
 psi : B (x) A -> A (x) B is an algebra factorization exactly when the twisted
 product on A (x) B is an algebra (Cap-Schichl-Vanzura 1995).  Over F_3, for
@@ -6,7 +6,9 @@ the dim-2 algebras whose unit is basis vector 0, the unit axioms fix every
 column of a factorization but psi(x (x) x); all 3^4 choices of that column
 are enumerated.  The library's two halves of the theorem are compared on each
 psi, and its count of factorizations per pair with a naive structure-constant
-evaluator's.
+evaluator's.  The transpose of each psi, a map between the dual coalgebras,
+goes through the coalgebra side of the theorem, and its count of coalgebra
+factorizations must be the same.
 """
 
 import functools
@@ -14,7 +16,12 @@ import itertools
 
 import pytest
 
-from entwiner.entwine import EntwiningData, check_product_iff
+from entwiner.entwine import (
+    EntwiningData,
+    check_coproduct_iff,
+    check_product_iff,
+    transpose_entwining,
+)
 from entwiner.fields import PrimeField
 from entwiner.linalg import LinearMap, tensor
 from entwiner.registry import algebra
@@ -56,15 +63,26 @@ def test_the_naive_counts_are_invariant_under_isomorphism():
     assert sum(counts.values()) == 149
 
 
-@pytest.mark.parametrize("an", LIBRARY_SIDE)
-def test_product_iff_holds_for_every_unital_psi_over_f3(an):
+def assert_iff_counts(an, check, side=lambda e: e):
+    """`check` on `side` of each unital psi onto `an`: its two halves agree, and
+    it counts each pair's factorizations as the naive evaluator does."""
     a = algebra(an, F3)
     for bn in LIBRARY_SIDE:
         b = algebra(bn, F3)
         found = 0
         for psi in unital_psis(b, a):
             e = EntwiningData(kind="factorization", psi=psi, algebra=a, left_algebra=b)
-            rep = check_product_iff(e)
+            rep = check(side(e))
             assert rep.check("verdict-agreement").passed, (an, bn, psi.rows)
             found += all(c.passed for c in rep.checks if c.name.startswith("factorization:"))
         assert found == naive_count(an, bn), (an, bn)
+
+
+@pytest.mark.parametrize("an", LIBRARY_SIDE)
+def test_product_iff_holds_for_every_unital_psi_over_f3(an):
+    assert_iff_counts(an, check_product_iff)
+
+
+@pytest.mark.parametrize("an", LIBRARY_SIDE)
+def test_coproduct_iff_holds_for_every_transposed_psi_over_f3(an):
+    assert_iff_counts(an, check_coproduct_iff, transpose_entwining)

@@ -9,7 +9,8 @@ stdout bytes:
   instance in its plain, `corrupt:` and `dual:` forms, over `q` and `fp:7`;
 - `construct` of every construction on fixed arguments over `q` and `fp:7`,
   each output written to a structure file in a temporary directory, then
-  `verify` and `verify --json` on every object that file names.
+  `verify` and `verify --json` on every object that file names;
+- `list` and `list --json`.
 
 Two checkouts whose digests match give the same stdout and exit code on every
 command of the sweep.  Stderr is not part of the digest: it carries only the
@@ -116,6 +117,7 @@ if __name__ == "__main__":
         ("suite", ran(suite_commands())),
         ("verify", ran(verify_commands())),
         ("construct", construct_results()),
+        ("list", ran([["list"], ["list", "--json"]])),
     ):
         count, sha = digest(results)
         print(f"{group}: {count} commands sha256={sha}", flush=True)
