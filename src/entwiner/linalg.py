@@ -25,16 +25,19 @@ multiplication, and a product with one other leg writes that leg's entries
 straight into the output.  A `Composite` wraps a chain and computes column j
 with `chain_apply_basis` the first time it is read, then keeps it, so a law
 that stops at its first failing column pays only for the columns it read.
-`materialize` reads every column of a chain's `Composite` and builds dense
+`materialize` computes every column of a chain in one loop and builds dense
 rows from them; it is the one dense path, and it hands its result the sparse
-columns it read.  `identity` and `twist` are memoised on (field, spaces), the
-last few kept.  Identity checks stream column by column, so a failing check
+columns it computed.  `identity` and `twist`
+are memoised on (field, spaces), the last few kept.  Identity checks stream column by column, so a failing check
 stops at the lexicographically-first failing basis tuple - which is exactly
 the witness reported.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
-maps, outermost layer first.  `check_law` binds the names and runs the two
-chains through `check_map_identity`; `mirror` moves a law onto the left leg.
+maps, outermost layer first.  `check_law` returns a deferred check: it binds
+the names, builds the layers and compares the two chains, as
+`check_map_identity` does, the first time the verdict is read, so a
+`ShapeError` from a law's chains surfaces at that read.  `check_map_identity`
+itself compares at once.  `mirror` moves a law onto the left leg.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
 product.  All objects are immutable after construction; a `KronApply`'s
@@ -463,7 +466,6 @@ class Composite:
         self.field = chain[0].field
         self.domain_dims = chain[-1].domain_dims
         self.codomain_dims = chain[0].codomain_dims
-        # _Columns has no __init__ to call: every materialize builds one
         cols = self._cols = _Columns()
         cols.chain, cols.field = chain, self.field
 
@@ -534,7 +536,7 @@ def _as_chain(x: Chain) -> list[ChainElt]:
 
 def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, Scalar]:
     """Column j of the composite: plain scalars, zeros dropped, reduced once at the end."""
-    col: dict[int, Scalar] = {j: field.plain(field.one)}
+    col: dict[int, Scalar] = {j: 1}  # 1 is the plain one of both fields
     for elt in reversed(chain):
         if not col:
             break
@@ -543,17 +545,17 @@ def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, 
 
 
 def materialize(chain: Chain) -> LinearMap:
-    """Read every column of the chain's `Composite`, then build dense rows (small shapes only)."""
-    c = chain if isinstance(chain, Composite) else Composite(chain)
-    field = c.field
-    n = prod(c.domain_dims)
-    cols = tuple(map(c._cols.__getitem__, range(n)))
+    """Every column of the chain, computed in one loop, as dense rows (small shapes only)."""
+    chain = _as_chain(chain)
+    field = chain[0].field
+    n = prod(chain[-1].domain_dims)
+    cols = tuple(tuple(sorted(chain_apply_basis(chain, j, field).items())) for j in range(n))
     elem = field.elem
-    rows = [[field.zero] * n for _ in range(prod(c.codomain_dims))]
+    rows = [[field.zero] * n for _ in range(prod(chain[0].codomain_dims))]
     for j, col in enumerate(cols):
         for i, x in col:
             rows[i][j] = elem(x)
-    m = LinearMap(field, c.domain, c.codomain, tuple(map(tuple, rows)))
+    m = LinearMap(field, chain[-1].domain, chain[0].codomain, tuple(map(tuple, rows)))
     # the columns just computed are the sparse columns the kernels read
     object.__setattr__(m, "_cols", cols)
     return m
@@ -624,13 +626,22 @@ def check_law(law: Law, maps: dict) -> IdentityCheck:
     insertion such as ("B", "η")) is looked up before it is split.  Each
     distinct layer is built once, so the two sides share their lazy Kronecker
     products.
+
+    The check is deferred: the layers are bound and built, and the columns
+    streamed, the first time its verdict is read, against the maps bound when
+    `check_law` was called.  A `ShapeError` from the chains surfaces then.
     """
     name, lhs, rhs = law
-    built = {
-        w: maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
-        for w in dict.fromkeys([*lhs, *rhs])
-    }
-    return check_map_identity(name, [built[w] for w in lhs], [built[w] for w in rhs])
+    maps = dict(maps)
+
+    def compare() -> IdentityCheck:
+        built = {
+            w: maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
+            for w in dict.fromkeys([*lhs, *rhs])
+        }
+        return check_map_identity(name, [built[w] for w in lhs], [built[w] for w in rhs])
+
+    return IdentityCheck.deferred(name, compare)
 
 
 def is_invertible(f: LinearMap) -> bool:

@@ -243,13 +243,21 @@ def parity_comodule(h: Bialgebra) -> tuple[ComoduleCoaction, Coalgebra]:
 
 def random_entwining_matrix(field, left: Space, right: Space, seed: int) -> LinearMap:
     """Seeded map left (x) right -> right (x) left with entries from {-1, 0, 1}."""
-    rng = random.Random(seed)
+    # rng.randrange(-1, 2) draws getrandbits(2) until it is below 3; drawing
+    # the same bits here gives the same matrices without its per-call checks
+    bits = random.Random(seed).getrandbits
+    entries = tuple(map(field.from_int, (-1, 0, 1)))
     dim = left.dim * right.dim
-    rows = tuple(
-        tuple(field.from_int(rng.randrange(-1, 2)) for _ in range(dim))
-        for _ in range(dim)
-    )
-    return LinearMap(field, tensor(left, right), tensor(right, left), rows)
+    rows = []
+    for _ in range(dim):
+        row = []
+        for _ in range(dim):
+            r = bits(2)
+            while r == 3:
+                r = bits(2)
+            row.append(entries[r])
+        rows.append(tuple(row))
+    return LinearMap(field, tensor(left, right), tensor(right, left), tuple(rows))
 
 
 def corrupt_map(m: LinearMap) -> LinearMap:

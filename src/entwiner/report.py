@@ -5,20 +5,108 @@ carries the lexicographically-first failing basis tuple (as a tuple of basis
 labels) and the exact residual vector, rendered as scalar strings.  Reports
 are immutable and render deterministically, so output is byte-identical
 across runs.
+
+A check made by `linalg.check_law` is deferred: its verdict (`passed`,
+`witness`, `residual`) is computed, by `linalg.check_map_identity`, the first
+time one of them is read, then kept, so a caller that stops at the first
+failing law pays for the laws it read.  A `ShapeError` from a deferred law's
+chains surfaces at that first read.  Rendering, `to_dict`, `==`, `hash`,
+`repr` and pickling read every verdict; a renamed copy (`renamed`,
+`Report.prefixed`) shares its original's computation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
-    name: str
-    passed: bool
-    witness: tuple[str, ...] | None = None
-    residual: tuple[str, ...] | None = None
+    """One identity's verdict: `name`, `passed`, and for a failure the first
+    failing basis tuple (`witness`) and the rendered residual.
+
+    `IdentityCheck(name, passed, witness, residual)` holds a computed verdict;
+    `deferred(name, compute)` holds a zero-argument `compute` returning a
+    check, run the first time a verdict field is read, and takes that check's
+    verdict under its own name.
+    """
+
+    __slots__ = ("name", "_verdict", "_pending")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        witness: tuple[str, ...] | None = None,
+        residual: tuple[str, ...] | None = None,
+    ):
+        self._set(name, (passed, witness, residual), None)
+
+    def _set(self, name: str, verdict: tuple | None, pending: list | None):
+        setattr_ = object.__setattr__
+        setattr_(self, "name", name)
+        setattr_(self, "_verdict", verdict)
+        setattr_(self, "_pending", pending)
+
+    @classmethod
+    def deferred(cls, name: str, compute) -> IdentityCheck:
+        check = object.__new__(cls)
+        # one box, shared with every renamed copy: the computation, then its verdict
+        check._set(name, None, [compute])
+        return check
+
+    def _resolve(self) -> tuple:
+        box = self._pending
+        if type(box[0]) is not tuple:
+            computed = box[0]()
+            box[0] = computed._verdict or computed._resolve()
+        object.__setattr__(self, "_verdict", box[0])
+        return box[0]
+
+    @property
+    def passed(self) -> bool:
+        return (self._verdict or self._resolve())[0]
+
+    @property
+    def witness(self) -> tuple[str, ...] | None:
+        return (self._verdict or self._resolve())[1]
+
+    @property
+    def residual(self) -> tuple[str, ...] | None:
+        return (self._verdict or self._resolve())[2]
+
+    def renamed(self, name: str) -> IdentityCheck:
+        """The same verdict under another name; a pending one is computed once for both."""
+        check = object.__new__(type(self))
+        check._set(name, self._verdict, self._pending)
+        return check
+
+    def _fields(self) -> tuple:
+        return (self.name, *(self._verdict or self._resolve()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        name, passed, witness, residual = self._fields()
+        return (
+            f"IdentityCheck(name={name!r}, passed={passed!r}, "
+            f"witness={witness!r}, residual={residual!r})"
+        )
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "passed": self.passed}
@@ -48,10 +136,7 @@ class Report:
 
     def prefixed(self, prefix: str) -> tuple[IdentityCheck, ...]:
         """The checks re-labelled under `prefix:`, for merging into a bigger report."""
-        return tuple(
-            IdentityCheck(f"{prefix}:{c.name}", c.passed, c.witness, c.residual)
-            for c in self.checks
-        )
+        return tuple(c.renamed(f"{prefix}:{c.name}") for c in self.checks)
 
     def to_dict(self) -> dict:
         return {

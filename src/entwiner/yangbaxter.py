@@ -16,7 +16,7 @@ factorization over the opposite algebra, and every algebra carries a braiding
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .entwine import (
     SEMI_KINDS,
@@ -262,7 +262,7 @@ def semi_system_equivalence(
     b_space = b.space if b_alg is not None else b
     right_pair = algebra_axioms(a, b_space, psi)
     semi = Report("semi-entwining", right_pair)
-    pre = replace(right_pair[0], name="precondition-unit")
+    pre = right_pair[0].renamed("precondition-unit")
     if not pre.passed:
         raise PreconditionError(
             "the twisted map must fix 1 (x) b", Report("system-equivalence", (pre,))
@@ -281,7 +281,7 @@ def semi_system_equivalence(
     if b_alg is not None and p is not None and q is not None:
         left_pair = algebra_axioms(b_alg, a.space, psi, left=True)
         fact = Report("algebra-factorization", right_pair + left_pair)
-        pre_left = replace(left_pair[0], name="precondition-left-unit")
+        pre_left = left_pair[0].renamed("precondition-left-unit")
         if not pre_left.passed:
             raise PreconditionError(
                 "the twisted map must fix a (x) 1",
@@ -363,10 +363,10 @@ def check_braided_algebra(a: Algebra, psi: LinearMap) -> Report:
     return merge(
         "braided-algebra",
         check_yb_operator(psi).prefixed("yb"),
-        replace(unit_left, name="unit-left"),
-        replace(unit_right, name="unit-right"),
-        replace(product_right, name="product-right-leg"),
-        replace(product_left, name="product-left-leg"),
+        unit_left.renamed("unit-left"),
+        unit_right.renamed("unit-right"),
+        product_right.renamed("product-right-leg"),
+        product_left.renamed("product-left-leg"),
     )
 
 

@@ -594,10 +594,10 @@ def test_mutated_structure_files_keep_the_exit_code_contract(fuzz_documents, dat
 
 FIELD_TAGS = ("q", "Q", " fp:7", "FP:7", "fp:07", "fp:5", "fp:2", "fp:6", "fp:", "fp:x")
 FIELD_TAGS += ("fp:-7", "fp:2147483659", "r", "")
-INSTANCE_HEADS = ("twist", "cotwist", "mult_twist", "comm_twist", "module", "quad", "nosuch")
-INSTANCE_HEADS += ("dk-KZ2-sign", "dkalt-Kmono-trivial", "dk-nosuch-trivial", "dk-KZ2", "")
-INSTANCE_TOKENS = ("K", "Kx2-1", "Kx3", "M2", "GL2", "KZ2", "Kmono", "Kx2-1*", "nosuch", "")
-INSTANCE_TOKENS += ("q=1", "q=1/2", "q=x", "q=1/0", "p=2", "r=1")
+# every head and structure name of the registry, and foreign ones
+EXPR_HEADS = (*entwiner.registry.INSTANCE_HEADS, "nosuch", "dk-nosuch-trivial", "dk-KZ2", "")
+EXPR_TOKENS = tuple(dict.fromkeys([*entwiner.registry.ALGEBRAS, *entwiner.registry.COALGEBRAS]))
+EXPR_TOKENS += ("nosuch", "", "q=1", "q=1/2", "q=x", "q=1/0", "p=2", "r=1")
 # only the cheap `biproduct` row runs, so the test stays fast
 GRID_FILES = ({"rows": ["biproduct"]}, {"rows": ["biproduct", "nosuch"]}, {"rows": []})
 GRID_FILES += ({"rows": "biproduct"}, {"rows": [1]}, ["biproduct"], {}, "{", "")
@@ -609,9 +609,9 @@ def instance_expressions(draw):
     wrappers = draw(st.lists(st.sampled_from(("corrupt:", "dual:")), max_size=3))
     if draw(st.booleans()):
         return "".join(wrappers) + draw(st.sampled_from(INSTANCE_NAMES))
-    tokens = draw(st.lists(st.sampled_from(INSTANCE_TOKENS), max_size=3))
+    tokens = draw(st.lists(st.sampled_from(EXPR_TOKENS), max_size=3))
     at = draw(st.sampled_from(("@", ""))) if not tokens else "@"
-    return "".join(wrappers) + draw(st.sampled_from(INSTANCE_HEADS)) + at + ",".join(tokens)
+    return "".join(wrappers) + draw(st.sampled_from(EXPR_HEADS)) + at + ",".join(tokens)
 
 
 @pytest.fixture(scope="module")

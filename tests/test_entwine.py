@@ -1,6 +1,7 @@
 """Entwining maps, factorizations, entwined modules, and biproducts."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,7 @@ from entwiner.entwine import (
     transpose_entwining,
     verify,
 )
-from entwiner.fields import QQ
+from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import (
     Composite,
     ShapeError,
@@ -34,6 +35,7 @@ from entwiner.linalg import (
     insert_right,
     kron,
     materialize,
+    tensor,
     twist,
 )
 from entwiner.entwine import SEMI_KINDS
@@ -202,6 +204,25 @@ def test_iff_checks_compute_the_twisted_columns_they_read(monkeypatch, side):
             assert len(c._cols) == n
         read.append(len(c._cols) / n)
     assert read[0] == 1 and min(read[1:]) < 1, read
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_random_entwining_matrices_are_the_randrange_draws(field):
+    # the drawing of random psi is pinned: each entry is randrange(-1, 2) of
+    # the seeded generator, as a field element
+    for left, right in ((algebra("K", field).space, algebra("Kx2-1", field).space),
+                        (algebra("Kx3", field).space, coalgebra("GL2", field).space),
+                        (algebra("M2", field).space, algebra("Kx3", field).space)):
+        dim = left.dim * right.dim
+        for seed in (0, 1, 7, 104729 * 5 + 19, 2**40 + 3):
+            rng = random.Random(seed)
+            want = tuple(
+                tuple(field.from_int(rng.randrange(-1, 2)) for _ in range(dim)) for _ in range(dim)
+            )
+            got = random_entwining_matrix(field, left, right, seed=seed)
+            assert got.rows == want
+            assert [type(x) for r in got.rows for x in r] == [type(x) for r in want for x in r]
+            assert got.domain == tensor(left, right) and got.codomain == tensor(right, left)
 
 
 def test_cosemi_and_dualization():

@@ -18,6 +18,7 @@ from entwiner.linalg import (
     Space,
     apply_covector,
     chain_apply_basis,
+    check_law,
     check_map_identity,
     compose,
     contract_left,
@@ -38,7 +39,7 @@ from entwiner.linalg import (
     twist,
     zero_map,
 )
-from entwiner.report import IdentityCheck
+from entwiner.report import IdentityCheck, Report
 from reference import embed13_chain
 
 V2 = space("a0", "a1")
@@ -766,3 +767,165 @@ def test_a_chain_mismatch_names_both_dims():
             check_map_identity("mixed", chain, f)
     with pytest.raises(ShapeError, match="Kronecker product across fields"):
         lazy_kron(Composite([f]), f7)
+
+
+# ---------------------------------------------------------------------------
+# deferred verdicts: check_law computes a verdict the first time it is read
+
+# the twist is an involution; read against ψ its square fails at its first column
+INVOLUTION = ("involution", ["τ", "τ'"], [("V", "W")])
+
+
+def involution_maps(field, psi_rows=None):
+    tau = twist(field, V2, W2)
+    back = twist(field, W2, V2)
+    if psi_rows is not None:
+        back = LinearMap(field, back.domain, back.codomain, psi_rows)
+    return {"τ": tau, "τ'": back, "V": identity(field, V2), "W": identity(field, W2)}
+
+
+def bumped_rows(field):
+    rows = [list(r) for r in twist(field, W2, V2).rows]
+    rows[1][0] += field.one
+    return tuple(map(tuple, rows))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of comparisons run, columns streamed and Kronecker layers built."""
+    import entwiner.linalg as linalg
+
+    counts = {"compared": 0, "columns": 0, "kron": 0}
+    compare, apply_basis, kron_init = (
+        linalg.check_map_identity, linalg.chain_apply_basis, KronApply.__init__
+    )
+
+    def counting_compare(*args):
+        counts["compared"] += 1
+        return compare(*args)
+
+    def counting_apply(*args):
+        counts["columns"] += 1
+        return apply_basis(*args)
+
+    def counting_init(self, *legs):
+        counts["kron"] += 1
+        kron_init(self, *legs)
+
+    monkeypatch.setattr(linalg, "check_map_identity", counting_compare)
+    monkeypatch.setattr(linalg, "chain_apply_basis", counting_apply)
+    monkeypatch.setattr(KronApply, "__init__", counting_init)
+    return counts
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_a_law_never_read_streams_nothing(counted, field):
+    for rows in (None, bumped_rows(field)):
+        checks = [check_law(INVOLUTION, involution_maps(field, rows)) for _ in range(3)]
+        Report("laws", tuple(checks)).prefixed("p")
+        checks[0].renamed("other")
+        assert counted == {"compared": 0, "columns": 0, "kron": 0}
+        checks[0].passed
+        assert counted["compared"] == 1 and counted["columns"] > 0 and counted["kron"] == 1
+        counted.update(compared=0, columns=0, kron=0)
+
+
+@pytest.mark.parametrize("rows", ("passing", "failing"))
+def test_a_verdict_read_twice_is_computed_once(counted, rows):
+    c = check_law(INVOLUTION, involution_maps(QQ, None if rows == "passing" else bumped_rows(QQ)))
+    first = (c.passed, c.witness, c.residual)
+    once = dict(counted)
+    assert once == {"compared": 1, "columns": 8 if rows == "passing" else 2, "kron": 1}
+    for _ in range(3):
+        assert (c.passed, c.witness, c.residual) == first
+        c.to_dict(), repr(c), hash(c), c == c, pickle.dumps(c)
+    assert counted == once
+
+
+@pytest.mark.parametrize("read", ("original", "copy"))
+def test_renamed_and_prefixed_copies_share_one_computation(counted, read):
+    c = check_law(INVOLUTION, involution_maps(QQ, bumped_rows(QQ)))
+    (p,) = Report("laws", (c,)).prefixed("outer")
+    r = p.renamed("again")
+    assert (p.name, r.name, c.name) == ("outer:involution", "again", "involution")
+    first = {"original": c, "copy": r}[read]
+    assert not first.passed
+    once = dict(counted)
+    assert once["compared"] == 1
+    for x in (c, p, r):
+        assert (x.passed, x.witness, x.residual) == (first.passed, first.witness, first.residual)
+    assert counted == once
+    # a copy of a resolved check is resolved too
+    assert c.renamed("late").witness == c.witness
+    assert counted == once
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+@pytest.mark.parametrize("rows", ("passing", "failing"))
+def test_a_deferred_check_equals_the_eager_one(field, rows):
+    maps = involution_maps(field, None if rows == "passing" else bumped_rows(field))
+    chains = [maps["τ"], maps["τ'"]], lazy_kron(maps["V"], maps["W"])
+
+    def pair():
+        return check_law(INVOLUTION, maps), check_map_identity("involution", *chains)
+
+    lazy, eager = pair()
+    assert lazy == eager and eager == lazy
+    lazy, eager = pair()
+    assert hash(lazy) == hash(eager)
+    assert hash(eager) == hash(("involution", eager.passed, eager.witness, eager.residual))
+    lazy, eager = pair()
+    assert repr(lazy) == repr(eager)
+    assert repr(eager).startswith("IdentityCheck(name='involution', passed=")
+    lazy, eager = pair()
+    assert pickle.dumps(lazy) == pickle.dumps(eager)
+    assert pickle.loads(pickle.dumps(lazy)) == eager
+    lazy, eager = pair()
+    assert lazy.to_dict() == eager.to_dict()
+    assert lazy.renamed("x") == eager.renamed("x") != eager
+    assert (eager.passed, eager.witness is None) == ((rows == "passing"),) * 2
+
+
+def test_an_identity_check_is_immutable():
+    for c in (IdentityCheck(name="k", passed=True), check_law(INVOLUTION, involution_maps(QQ))):
+        for attr in ("name", "passed", "witness", "residual", "_verdict"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(c, attr, None)
+        with pytest.raises(FrozenInstanceError):
+            del c.name
+    assert IdentityCheck("k", False, ("a0",), ("1",)) == IdentityCheck("k", False, ("a0",), ("1",))
+    assert IdentityCheck("k", True) != IdentityCheck("k", False)
+
+
+def test_report_passed_stops_at_the_first_failing_law(counted):
+    bad_shape = ("bad-shape", ["τ"], ["V"])
+    checks = (
+        check_law(INVOLUTION, involution_maps(QQ)),
+        check_law(INVOLUTION, involution_maps(QQ, bumped_rows(QQ))),
+        check_law(bad_shape, involution_maps(QQ)),
+        check_law(INVOLUTION, involution_maps(QQ)),
+    )
+    rep = Report("laws", checks)
+    # the third law would raise if it were read
+    assert rep.passed is False
+    assert counted == {"compared": 2, "columns": 8 + 2, "kron": 2}
+    with pytest.raises(ShapeError):
+        rep.render()
+
+
+def test_a_law_with_mismatched_shapes_raises_when_read():
+    maps = involution_maps(QQ)
+    c = check_law(("bad-shape", ["τ", "V"], ["W"]), maps)
+    d = c.renamed("copy")
+    for read in (lambda: c.passed, lambda: c.witness, lambda: d.residual, lambda: c == d, c.to_dict):
+        with pytest.raises(ShapeError, match=r"^chain mismatch: \(2, 2\) vs \(2,\)$"):
+            read()
+    with pytest.raises(ShapeError, match=r"^identity domains differ: 2 vs 4$"):
+        check_law(("bad-domain", ["V"], ["τ"]), maps).passed
+
+
+def test_a_law_reads_the_maps_bound_when_it_was_made():
+    maps = involution_maps(QQ)
+    c = check_law(INVOLUTION, maps)
+    maps["τ'"] = LinearMap(QQ, maps["τ'"].domain, maps["τ'"].codomain, bumped_rows(QQ))
+    assert c.passed and not check_law(INVOLUTION, maps).passed
