@@ -31,14 +31,13 @@ from .linalg import (
     check_law,
     check_map_identity,
     contract_left,
-    from_columns,
+    direct_sum,
     identity,
     insert_left,
     insert_right,
     lazy_kron,
     materialize,
     mirror,
-    space,
     tensor,
     tensor_vec,
     twist,
@@ -404,52 +403,30 @@ def make_biproduct(
     plain coaction uses u = 1, the integral coaction a supplied group-like
     bilateral integral, which upgrades the comodule to a comodule algebra.
     """
+    if integral is not None:
+        integral = tuple(integral)
+        if len(integral) != h.space.dim:
+            raise ShapeError(f"the integral has length {len(integral)}, but dim H is {h.space.dim}")
     field = h.field
     a_sp = h.space
-    m, n = b.dim, a_sp.dim
-    zero = field.zero
-    e_sp = space(
-        *[f"B.{b.label(i)}" for i in range(m)], *[f"A.{a_sp.label(j)}" for j in range(n)]
-    )
+    e_sp, i_b, i_a, p_b, p_a = direct_sum(field, b, a_sp, "B", "A")
+    id_a = identity(field, a_sp)
 
     l_act = contract_left(field, h.counit, a_sp, b)
     r_act = l_act * psi
-
-    cols = []
-    for p in range(m + n):
-        for q in range(m + n):
-            col = [zero] * (m + n)
-            if p < m and q >= m:
-                rcol = r_act.column(p * n + (q - m))
-                for i in range(m):
-                    col[i] = rcol[i]
-            elif p >= m and q < m:
-                col[q] = h.counit[p - m]
-            elif p >= m and q >= m:
-                mcol = h.mult.column((p - m) * n + (q - m))
-                for i in range(n):
-                    col[m + i] = mcol[i]
-            cols.append(tuple(col))
-    mult_e = from_columns(field, tensor(e_sp, e_sp), e_sp, cols)
-    algebra = Algebra(field, e_sp, mult_e, (zero,) * m + tuple(h.unit))
+    mult_e = (
+        materialize([i_b, r_act, lazy_kron(p_b, p_a)])
+        + materialize([i_b, l_act, lazy_kron(p_a, p_b)])
+        + materialize([i_a, h.mult, lazy_kron(p_a, p_a)])
+    )
+    algebra = Algebra(field, e_sp, mult_e, i_a.apply(h.unit))
+    comult_part = materialize([lazy_kron(i_a, id_a), h.comult, p_a])
 
     def coaction(u) -> LinearMap:
-        cols = []
-        for j in range(m + n):
-            col = [zero] * ((m + n) * n)
-            if j < m:
-                for k, x in enumerate(u):
-                    col[j * n + k] = x
-            else:
-                ccol = h.comult.column(j - m)
-                for s in range(n):
-                    for t in range(n):
-                        col[(m + s) * n + t] = ccol[s * n + t]
-            cols.append(tuple(col))
-        return from_columns(field, e_sp, tensor(e_sp, a_sp), cols)
+        return materialize([lazy_kron(i_b, id_a), insert_right(field, b, u, a_sp), p_b]) + comult_part
 
     maps = {"λ": l_act, "ρ": r_act, "m": h.mult, **unit_maps(h.algebra, B=b)}
-    maps |= {"A": identity(field, a_sp), "B": identity(field, b)}
+    maps |= {"A": id_a, "B": identity(field, b)}
     bimodule = tuple(check_law(law, maps) for law in BIMODULE_LAWS)
 
     coact_unit = coaction(h.unit)
@@ -463,7 +440,6 @@ def make_biproduct(
 
     coact_integral = None
     if integral is not None:
-        integral = tuple(integral)
         coact_integral = coaction(integral)
         parts.append(check_grouplike_bilateral_integral(h, integral).prefixed("integral"))
         parts.append(

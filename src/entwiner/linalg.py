@@ -25,17 +25,19 @@ multiplication, and a product with one other leg writes that leg's entries
 straight into the output.  A `Composite` wraps a chain and computes column j
 with `chain_apply_basis` the first time it is read, then keeps it, so a law
 that stops at its first failing column pays only for the columns it read.
-`materialize` computes every column of a chain in one loop and builds dense
-rows from them; it is the one dense path, and it hands its result the sparse
-columns it computed.  `identity` and `twist`
-are memoised on (field, spaces), the last few kept.  Identity checks stream column by column, so a failing check
-stops at the lexicographically-first failing basis tuple - which is exactly
-the witness reported.
+`materialize`, the hot dense path, computes every column of a chain in one
+loop, fills dense rows from them itself and hands its result the sparse
+columns.  Every other dense map is filled by `from_entries` from (row,
+column, scalar) triples: the structural maps, the unit insertions and counit
+contractions, and the injections and projections of a `direct_sum`.
+`identity` and `twist` are memoised on (field, spaces), the last few kept.
+Identity checks stream column by column, so a failing check stops at the
+lexicographically-first failing basis tuple - the witness reported.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
-maps, outermost layer first.  `check_law` returns a deferred check: it binds
-the names, builds the layers and compares the two chains, as
-`check_map_identity` does, the first time the verdict is read, so a
+maps, outermost layer first.  `check_law` returns a deferred check: the first
+time the verdict is read, `law_chains` binds the names and builds the layers,
+and the two chains are compared as `check_map_identity` does, so a
 `ShapeError` from a law's chains surfaces at that read.  `check_map_identity`
 itself compares at once.  `mirror` moves a law onto the left leg.
 
@@ -273,14 +275,24 @@ def _require_same_shape(f: LinearMap, g: LinearMap):
         raise ShapeError("map shapes differ")
 
 
+def from_entries(field: Field, domain: Space, codomain: Space, entries) -> LinearMap:
+    """The map with scalar c at (row i, column j) for each triple (i, j, c), zero elsewhere."""
+    n, m = domain.dim, codomain.dim
+    rows = [[field.zero] * n for _ in range(m)]
+    for i, j, c in entries:
+        if not (0 <= i < m and 0 <= j < n):
+            raise ShapeError(f"entry ({i}, {j}) lies outside a {m}x{n} matrix")
+        rows[i][j] = c
+    return LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
+
+
 def from_columns(field: Field, domain: Space, codomain: Space, cols) -> LinearMap:
     cols = list(cols)
-    if len(cols) != domain.dim:
-        raise ShapeError("wrong number of columns")
-    rows = tuple(
-        tuple(cols[j][i] for j in range(domain.dim)) for i in range(codomain.dim)
+    if len(cols) != domain.dim or any(len(col) != codomain.dim for col in cols):
+        raise ShapeError(f"from_columns needs {domain.dim} columns of length {codomain.dim}")
+    return from_entries(
+        field, domain, codomain, ((i, j, c) for j, col in enumerate(cols) for i, c in enumerate(col) if c)
     )
-    return LinearMap(field, domain, codomain, rows)
 
 
 def identity(field: Field, v: Space) -> LinearMap:
@@ -292,19 +304,13 @@ def identity(field: Field, v: Space) -> LinearMap:
 # the public functions stay plain functions, so a tracer can still wrap them.
 @lru_cache(maxsize=8)
 def _identity(field: Field, v: Space) -> LinearMap:
-    one, zero = field.one, field.zero
-    rows = tuple(
-        tuple(one if i == j else zero for j in range(v.dim)) for i in range(v.dim)
-    )
-    m = LinearMap(field, v, v, rows)
+    m = from_entries(field, v, v, ((i, i, field.one) for i in range(v.dim)))
     object.__setattr__(m, "_is_identity", True)
     return m
 
 
 def zero_map(field: Field, domain: Space, codomain: Space) -> LinearMap:
-    zero = field.zero
-    row = (zero,) * domain.dim
-    return LinearMap(field, domain, codomain, (row,) * codomain.dim)
+    return from_entries(field, domain, codomain, ())
 
 
 def compose(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -324,13 +330,21 @@ def twist(field: Field, v: Space, w: Space) -> LinearMap:
 
 @lru_cache(maxsize=8)
 def _twist(field: Field, v: Space, w: Space) -> LinearMap:
-    one, zero = field.one, field.zero
     n, m = v.dim, w.dim
-    rows = [[zero] * (n * m) for _ in range(n * m)]
-    for i in range(n):
-        for j in range(m):
-            rows[j * n + i][i * m + j] = one
-    return LinearMap(field, tensor(v, w), tensor(w, v), tuple(tuple(r) for r in rows))
+    flips = ((j * n + i, i * m + j, field.one) for i in range(n) for j in range(m))
+    return from_entries(field, tensor(v, w), tensor(w, v), flips)
+
+
+def direct_sum(field: Field, v: Space, w: Space, vname: str, wname: str):
+    """(V (+) W, i_v, i_w, p_v, p_w): basis `vname.x...` then `wname.y...`,
+    the injections i_v : V -> V (+) W, i_w : W -> V (+) W and the projections."""
+    n, m = v.dim, w.dim
+    s = space(*(f"{vname}.{v.label(k)}" for k in range(n)), *(f"{wname}.{w.label(k)}" for k in range(m)))
+
+    def block(dom: Space, cod: Space, di: int, dj: int, k: int) -> LinearMap:
+        return from_entries(field, dom, cod, ((di + x, dj + x, field.one) for x in range(k)))
+
+    return s, block(v, s, 0, 0, n), block(w, s, n, 0, m), block(s, v, 0, 0, n), block(s, w, 0, n, m)
 
 
 class KronApply:
@@ -618,30 +632,34 @@ def mirror(law: Law) -> Law:
     return ("left-" + name, flip(lhs), flip(rhs))
 
 
-def check_law(law: Law, maps: dict) -> IdentityCheck:
-    """Evaluate the law `(name, lhs, rhs)` on the maps bound to its names.
+def law_chains(law: Law, maps: dict) -> tuple[list[ChainElt], list[ChainElt]]:
+    """The two sides of the law `(name, lhs, rhs)` as chains over the bound maps.
 
     Each side lists its layers outermost first.  A layer is a bound name, or a
     tuple of names tensored left to right; a tuple bound as a whole (a unit
     insertion such as ("B", "η")) is looked up before it is split.  Each
     distinct layer is built once, so the two sides share their lazy Kronecker
     products.
-
-    The check is deferred: the layers are bound and built, and the columns
-    streamed, the first time its verdict is read, against the maps bound when
-    `check_law` was called.  A `ShapeError` from the chains surfaces then.
     """
-    name, lhs, rhs = law
+    _, lhs, rhs = law
+    built = {
+        w: maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
+        for w in dict.fromkeys([*lhs, *rhs])
+    }
+    return [built[w] for w in lhs], [built[w] for w in rhs]
+
+
+def check_law(law: Law, maps: dict) -> IdentityCheck:
+    """Evaluate the law `(name, lhs, rhs)` on the maps bound to its names.
+
+    The check is deferred: `law_chains` binds and builds the layers, and the
+    columns are streamed, the first time its verdict is read, against the maps
+    bound when `check_law` was called.  A `ShapeError` from the chains
+    surfaces then.
+    """
+    name = law[0]
     maps = dict(maps)
-
-    def compare() -> IdentityCheck:
-        built = {
-            w: maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
-            for w in dict.fromkeys([*lhs, *rhs])
-        }
-        return check_map_identity(name, [built[w] for w in lhs], [built[w] for w in rhs])
-
-    return IdentityCheck.deferred(name, compare)
+    return IdentityCheck.deferred(name, lambda: check_map_identity(name, *law_chains(law, maps)))
 
 
 def is_invertible(f: LinearMap) -> bool:
@@ -685,60 +703,41 @@ def apply_covector(phi, vec):
     return total
 
 
+def _vector_map(field: Field, vec, w: Space, v: Space, dom: Space, cod: Space, strides) -> LinearMap:
+    # vec[k] (vec on W) at (rj*j + rk*k, cj*j + ck*k) for each j < dim V; strides = (rj, rk, cj, ck)
+    vec = tuple(vec)
+    if len(vec) != w.dim:
+        raise ShapeError(f"a vector of length {len(vec)} on a space of dim {w.dim}")
+    rj, rk, cj, ck = strides
+    entries = ((rj * j + rk * k, cj * j + ck * k, c) for j in range(v.dim) for k, c in enumerate(vec) if c)
+    return from_entries(field, dom, cod, entries)
+
+
 def insert_right(field: Field, v: Space, w_vec, w: Space) -> LinearMap:
     """V -> V (x) W, x -> x (x) w."""
-    zero = field.zero
-    dom, cod = v, tensor(v, w)
-    rows = [[zero] * v.dim for _ in range(cod.dim)]
-    for j in range(v.dim):
-        for k, c in enumerate(w_vec):
-            if c:
-                rows[j * w.dim + k][j] = c
-    return LinearMap(field, dom, cod, tuple(tuple(r) for r in rows))
+    return _vector_map(field, w_vec, w, v, v, tensor(v, w), (w.dim, 1, 1, 0))
 
 
 def insert_left(field: Field, w_vec, w: Space, v: Space) -> LinearMap:
     """V -> W (x) V, x -> w (x) x."""
-    zero = field.zero
-    cod = tensor(w, v)
-    rows = [[zero] * v.dim for _ in range(cod.dim)]
-    for j in range(v.dim):
-        for k, c in enumerate(w_vec):
-            if c:
-                rows[k * v.dim + j][j] = c
-    return LinearMap(field, v, cod, tuple(tuple(r) for r in rows))
+    return _vector_map(field, w_vec, w, v, v, tensor(w, v), (1, v.dim, 1, 0))
 
 
 def contract_right(field: Field, v: Space, phi, w: Space) -> LinearMap:
     """V (x) W -> V, x (x) y -> phi(y) x."""
-    zero = field.zero
-    dom = tensor(v, w)
-    rows = [[zero] * dom.dim for _ in range(v.dim)]
-    for j in range(v.dim):
-        for k, c in enumerate(phi):
-            if c:
-                rows[j][j * w.dim + k] = c
-    return LinearMap(field, dom, v, tuple(tuple(r) for r in rows))
+    return _vector_map(field, phi, w, v, tensor(v, w), v, (1, 0, w.dim, 1))
 
 
 def contract_left(field: Field, phi, w: Space, v: Space) -> LinearMap:
     """W (x) V -> V, y (x) x -> phi(y) x."""
-    zero = field.zero
-    dom = tensor(w, v)
-    rows = [[zero] * dom.dim for _ in range(v.dim)]
-    for j in range(v.dim):
-        for k, c in enumerate(phi):
-            if c:
-                rows[j][k * v.dim + j] = c
-    return LinearMap(field, dom, v, tuple(tuple(r) for r in rows))
+    return _vector_map(field, phi, w, v, tensor(w, v), v, (1, 0, 1, v.dim))
 
 
 def rank_one(field: Field, domain: Space, covec, codomain: Space, vec) -> LinearMap:
     """x -> covec(x) * vec."""
     if len(covec) != domain.dim or len(vec) != codomain.dim:
         raise ShapeError("rank_one shape mismatch")
-    zero = field.zero
-    rows = tuple(
-        tuple(vi * cj if (vi and cj) else zero for cj in covec) for vi in vec
+    entries = (
+        (i, j, vi * cj) for i, vi in enumerate(vec) if vi for j, cj in enumerate(covec) if cj
     )
-    return LinearMap(field, domain, codomain, rows)
+    return from_entries(field, domain, codomain, entries)

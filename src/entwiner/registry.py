@@ -28,7 +28,7 @@ from .entwine import (
     transpose_entwining,
 )
 from .fields import Field, Scalar
-from .linalg import LinearMap, ShapeError, Space, from_columns, space, tensor, twist
+from .linalg import LinearMap, ShapeError, Space, from_columns, from_entries, space, tensor, twist
 from .structures import (
     Algebra,
     Bialgebra,
@@ -98,12 +98,7 @@ def matrix_algebra(field) -> Algebra:
 
 def _grouplike_comult(field, sp: Space) -> LinearMap:
     n = sp.dim
-    cols = []
-    for i in range(n):
-        vec = [field.zero] * (n * n)
-        vec[i * n + i] = field.one
-        cols.append(tuple(vec))
-    return from_columns(field, sp, tensor(sp, sp), tuple(cols))
+    return from_entries(field, sp, tensor(sp, sp), ((i * n + i, i, field.one) for i in range(n)))
 
 
 def group_bialgebra_z2(field) -> Bialgebra:

@@ -83,6 +83,7 @@ from .yangbaxter import (
     make_type2_family,
     make_type2_from_semi,
     semi_system_equivalence,
+    type2_component,
 )
 
 RANDOM_PER_PAIR = 20
@@ -518,8 +519,8 @@ def row_yb_systems(field) -> Report:
         checks.append(IdentityCheck("type2-noncommutative-guard", False))
     except PreconditionError:
         checks.append(IdentityCheck("type2-noncommutative-guard", True))
-    ts = make_type2_family(m2, one, one, allow_noncommutative=True)
-    checks.append(rollup("type1:M2,l=1,l2=1", check_wxz(ts.a, ts.b, ts.d)))
+    c = type2_component(m2, one)
+    checks.append(rollup("type1:M2,l=1,l2=1", check_wxz(c, c, c)))
 
     for name in ("Kx2-1", "Kx3", "KZ2"):
         a = algebra(name, field)

@@ -35,14 +35,13 @@ from .linalg import (
     check_law,
     check_map_identity,
     check_vector_identity,
-    from_columns,
+    direct_sum,
     identity,
     insert_left,
     insert_right,
     is_invertible,
+    lazy_kron,
     materialize,
-    space,
-    tensor,
     twist,
 )
 from .report import IdentityCheck, PreconditionError, Report, merge
@@ -216,15 +215,12 @@ def is_commutative(a: Algebra) -> bool:
     return a.mult.same_matrix(a.mult * twist(a.field, a.space, a.space))
 
 
-def make_type2_family(
-    a: Algebra, lam: Scalar, lam_prime: Scalar, allow_noncommutative: bool = False
-) -> TypeIISystem:
+def make_type2_family(a: Algebra, lam: Scalar, lam_prime: Scalar) -> TypeIISystem:
     """The four-map system with component coefficients (lam, 1, 1, lam_prime).
 
-    The eight-equation claim needs A commutative; the flag skips that
-    precondition for checking the type-I subfamily on a noncommutative A.
+    The eight-equation claim needs A commutative.
     """
-    if not allow_noncommutative and not is_commutative(a):
+    if not is_commutative(a):
         raise PreconditionError("the four-map family needs a commutative algebra")
     one = a.field.one
     return TypeIISystem(
@@ -398,31 +394,13 @@ def check_braided_morphism(
 def trivial_extension(a: Algebra) -> Algebra:
     """A (+) A with product (aa') (+) (ab' + ba') and unit 1 (+) 0."""
     field = a.field
-    n = a.space.dim
-    zero = field.zero
-    ext = space(
-        *[f"A.{a.space.label(i)}" for i in range(n)],
-        *[f"D.{a.space.label(i)}" for i in range(n)],
+    ext, i_a, i_d, p_a, p_d = direct_sum(field, a.space, a.space, "A", "D")
+    mult = (
+        materialize([i_a, a.mult, lazy_kron(p_a, p_a)])
+        + materialize([i_d, a.mult, lazy_kron(p_a, p_d)])
+        + materialize([i_d, a.mult, lazy_kron(p_d, p_a)])
     )
-    cols = []
-    for pp in range(2 * n):
-        for qq in range(2 * n):
-            col = [zero] * (2 * n)
-            if pp < n and qq < n:
-                mcol = a.mult.column(pp * n + qq)
-                for i in range(n):
-                    col[i] = mcol[i]
-            elif pp < n <= qq:
-                mcol = a.mult.column(pp * n + (qq - n))
-                for i in range(n):
-                    col[n + i] = mcol[i]
-            elif qq < n <= pp:
-                mcol = a.mult.column((pp - n) * n + qq)
-                for i in range(n):
-                    col[n + i] = mcol[i]
-            cols.append(tuple(col))
-    mult = from_columns(field, tensor(ext, ext), ext, cols)
-    return Algebra(field, ext, mult, tuple(a.unit) + (zero,) * n)
+    return Algebra(field, ext, mult, i_a.apply(a.unit))
 
 
 def check_extension_morphism(a: Algebra, delta: LinearMap) -> Report:
@@ -431,10 +409,8 @@ def check_extension_morphism(a: Algebra, delta: LinearMap) -> Report:
     if not derivation.passed:
         raise PreconditionError("delta must be a derivation", derivation)
     ext = trivial_extension(a)
-    n = a.space.dim
-    rows = [tuple(a.field.one if i == j else a.field.zero for j in range(n)) for i in range(n)]
-    rows += [tuple(r) for r in delta.rows]
-    f = LinearMap(a.field, a.space, ext.space, tuple(rows))
+    _, i_a, i_d, _, _ = direct_sum(a.field, a.space, a.space, "A", "D")
+    f = i_a + materialize([i_d, delta])
     return merge(
         "extension-morphism",
         derivation.prefixed("derivation"),

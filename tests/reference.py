@@ -88,3 +88,58 @@ def twisted_product_is_algebra(a, b, psi, p: int) -> bool:
         for y in basis
         for z in basis
     )
+
+
+def plain_rows(field, rows):
+    """Rows as comparable plain values: over F_p, ints reduced mod p."""
+    p = getattr(field, "p", None)
+    return [list(r) if p is None else [int(x) % p for x in r] for r in rows]
+
+
+def biproduct_rows(h, m: int, psi, u):
+    """Rows of the product and the u-coaction of B (+) A (dim B = m, A = h) from
+    their basis formulas: (b, a)(b', a') = (b * a' + eps(a) b', aa') with
+    b * a = eps(a_r) b_s summed over psi(b (x) a) = c_rs a_r (x) b_s, and the
+    coaction b -> b (x) u, a -> a_(1) (x) a_(2).  Plain index loops, no maps."""
+    n = len(h.unit)
+    e = m + n
+    mult = [[0] * (e * e) for _ in range(e)]
+    for p in range(e):
+        for q in range(e):
+            if p < m <= q:
+                for r in range(n):
+                    for s in range(m):
+                        mult[s][p * e + q] += h.counit[r] * psi.rows[r * m + s][p * n + q - m]
+            elif q < m <= p:
+                mult[q][p * e + q] += h.counit[p - m]
+            elif m <= p and m <= q:
+                for i in range(n):
+                    mult[m + i][p * e + q] += h.mult.rows[i][(p - m) * n + q - m]
+    coaction = [[0] * e for _ in range(e * n)]
+    for j in range(m):
+        for k in range(n):
+            coaction[j * n + k][j] += u[k]
+    for j in range(m, e):
+        for s in range(n):
+            for t in range(n):
+                coaction[(m + s) * n + t][j] += h.comult.rows[s * n + t][j - m]
+    return mult, coaction
+
+
+def trivial_extension_rows(a):
+    """Rows of the product of A (+) A: (x, y)(x', y') = (xx', xy' + yx')."""
+    n = len(a.unit)
+    mult = [[0] * (4 * n * n) for _ in range(2 * n)]
+    for p in range(2 * n):
+        for q in range(2 * n):
+            if p < n and q < n:
+                rows, at = range(n), p * n + q
+            elif p < n <= q:
+                rows, at = range(n, 2 * n), p * n + q - n
+            elif q < n <= p:
+                rows, at = range(n, 2 * n), (p - n) * n + q
+            else:
+                continue
+            for i, r in enumerate(rows):
+                mult[r][p * 2 * n + q] += a.mult.rows[i][at]
+    return mult

@@ -340,6 +340,15 @@ def test_construct_biproduct_rejects_bad_integral(capsys):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("integral", ("1:2:3", "1"))
+def test_construct_biproduct_refuses_an_integral_of_the_wrong_length(capsys, integral):
+    code, out, err = run(capsys, "construct", "biproduct", "KZ2", "twist@Kx2-0,Kx2-0", integral)
+    assert code == 2
+    assert out == ""
+    length = len(integral.split(":"))
+    assert err == f"error: the integral has length {length}, but dim H is 2\n"
+
+
 def test_construct_type2_on_noncommutative_fails_with_report(capsys):
     code, out, _ = run(capsys, "construct", "type2", "M2", "1", "1")
     assert code == 1

@@ -55,6 +55,7 @@ from entwiner.structures import (
     check_comodule,
     check_module,
 )
+from reference import biproduct_rows, plain_rows
 
 EXPECTED_FAIL = frozenset(
     (
@@ -359,6 +360,37 @@ def test_biproduct_with_integral():
     assert result.integral_coaction is not None
     com = ComoduleCoaction(h.coalgebra, result.algebra.space, result.integral_coaction)
     assert check_comodule(com).passed
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize(
+    "hname, expr, u",
+    (
+        ("KZ2", "twist@Kx2-0,Kx2-0", None),
+        ("KZ2", "mult_twist@KZ2,q=1", None),
+        ("KZ2", "corrupt:quad@p=1,q=2", (2, 3)),
+        ("KZ2", "dk-KZ2-sign", None),
+        ("Kmono", "twist@M2,Kx2-1", (0, 1)),
+    ),
+)
+def test_biproduct_maps_match_their_basis_formulas(field, hname, expr, u):
+    h = bialgebra(hname, field)
+    e = resolve_instance(expr, field)
+    u = h.unit if u is None else tuple(map(field.from_int, u))
+    result = make_biproduct(h, e.left_space, e.psi, integral=u)
+    mult, coaction = biproduct_rows(h, e.left_space.dim, e.psi, u)
+    assert plain_rows(field, result.algebra.mult.rows) == plain_rows(field, mult)
+    assert plain_rows(field, result.integral_coaction.rows) == plain_rows(field, coaction)
+    assert plain_rows(field, [result.algebra.unit]) == plain_rows(field, [(0,) * e.left_space.dim + h.unit])
+    labels = [f"B.{e.left_space.label(i)}" for i in range(e.left_space.dim)]
+    assert result.algebra.space.labels == (*labels, *(f"A.{x}" for x in h.space.labels))
+
+
+@pytest.mark.parametrize("integral", ((QQ.one,), (QQ.one, QQ.zero, QQ.one)))
+def test_biproduct_refuses_an_integral_of_the_wrong_length(integral):
+    h = bialgebra("KZ2", QQ)
+    with pytest.raises(ShapeError, match=f"the integral has length {len(integral)}, but dim H is 2"):
+        make_biproduct(h, h.space, mult_twist(h.algebra, QQ.one), integral=integral)
 
 
 def test_biproduct_rejects_non_integral():

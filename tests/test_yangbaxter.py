@@ -11,12 +11,14 @@ from entwiner.entwine import (
     mult_twist,
     verify,
 )
-from entwiner.fields import QQ
+from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import (
     LinearMap,
     check_map_identity,
     compose,
     identity,
+    insert_left,
+    insert_right,
     is_invertible,
     kron,
     materialize,
@@ -47,8 +49,9 @@ from entwiner.yangbaxter import (
     make_type2_from_semi,
     semi_system_equivalence,
     trivial_extension,
+    type2_component,
 )
-from reference import embed13_chain
+from reference import embed13_chain, plain_rows, trivial_extension_rows
 
 V = space("v0", "v1")
 VV = tensor(V, V)
@@ -183,11 +186,11 @@ def test_type2_noncommutative_guard():
     assert not is_commutative(m2)
     with pytest.raises(PreconditionError):
         make_type2_family(m2, QQ.one, QQ.one)
-    ts = make_type2_family(m2, QQ.one, QQ.one, allow_noncommutative=True)
-    # the weaker type I claim survives noncommutativity: (W, X, Z) = (a, b, d)
-    rep = check_wxz(ts.a, ts.b, ts.d)
+    # the weaker type I claim survives noncommutativity: with lam = lam' = 1 the
+    # family's components (W, X, Z) = (a, b, d) are one map
+    c = type2_component(m2, QQ.one)
+    rep = check_wxz(c, c, c)
     assert rep.passed, rep.render()
-    assert ts.b.rows == ts.c.rows
 
 
 def test_paired_system_from_semi():
@@ -278,6 +281,28 @@ def test_extension_morphism():
     bad = LinearMap(QQ, a.space, a.space, ((z, o, z), (z, z, z), (z, z, z)))
     with pytest.raises(PreconditionError):
         check_extension_morphism(a, bad)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize("name", ("Kx3", "M2", "KZ2"))
+def test_trivial_extension_matches_its_basis_formula(field, name):
+    a = algebra(name, field)
+    ext = trivial_extension(a)
+    assert plain_rows(field, ext.mult.rows) == plain_rows(field, trivial_extension_rows(a))
+    assert ext.unit == (*a.unit, *(field.zero,) * a.space.dim)
+    assert ext.space.labels == (*(f"A.{x}" for x in a.space.labels), *(f"D.{x}" for x in a.space.labels))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_extension_morphism_for_an_inner_derivation(field):
+    # delta = [x, -] on M2 with delta(a) delta(b) != 0, so only a -> a (+) delta(a),
+    # not a -> a + delta(a) inside A, is a morphism into the extension
+    a = algebra("M2", field)
+    x = (field.zero, field.one, field.one, field.zero)
+    left = a.mult * insert_left(field, x, a.space, a.space)
+    right = a.mult * insert_right(field, a.space, x, a.space)
+    rep = check_extension_morphism(a, left - right)
+    assert rep.passed, rep.render()
 
 
 def test_wxz_and_type2_dataclasses_validate():
