@@ -15,7 +15,9 @@ B (+) A comodule algebra over a bialgebra, entwined module/comodule variants,
 and the module/measuring round trip.  Each twisted (co)product is one chain:
 `factorization_product` and `cofactorization_coproduct` materialize it, and
 the iff checks run the (co)algebra laws on its `Composite`, so a psi that
-fails at an early column computes only the columns read so far.
+fails at an early column computes only the columns read so far.  Their
+verdict agreement reads the (co)unit laws before (co)associativity, so a psi
+that fails a (co)unit law streams no (co)associativity column.
 """
 
 from __future__ import annotations
@@ -251,13 +253,31 @@ def factorization_product(a: Algebra, b: Algebra, psi: LinearMap) -> Algebra:
     return _twisted_product(a, b, psi, materialize)
 
 
+def _passed_units_first(rep: Report) -> bool:
+    """`rep.passed`, with the (co)unit laws read before (co)associativity.
+
+    The conjunction is the same; only the read order differs.  A (co)unit law
+    compares dim V columns and (co)associativity dim V^3, each of which fans
+    out through the twisted (co)product twice.  Most random ψ fail a (co)unit
+    law, so the verdict is usually settled before (co)associativity streams a
+    column.
+    """
+    return all(c.passed for c in rep.checks if "unit" in c.name) and rep.passed
+
+
 def check_product_iff(e: EntwiningData) -> Report:
-    """The twisted product is an algebra iff psi is a factorization; verdicts must agree."""
+    """The twisted product is an algebra iff psi is a factorization; verdicts must agree.
+
+    The product's side of `verdict-agreement` reads its unit laws before
+    associativity; the report lists the laws in their table's order.
+    """
     e = replace(e, kind="factorization")
     # the laws read the product's columns on demand; most ψ fail at the first
     product = check_algebra(_twisted_product(e.algebra, e.left_algebra, e.psi, Composite))
     factorization = verify(e)
-    agreement = IdentityCheck("verdict-agreement", product.passed == factorization.passed)
+    agreement = IdentityCheck(
+        "verdict-agreement", _passed_units_first(product) == factorization.passed
+    )
     return merge(
         "product-iff",
         product.prefixed("product"),
@@ -283,13 +303,19 @@ def cofactorization_coproduct(c: Coalgebra, d: Coalgebra, psi: LinearMap) -> Coa
 
 
 def check_coproduct_iff(e: EntwiningData) -> Report:
-    """The twisted coproduct is a coalgebra iff psi is a coalgebra factorization."""
+    """The twisted coproduct is a coalgebra iff psi is a coalgebra factorization.
+
+    The coproduct's side of `verdict-agreement` reads its counit laws before
+    coassociativity; the report lists the laws in their table's order.
+    """
     e = replace(e, kind="cofactorization")
     coproduct = check_coalgebra(
         _twisted_coproduct(e.coalgebra, e.left_coalgebra, e.psi, Composite)
     )
     factorization = verify(e)
-    agreement = IdentityCheck("verdict-agreement", coproduct.passed == factorization.passed)
+    agreement = IdentityCheck(
+        "verdict-agreement", _passed_units_first(coproduct) == factorization.passed
+    )
     return merge(
         "coproduct-iff",
         coproduct.prefixed("coproduct"),

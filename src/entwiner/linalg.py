@@ -32,7 +32,11 @@ column, scalar) triples: the structural maps, the unit insertions and counit
 contractions, and the injections and projections of a `direct_sum`.
 `identity` and `twist` are memoised on (field, spaces), the last few kept.
 Identity checks stream column by column, so a failing check stops at the
-lexicographically-first failing basis tuple - the witness reported.
+lexicographically-first failing basis tuple - the witness reported.  Its
+`passed` is False at once; the witness and the rendered residual are computed
+the first time they are read, from what the check keeps: the column index,
+the two plain columns, the chain's innermost element (for the basis labels)
+and the codomain dim.  A reader of verdicts alone renders nothing.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
 maps, outermost layer first.  `check_law` returns a deferred check: the first
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import prod
 
 from .fields import Field, FieldError, Scalar
@@ -576,7 +580,11 @@ def materialize(chain: Chain) -> LinearMap:
 
 
 def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
-    """Compare two composites column by column; witness = first failing basis tuple."""
+    """Compare two composites column by column; witness = first failing basis tuple.
+
+    A failure's witness and residual are computed when first read (see
+    `IdentityCheck.failed`).
+    """
     lc = _as_chain(lhs)
     rc = _as_chain(rhs)
     field = lc[0].field
@@ -596,16 +604,21 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
         left = chain_apply_basis(lc, j, field)
         right = chain_apply_basis(rc, j, field)
         if left != right:
-            # only the entries of the two columns can be nonzero; they are
-            # plain scalars, so 0 is zero and render reduces the difference
-            diff = {
-                i: field.render(left.get(i, 0) - right.get(i, 0))
-                for i in left.keys() | right.keys()
-            }
-            rendered_zero = field.render(field.zero)
-            residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
-            return IdentityCheck(name, False, lc[-1].domain.basis_tuple(j), residual)
+            return IdentityCheck.failed(
+                name, partial(_failure_details, field, lc[-1], cod_dim, j, left, right)
+            )
     return IdentityCheck(name, True)
+
+
+def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, right) -> tuple:
+    """(witness, residual) of a check whose plain columns j differ: the basis
+    tuple of input j of the chain's innermost element, and left - right rendered."""
+    # only the entries of the two columns can be nonzero; they are plain
+    # scalars, so 0 is zero and render reduces the difference
+    diff = {i: field.render(left.get(i, 0) - right.get(i, 0)) for i in left.keys() | right.keys()}
+    rendered_zero = field.render(field.zero)
+    residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
+    return inner.domain.basis_tuple(j), residual
 
 
 def check_vector_identity(

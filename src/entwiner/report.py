@@ -10,9 +10,13 @@ A check made by `linalg.check_law` is deferred: its verdict (`passed`,
 `witness`, `residual`) is computed, by `linalg.check_map_identity`, the first
 time one of them is read, then kept, so a caller that stops at the first
 failing law pays for the laws it read.  A `ShapeError` from a deferred law's
-chains surfaces at that first read.  Rendering, `to_dict`, `==`, `hash`,
-`repr` and pickling read every verdict; a renamed copy (`renamed`,
-`Report.prefixed`) shares its original's computation.
+chains surfaces at that first read.  A failure from `check_map_identity`
+knows `passed` at once; its witness and residual are rendered the first time
+either is read, so a caller that reads only `passed` renders nothing, and the
+rendering runs in the layer of the code that reads them.  Rendering,
+`to_dict`, `==`, `hash`, `repr` and pickling read every verdict in full; a
+renamed copy (`renamed`, `Report.prefixed`) shares its original's
+computation, the details included.
 """
 
 from __future__ import annotations
@@ -25,12 +29,20 @@ class IdentityCheck:
     """One identity's verdict: `name`, `passed`, and for a failure the first
     failing basis tuple (`witness`) and the rendered residual.
 
-    `IdentityCheck(name, passed, witness, residual)` holds a computed verdict;
-    `deferred(name, compute)` holds a zero-argument `compute` returning a
-    check, run the first time a verdict field is read, and takes that check's
-    verdict under its own name.
+    A check is in one of three states.  `IdentityCheck(name, passed, witness,
+    residual)` holds a computed verdict.  `deferred(name, compute)` holds a
+    zero-argument `compute` returning a check, run the first time a verdict
+    field is read, and takes that check's verdict under its own name.
+    `failed(name, details)` is a failure: `passed` is False at once, and the
+    zero-argument `details` returns (witness, residual), run the first time
+    either is read.  A deferred check whose computation returns such a failure
+    adopts it without running `details`.
     """
 
+    # `_verdict` is (passed, witness, residual) once all three are known.  A
+    # check made pending holds `_pending`, one box shared with every renamed
+    # copy: [None, compute] until `compute` has run, then [passed, details],
+    # details being (witness, residual) or the zero-argument callable giving them
     __slots__ = ("name", "_verdict", "_pending")
 
     def __init__(
@@ -51,21 +63,48 @@ class IdentityCheck:
     @classmethod
     def deferred(cls, name: str, compute) -> IdentityCheck:
         check = object.__new__(cls)
-        # one box, shared with every renamed copy: the computation, then its verdict
-        check._set(name, None, [compute])
+        check._set(name, None, [None, compute])
         return check
+
+    @classmethod
+    def failed(cls, name: str, details) -> IdentityCheck:
+        check = object.__new__(cls)
+        check._set(name, None, [False, details])
+        return check
+
+    @staticmethod
+    def _run(box: list) -> bool:
+        # a deferred check's computation; its result's details are adopted unread
+        computed = box[1]()
+        passed = computed.passed
+        verdict = computed._verdict
+        box[1] = verdict[1:] if verdict else computed._details
+        box[0] = passed
+        return passed
+
+    def _details(self) -> tuple:
+        return (self._verdict or self._resolve())[1:]
 
     def _resolve(self) -> tuple:
         box = self._pending
-        if type(box[0]) is not tuple:
-            computed = box[0]()
-            box[0] = computed._verdict or computed._resolve()
-        object.__setattr__(self, "_verdict", box[0])
-        return box[0]
+        passed = box[0]
+        if passed is None:
+            passed = self._run(box)
+        details = box[1]
+        if type(details) is not tuple:
+            details = box[1] = details()
+        verdict = (passed, *details)
+        object.__setattr__(self, "_verdict", verdict)
+        return verdict
 
     @property
     def passed(self) -> bool:
-        return (self._verdict or self._resolve())[0]
+        verdict = self._verdict
+        if verdict:
+            return verdict[0]
+        box = self._pending
+        passed = box[0]
+        return self._run(box) if passed is None else passed
 
     @property
     def witness(self) -> tuple[str, ...] | None:

@@ -1,6 +1,15 @@
 """Reference constructions the tests compare the library against."""
 
-from entwiner.linalg import ChainElt, LinearMap, ShapeError, Space, identity, lazy_kron, twist
+from entwiner.linalg import (
+    ChainElt,
+    LinearMap,
+    ShapeError,
+    Space,
+    identity,
+    lazy_kron,
+    materialize,
+    twist,
+)
 
 
 def embed13_chain(s: LinearMap, mid: Space) -> list[ChainElt]:
@@ -143,3 +152,17 @@ def trivial_extension_rows(a):
             for i, r in enumerate(rows):
                 mult[r][p * 2 * n + q] += a.mult.rows[i][at]
     return mult
+
+
+def first_failing_column(lhs, rhs):
+    """(witness, residual) of the identity lhs = rhs, computed eagerly: both
+    sides materialized as dense maps, then the first column in which they
+    differ, its basis tuple and the rendered difference of the two columns;
+    None when the sides are equal."""
+    left, right = materialize(lhs), materialize(rhs)
+    field = left.field
+    for j in range(left.domain.dim):
+        if left.column(j) != right.column(j):
+            residual = tuple(field.render(a - b) for a, b in zip(left.column(j), right.column(j)))
+            return left.domain.basis_tuple(j), residual
+    return None

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -42,8 +43,10 @@ from entwiner.entwine import SEMI_KINDS
 from entwiner.registry import (
     INSTANCE_NAMES,
     algebra,
+    algebra_pairs,
     bialgebra,
     coalgebra,
+    coalgebra_pairs,
     corrupt_map,
     random_entwining_matrix,
     resolve_instance,
@@ -55,6 +58,7 @@ from entwiner.structures import (
     check_comodule,
     check_module,
 )
+from entwiner.suite import RANDOM_PER_PAIR
 from reference import biproduct_rows, plain_rows
 
 EXPECTED_FAIL = frozenset(
@@ -400,3 +404,76 @@ def test_biproduct_rejects_non_integral():
     )
     assert not result.report.passed
     assert any(c.name.startswith("integral") for c in result.report.failures())
+
+
+# the suite's random ψ (`suite.row_product_iff`, `suite.row_coproduct_iff`) for
+# three algebra pairs and three coalgebra pairs; in each pair some ψ fail a
+# (co)unit law and pass (co)associativity, the costliest law to read
+IFF_SIDES = {
+    "product": (algebra_pairs, (5, 14, 35), 7919, algebra, "factorization", check_product_iff),
+    "coproduct": (
+        coalgebra_pairs, (9, 15, 43), 104729, coalgebra, "cofactorization", check_coproduct_iff
+    ),
+}
+
+
+def suite_iff_cases(side, field):
+    pairs, indices, step, structure, kind, _ = IFF_SIDES[side]
+    legs = ("algebra", "left_algebra") if kind == "factorization" else ("coalgebra", "left_coalgebra")
+    for idx, (ln, rn) in enumerate(pairs()):
+        if idx in indices:
+            right, left = structure(rn, field), structure(ln, field)
+            for i in range(RANDOM_PER_PAIR):
+                psi = random_entwining_matrix(field, left.space, right.space, seed=step * idx + i)
+                yield (ln, rn), EntwiningData(kind=kind, psi=psi, **dict(zip(legs, (right, left))))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize("side", IFF_SIDES)
+def test_verdict_agreement_is_the_declaration_order_conjunction(side, field):
+    # the registry's instances of the kind and their corrupt: forms add ψ that
+    # pass the (co)unit laws, so that (co)associativity decides the verdict
+    kind, check = IFF_SIDES[side][4:]
+    registry = (resolve_instance(x, field) for n in INSTANCE_NAMES for x in (n, f"corrupt:{n}"))
+    cases = [*(e for _, e in suite_iff_cases(side, field)), *(e for e in registry if e.kind == kind)]
+    decided_by_associativity = 0
+    for e in cases:
+        rep = check(e)
+        # read in the report's order: (co)associativity first
+        laws = [c.passed for c in rep.checks if c.name.startswith(side + ":")]
+        twisted = all(laws)
+        factorization = all(c.passed for c in rep.checks if c.name.startswith("factorization:"))
+        assert rep.check("verdict-agreement").passed == (twisted == factorization)
+        assert rep.check("verdict-agreement").passed, rep.render()
+        decided_by_associativity += all(laws[1:])
+    assert decided_by_associativity >= 2
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize("side", IFF_SIDES)
+def test_a_failing_unit_law_settles_the_agreement_before_associativity(monkeypatch, side, field):
+    import entwiner.linalg as linalg
+
+    check = IFF_SIDES[side][5]
+    assoc, units = {
+        "product": ("associativity", ("unit-left", "unit-right")),
+        "coproduct": ("coassociativity", ("counit-left", "counit-right")),
+    }[side]
+    compare = linalg.check_map_identity
+    names = []
+
+    def counting(name, lhs, rhs):
+        names.append(name)
+        return compare(name, lhs, rhs)
+
+    monkeypatch.setattr(linalg, "check_map_identity", counting)
+    settled = Counter()
+    for pair, e in suite_iff_cases(side, field):
+        names.clear()
+        rep = check(e)
+        compared = list(names)
+        if not all(rep.check(f"{side}:{n}").passed for n in units):
+            assert assoc not in compared, (pair, compared)
+            # read now, (co)associativity passes for some of these ψ
+            settled[pair] += rep.check(f"{side}:{assoc}").passed
+    assert len(+settled) == len(IFF_SIDES[side][1]), settled

@@ -1,0 +1,25 @@
+"""Smoke tests of the scripts under tools/."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROW_AB = os.path.join(ROOT, "tools", "row_ab.py")
+
+
+def test_row_ab_times_one_row_of_this_checkout_against_itself():
+    argv = [sys.executable, ROW_AB, ROOT, ROOT, "--rounds", "1", "--rows", "biproduct"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[1:3]] == [["biproduct", "q"], ["biproduct", "fp:7"]]
+    assert lines[3].startswith("round 1: parent ")
+    assert lines[4].startswith("median round ratio ")
+
+
+def test_row_ab_refuses_a_row_that_is_not_a_base_row():
+    argv = [sys.executable, ROW_AB, ROOT, ROOT, "--rows", "field-independence"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "'field-independence' is not a base row of both trees" in done.stderr
