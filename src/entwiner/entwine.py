@@ -32,6 +32,7 @@ from .linalg import (
     Space,
     check_law,
     check_map_identity,
+    combine,
     contract_left,
     direct_sum,
     identity,
@@ -191,21 +192,23 @@ def verify(e: EntwiningData) -> Report:
 
 
 def mult_twist(a: Algebra, q: Scalar) -> LinearMap:
-    """b (x) a -> 1 (x) ba + q(ba (x) 1) - q(b (x) a) on A (x) A."""
+    """b (x) a -> 1 (x) ba + q(ba (x) 1) - q(b (x) a) on A (x) A, one `combine`."""
     field = a.field
-    sq = tensor(a.space, a.space)
-    left = insert_left(field, a.unit, a.space, a.space) * a.mult
-    right = insert_right(field, a.space, a.unit, a.space) * a.mult
-    return left + right.scale(q) - identity(field, sq).scale(q)
+    return combine(
+        [
+            (field.one, [insert_left(field, a.unit, a.space, a.space), a.mult]),
+            (q, [insert_right(field, a.space, a.unit, a.space), a.mult]),
+            (-q, identity(field, tensor(a.space, a.space))),
+        ]
+    )
 
 
 def comm_twist(a: Algebra, q: Scalar) -> LinearMap:
-    """b (x) a -> q((ba - ab) (x) 1) + a (x) b on A (x) A."""
+    """b (x) a -> q((ba - ab) (x) 1) + a (x) b on A (x) A, one `combine`."""
     field = a.field
     tw = twist(field, a.space, a.space)
-    commutator = a.mult - (a.mult * tw)
-    right = insert_right(field, a.space, a.unit, a.space) * commutator
-    return right.scale(q) + tw
+    ins = insert_right(field, a.space, a.unit, a.space)
+    return combine([(q, [ins, a.mult]), (-q, [ins, a.mult, tw]), (field.one, tw)])
 
 
 def module_entwining(mod: ModuleAction) -> LinearMap:
@@ -427,7 +430,9 @@ def make_biproduct(
     Product ((b, a)(b', a') = (b * a' + eps(a) b', aa') with b * a = eps(a_alpha) b^alpha),
     unit (0, 1), and the right A-coaction b (+) a -> b (x) u + a_(1) (x) a_(2); the
     plain coaction uses u = 1, the integral coaction a supplied group-like
-    bilateral integral, which upgrades the comodule to a comodule algebra.
+    bilateral integral, which upgrades the comodule to a comodule algebra.  The
+    product and each coaction are one `combine` of their terms over the
+    injections and projections of the direct sum.
     """
     if integral is not None:
         integral = tuple(integral)
@@ -440,16 +445,19 @@ def make_biproduct(
 
     l_act = contract_left(field, h.counit, a_sp, b)
     r_act = l_act * psi
-    mult_e = (
-        materialize([i_b, r_act, lazy_kron(p_b, p_a)])
-        + materialize([i_b, l_act, lazy_kron(p_a, p_b)])
-        + materialize([i_a, h.mult, lazy_kron(p_a, p_a)])
+    one = field.one
+    mult_e = combine(
+        [
+            (one, [i_b, r_act, lazy_kron(p_b, p_a)]),
+            (one, [i_b, l_act, lazy_kron(p_a, p_b)]),
+            (one, [i_a, h.mult, lazy_kron(p_a, p_a)]),
+        ]
     )
     algebra = Algebra(field, e_sp, mult_e, i_a.apply(h.unit))
-    comult_part = materialize([lazy_kron(i_a, id_a), h.comult, p_a])
+    comult_part = (one, [lazy_kron(i_a, id_a), h.comult, p_a])
 
     def coaction(u) -> LinearMap:
-        return materialize([lazy_kron(i_b, id_a), insert_right(field, b, u, a_sp), p_b]) + comult_part
+        return combine([(one, [lazy_kron(i_b, id_a), insert_right(field, b, u, a_sp), p_b]), comult_part])
 
     maps = {"λ": l_act, "ρ": r_act, "m": h.mult, **unit_maps(h.algebra, B=b)}
     maps |= {"A": id_a, "B": identity(field, b)}

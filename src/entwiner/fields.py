@@ -20,6 +20,9 @@ other entry (a float, a bool, an element of another field) with FieldError
 when it is built, and so does `LinearMap.apply` for a vector entry.
 `from_int`, `div` and `render` refuse such a scalar on both fields.
 
+`parse` takes "n" or "n/d" with optional surrounding whitespace; the
+strings "-9" ... "9" are looked up in a table of their values first.
+
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
 """
@@ -35,6 +38,8 @@ class FieldError(ValueError):
 
 
 _SCALAR_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+# the strings "-9" ... "9": `parse` looks them up before it tries the regex
+_SMALL = tuple(str(n) for n in range(-9, 10))
 
 Scalar = int | Fraction  # F_p elements are int subclasses
 
@@ -53,6 +58,7 @@ class Rationals:
     zero = 0
     one = 1
     types = frozenset((int, Fraction))
+    _small = {t: int(t) for t in _SMALL}
 
     def __repr__(self):
         return "Q"
@@ -73,6 +79,9 @@ class Rationals:
         return self._own(n)
 
     def parse(self, s: str):
+        x = self._small.get(s)
+        if x is not None:
+            return x
         m = _SCALAR_RE.match(s.strip())
         if not m:
             raise FieldError(f"bad scalar string {s!r}")
@@ -197,6 +206,7 @@ class PrimeField:
         self.zero = self.elem(0)
         self.one = self.elem(1)
         self.types = frozenset((int, self.elem))
+        self._small = {t: self.elem(int(t)) for t in _SMALL}
 
     @property
     def tag(self) -> str:
@@ -215,6 +225,9 @@ class PrimeField:
         return self.elem(self.plain(n))
 
     def parse(self, s: str):
+        x = self._small.get(s)
+        if x is not None:
+            return x
         m = _SCALAR_RE.match(s.strip())
         if not m:
             raise FieldError(f"bad scalar string {s!r}")

@@ -14,7 +14,8 @@ lazy Kronecker products (`KronApply`) and `Composite`s.  The only code that
 multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.  They
 read plain scalars (`field.plain`) and return raw sums: zeros stay and, over
 F_p, entries are unreduced ints.  `field.nonzero` drops the zeros and reduces
-once per chain, at the end of `chain_apply_basis` and in `apply`.
+once per chain, at the end of `chain_apply_basis` and in `apply`, and once per
+column of a `combine`.
 
 Every element carries its flat `domain_dims` and `codomain_dims`; chains are
 matched on those.  A `KronApply` lays out its legs from their dims alone and
@@ -27,7 +28,10 @@ with `chain_apply_basis` the first time it is read, then keeps it, so a law
 that stops at its first failing column pays only for the columns it read.
 `materialize`, the hot dense path, computes every column of a chain in one
 loop, fills dense rows from them itself and hands its result the sparse
-columns.  Every other dense map is filled by `from_entries` from (row,
+columns.  `combine` is the one linear-combination path: it gives
+sum c_k * chain_k in one such pass, each column summed raw across the terms
+and reduced once, and `+`, `-`, unary `-` and `scale` of a `LinearMap` are
+calls to it.  Every other dense map is filled by `from_entries` from (row,
 column, scalar) triples: the structural maps, the unit insertions and counit
 contractions, and the injections and projections of a `direct_sum`.
 `identity` and `twist` are memoised on (field, spaces), the last few kept.
@@ -220,14 +224,7 @@ class LinearMap:
         return LinearMap(self.field, dual_space(self.codomain), dual_space(self.domain), rows)
 
     def scale(self, c: Scalar) -> LinearMap:
-        if not c:
-            return zero_map(self.field, self.domain, self.codomain)
-        return LinearMap(
-            self.field,
-            self.domain,
-            self.codomain,
-            tuple(tuple(c * x if x else self.field.zero for x in row) for row in self.rows),
-        )
+        return combine([(c, self)])
 
     def __mul__(self, other):
         if isinstance(other, LinearMap):
@@ -241,25 +238,13 @@ class LinearMap:
         return kron(self, other)
 
     def __add__(self, other: LinearMap) -> LinearMap:
-        _require_same_shape(self, other)
-        return LinearMap(
-            self.field,
-            self.domain,
-            self.codomain,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        return combine([(self.field.one, self), (self.field.one, other)])
 
     def __sub__(self, other: LinearMap) -> LinearMap:
-        _require_same_shape(self, other)
-        return LinearMap(
-            self.field,
-            self.domain,
-            self.codomain,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        return combine([(self.field.one, self), (-self.field.one, other)])
 
     def __neg__(self) -> LinearMap:
-        return self.scale(-self.field.one)
+        return combine([(-self.field.one, self)])
 
     def __repr__(self):
         return f"LinearMap({self.domain.dim}->{self.codomain.dim})"
@@ -270,13 +255,6 @@ def _refuse_foreign(field: Field, entries, verb: str):
     # field.types is refused, checked inline by `types.issuperset(map(type, ...))`
     x = next(x for x in entries if type(x) not in field.types)
     raise FieldError(f"a map over {field!r} cannot {verb} {type(x).__name__} {x!r}")
-
-
-def _require_same_shape(f: LinearMap, g: LinearMap):
-    if f.field != g.field:
-        raise ShapeError("maps over different fields")
-    if f.domain.dim != g.domain.dim or f.codomain.dim != g.codomain.dim:
-        raise ShapeError("map shapes differ")
 
 
 def from_entries(field: Field, domain: Space, codomain: Space, entries) -> LinearMap:
@@ -568,13 +546,67 @@ def materialize(chain: Chain) -> LinearMap:
     field = chain[0].field
     n = prod(chain[-1].domain_dims)
     cols = tuple(tuple(sorted(chain_apply_basis(chain, j, field).items())) for j in range(n))
+    return _filled(field, chain[-1].domain, chain[0].codomain, cols)
+
+
+def combine(terms) -> LinearMap:
+    """The linear combination sum c_k * chain_k of (scalar, chain) pairs, as one dense map.
+
+    The terms share a field and a shape (domain and codomain dims), and the
+    first term gives the result its spaces.  Each column is computed once for
+    all terms: every nonzero term's chain is applied to c_k e_j, the raw sums
+    are added, and the total is reduced once.  A zero coefficient skips its
+    term, which still fixes the shape, so an all-zero combination is the zero
+    map.  A coefficient outside the field's `types` is refused with
+    FieldError.
+    """
+    terms = [(c, _as_chain(chain)) for c, chain in terms]
+    if not terms:
+        raise ShapeError("empty linear combination")
+    first = terms[0][1]
+    field = first[0].field
+    n = prod(first[-1].domain_dims)
+    m = prod(first[0].codomain_dims)
+    for _, chain in terms:
+        if chain[0].field != field:
+            raise ShapeError("maps over different fields")
+        if prod(chain[-1].domain_dims) != n or prod(chain[0].codomain_dims) != m:
+            raise ShapeError("map shapes differ")
+    coeffs = [c for c, _ in terms]
+    if not field.types.issuperset(map(type, coeffs)):
+        _refuse_foreign(field, coeffs, "scale by")
+    plain = field.plain
+    live = [(pc, chain[::-1]) for c, chain in terms if (pc := plain(c))]
+    nonzero = field.nonzero
+    cols = []
+    for j in range(n):
+        total: dict[int, Scalar] = {}
+        for c, elts in live:
+            col = {j: c}
+            for elt in elts:
+                if not col:
+                    break
+                col = elt.apply_sparse(col)
+            if not total:
+                total = col
+                continue
+            get = total.get
+            for i, x in col.items():
+                cur = get(i)
+                total[i] = x if cur is None else cur + x
+        cols.append(tuple(sorted(nonzero(total).items())))
+    return _filled(field, first[-1].domain, first[0].codomain, tuple(cols))
+
+
+def _filled(field: Field, domain: Space, codomain: Space, cols) -> LinearMap:
+    # the dense map whose column j holds the sorted plain entries cols[j];
+    # those columns are the sparse columns the kernels read
     elem = field.elem
-    rows = [[field.zero] * n for _ in range(prod(chain[0].codomain_dims))]
+    rows = [[field.zero] * len(cols) for _ in range(codomain.dim)]
     for j, col in enumerate(cols):
         for i, x in col:
             rows[i][j] = elem(x)
-    m = LinearMap(field, chain[-1].domain, chain[0].codomain, tuple(map(tuple, rows)))
-    # the columns just computed are the sparse columns the kernels read
+    m = LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
     object.__setattr__(m, "_cols", cols)
     return m
 

@@ -32,13 +32,14 @@ from .linalg import (
     check_law,
     check_map_identity,
     check_vector_identity,
+    combine,
     contract_left,
     contract_right,
     dual_space,
     identity,
     insert_left,
     insert_right,
-    kron,
+    lazy_kron,
     rank_one,
     space,
     tensor,
@@ -334,14 +335,18 @@ def check_grouplike_bilateral_integral(b: Bialgebra, x: tuple[Scalar, ...]) -> R
 
 
 def check_derivation(a: Algebra, d: LinearMap) -> Report:
-    """d(xy) = d(x)y + x d(y) on all basis pairs, and d(1) = 0."""
+    """d(xy) = d(x)y + x d(y) on all basis pairs, and d(1) = 0.
+
+    The right side of Leibniz is one `combine` of its two terms.
+    """
+    one = a.field.one
     ida = identity(a.field, a.space)
-    leibniz = (a.mult * kron(d, ida)) + (a.mult * kron(ida, d))
+    leibniz = combine([(one, [a.mult, lazy_kron(d, ida)]), (one, [a.mult, lazy_kron(ida, d)])])
     zero = (a.field.zero,) * a.space.dim
     return Report(
         "derivation",
         (
-            check_map_identity("leibniz", d * a.mult, leibniz),
+            check_map_identity("leibniz", [d, a.mult], leibniz),
             check_vector_identity("unit-annihilation", a.field, a.space, d.apply(a.unit), zero),
         ),
     )

@@ -6,10 +6,12 @@ from entwiner.linalg import (
     ShapeError,
     Space,
     identity,
+    is_invertible,
     lazy_kron,
     materialize,
     twist,
 )
+from entwiner.report import IdentityCheck, Report
 
 
 def embed13_chain(s: LinearMap, mid: Space) -> list[ChainElt]:
@@ -166,3 +168,102 @@ def first_failing_column(lhs, rhs):
             residual = tuple(field.render(a - b) for a, b in zip(left.column(j), right.column(j)))
             return left.domain.basis_tuple(j), residual
     return None
+
+
+def _square_rows(a, term):
+    """Rows of a map on A (x) A from its basis formula: `term(i, j, add)` adds
+    the image of e_i (x) e_j, one entry at a time, through add(k, l, x) for x
+    at e_k (x) e_l.  Plain index loops, no maps."""
+    n = len(a.unit)
+    rows = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+
+            def add(k, l, x, col=i * n + j):
+                rows[k * n + l][col] += x
+
+            term(i, j, add)
+    return rows
+
+
+def _product(a, i, j):
+    # (k, coefficient of e_k in e_i e_j) for every k
+    n = len(a.unit)
+    return [(k, a.mult.rows[k][i * n + j]) for k in range(n)]
+
+
+def mult_twist_rows(a, q):
+    """b (x) c -> 1 (x) bc + q(bc (x) 1) - q(b (x) c)."""
+    u = a.unit
+
+    def term(i, j, add):
+        for k, m in _product(a, i, j):
+            for l, ul in enumerate(u):
+                add(l, k, ul * m)
+                add(k, l, q * m * ul)
+        add(i, j, -q)
+
+    return _square_rows(a, term)
+
+
+def comm_twist_rows(a, q):
+    """b (x) c -> q((bc - cb) (x) 1) + c (x) b."""
+    u = a.unit
+
+    def term(i, j, add):
+        for (k, m), (_, m_op) in zip(_product(a, i, j), _product(a, j, i)):
+            for l, ul in enumerate(u):
+                add(k, l, q * (m - m_op) * ul)
+        add(j, i, 1)
+
+    return _square_rows(a, term)
+
+
+def rmatrix_rows(a, r, s):
+    """b (x) c -> s(cb (x) 1) + r(1 (x) cb) - s(c (x) b)."""
+    u = a.unit
+
+    def term(i, j, add):
+        for k, m in _product(a, j, i):
+            for l, ul in enumerate(u):
+                add(k, l, s * m * ul)
+                add(l, k, r * ul * m)
+        add(j, i, -s)
+
+    return _square_rows(a, term)
+
+
+def type2_rows(a, lam):
+    """b (x) c -> lam(1 (x) bc) + bc (x) 1 - c (x) b."""
+    u = a.unit
+
+    def term(i, j, add):
+        for k, m in _product(a, i, j):
+            for l, ul in enumerate(u):
+                add(l, k, lam * ul * m)
+                add(k, l, m * ul)
+        add(j, i, -1)
+
+    return _square_rows(a, term)
+
+
+def eager_yb_operator(phi: LinearMap) -> Report:
+    """The yb-operator report with every check computed at once: phi tau and
+    tau phi materialized, their QYBE checked, agreement and invertibility
+    decided when the report is built."""
+    from entwiner.yangbaxter import BRAID_LAW, check_law, commutator_check
+
+    v, w = phi.domain.factors
+    field = phi.field
+    braid = check_law(BRAID_LAW, {"φ": phi, "V": identity(field, v)})
+    tau = twist(field, v, w)
+    right, left = materialize([phi, tau]), materialize([tau, phi])
+    checks = [
+        braid,
+        commutator_check("qybe-twist-right", right, right, right),
+        commutator_check("qybe-twist-left", left, left, left),
+    ]
+    verdicts = [c.passed for c in checks]
+    checks.append(IdentityCheck("twist-agreement", verdicts[0] == verdicts[1] == verdicts[2]))
+    checks.append(IdentityCheck("invertible", is_invertible(phi)))
+    return Report("yb-operator", tuple(checks))

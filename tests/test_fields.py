@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwiner.fields import QQ, FieldError, PrimeField, field_from_tag
+from entwiner.fields import QQ, FieldError, PrimeField, Rationals, field_from_tag
 from entwiner.linalg import LinearMap, space
 from entwiner.serial import document, emit
 
@@ -55,6 +55,34 @@ def test_prime_field_parse():
         F7.parse("1/7")
     with pytest.raises(FieldError):
         F7.parse("2.5")
+
+
+PARSE_EDGES = (" 1", "+1", "01", "-0", "1/1", "1_0", "", "1/0", "10", "-10", "9 ", "1/-1")
+
+
+def regex_only(field):
+    """A copy of the field that parses through the regex alone, with no table."""
+    plain = Rationals() if field == QQ else PrimeField(field.p)
+    plain._small = {}
+    return plain
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_parse_table_gives_what_the_regex_gives(field):
+    slow = regex_only(field)
+    table = tuple(str(n) for n in range(-9, 10))
+    assert set(field._small) == set(table)
+    for s in table + PARSE_EDGES:
+        try:
+            want = slow.parse(s)
+        except FieldError:
+            with pytest.raises(FieldError):
+                field.parse(s)
+            continue
+        got = field.parse(s)
+        assert (got, type(got)) == (want, type(want)), s
+    assert [field.parse(s) for s in ("-9", "0", "9")] == [field.from_int(n) for n in (-9, 0, 9)]
+    assert type(QQ.parse("-0")) is int and type(F7.parse("7")) is F7.elem
 
 
 def test_prime_field_div():

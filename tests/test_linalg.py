@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwiner.fields import QQ, PrimeField
+from entwiner.fields import QQ, FieldError, PrimeField
 from entwiner.linalg import (
     Composite,
     KronApply,
@@ -20,6 +20,7 @@ from entwiner.linalg import (
     chain_apply_basis,
     check_law,
     check_map_identity,
+    combine,
     compose,
     contract_left,
     contract_right,
@@ -1016,3 +1017,106 @@ def test_a_law_reads_the_maps_bound_when_it_was_made():
     c = check_law(INVOLUTION, maps)
     maps["τ'"] = LinearMap(QQ, maps["τ'"].domain, maps["τ'"].codomain, bumped_rows(QQ))
     assert c.passed and not check_law(INVOLUTION, maps).passed
+
+
+# ---------------------------------------------------------------------------
+# combine: sum c_k * chain_k in one dense pass
+
+
+def ref_combine(field, coeffs, chains):
+    """The sum of the separate `materialize`s, scaled, added entry by entry."""
+    total = None
+    for c, chain in zip(coeffs, chains):
+        rows = materialize(chain).rows
+        scaled = tuple(tuple(c * x for x in row) for row in rows)
+        total = scaled if total is None else tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(total, scaled)
+        )
+    return total
+
+
+def assert_cols_are_its_rows(m):
+    # the columns combine hands its result are the ones its rows give: no
+    # zero kept and, over F_p, every entry reduced once
+    assert m._cols == LinearMap(m.field, m.domain, m.codomain, m.rows)._cols
+
+
+@given(st.data())
+def test_combine_is_the_sum_of_separate_materializes(data):
+    factors = data.draw(starts)
+    first = data.draw(chain_specs(factors))
+    cod = build(QQ, first[0]).codomain
+    specs = [first]
+    for _ in range(data.draw(st.integers(0, 3))):
+        # another chain on the same domain, led into the first one's codomain
+        spec = data.draw(chain_specs(factors))
+        specs.append([data.draw(map_specs(build(QQ, spec[0]).codomain, cod)), *spec])
+    entries = [data.draw(ENTRIES) for _ in specs]
+    got = {}
+    for field in (QQ, F7):
+        chains = [[build(field, s) for s in spec] for spec in specs]
+        coeffs = [field.parse(e) for e in entries]
+        m = combine(list(zip(coeffs, chains)))
+        got[field] = m.rows
+        assert m.rows == ref_combine(field, coeffs, chains)
+        assert (m.domain, m.codomain) == (chains[0][-1].domain, chains[0][0].codomain)
+        assert in_field(field, m.rows)
+        assert_cols_are_its_rows(m)
+    assert got[F7] == mod7(got[QQ])
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_combine_of_cancelling_terms_drops_every_zero(field):
+    # 3 + 4 = 7 vanishes over F_7 only; 1 - 1 vanishes over both
+    f = LinearMap(field, V2, V2, tuple(tuple(map(field.from_int, r)) for r in ((1, 3), (0, 2))))
+    g = LinearMap(field, V2, V2, tuple(tuple(map(field.from_int, r)) for r in ((1, 4), (0, 5))))
+    m = combine([(field.one, f), (-field.one, [g, identity(field, V2)]), (field.one, g)])
+    assert m.rows == f.rows
+    m = combine([(field.one, f), (field.one, g)])
+    assert ints(field, m.rows) == ref_reduce(field, ((2, 7), (0, 7)))
+    assert_cols_are_its_rows(m)
+    assert (f + g).rows == m.rows and (f - f).rows == zero_map(field, V2, V2).rows
+    assert (-f).rows == f.scale(-field.one).rows == ref_combine(field, [-field.one], [[f]])
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_combine_takes_its_spaces_from_the_first_term_and_its_shape_from_every_term(field):
+    f = identity(field, V2)
+    g = twist(field, space("c0"), W2)  # a 2 -> 2 map between other spaces
+    m = combine([(field.one, f), (field.from_int(2), g)])
+    assert (m.domain, m.codomain) == (V2, V2)
+    n = combine([(field.from_int(2), g), (field.one, f)])
+    assert (n.domain, n.codomain) == (g.domain, g.codomain) and n.rows == m.rows
+    # zero coefficients skip their terms, which still fix the shape
+    zero = combine([(field.zero, [g]), (field.zero, f)])
+    assert zero.rows == zero_map(field, g.domain, g.codomain).rows
+    assert (zero.domain, zero.codomain) == (g.domain, g.codomain)
+    assert zero._cols == ((), ())
+    assert f.scale(field.zero).rows == zero.rows
+
+
+def test_combine_refuses_mixed_shapes_mixed_fields_and_foreign_coefficients():
+    f = identity(QQ, V2)
+    with pytest.raises(ShapeError, match="map shapes differ"):
+        combine([(1, f), (1, identity(QQ, V3))])
+    with pytest.raises(ShapeError, match="map shapes differ"):
+        combine([(1, f), (1, LinearMap(QQ, V3, V2, ((0, 0, 0), (0, 0, 0))))])
+    with pytest.raises(ShapeError, match="map shapes differ"):
+        f + identity(QQ, V3)
+    with pytest.raises(ShapeError, match="maps over different fields"):
+        combine([(1, f), (1, identity(F7, V2))])
+    with pytest.raises(ShapeError, match="maps over different fields"):
+        f - identity(F7, V2)
+    with pytest.raises(ShapeError, match="empty linear combination"):
+        combine([])
+    with pytest.raises(ShapeError, match="chain mismatch"):
+        combine([(1, [f, identity(QQ, V3)])])
+    g = identity(F7, V2)
+    for bad in (Fraction(1, 2), 0.5, True, PrimeField(5).one):
+        with pytest.raises(FieldError, match="a map over F7 cannot scale by"):
+            combine([(F7.one, g), (bad, g)])
+        with pytest.raises(FieldError):
+            g.scale(bad)
+    for bad in (0.5, True, F7.one):
+        with pytest.raises(FieldError, match="a map over Q cannot scale by"):
+            combine([(bad, f)])

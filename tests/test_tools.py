@@ -23,3 +23,23 @@ def test_row_ab_refuses_a_row_that_is_not_a_base_row():
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "'field-independence' is not a base row of both trees" in done.stderr
+
+
+MIX_AB = os.path.join(ROOT, "tools", "mix_ab.py")
+
+
+def test_mix_ab_times_one_group_of_this_checkout_against_itself():
+    argv = [sys.executable, MIX_AB, ROOT, ROOT, "--rounds", "1", "--groups", "exit2"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1].split()[:2] == ["exit2", "20"]
+    assert lines[2].startswith("round 1: parent ")
+    assert lines[3].startswith("median round ratio ")
+
+
+def test_mix_ab_refuses_a_group_that_is_not_in_the_catalogue():
+    argv = [sys.executable, MIX_AB, ROOT, ROOT, "--groups", "suite"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "'suite' is not a catalogue group" in done.stderr

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from entwiner.cli import main
 from entwiner.entwine import (
     EntwiningData,
     MeasuredModule,
@@ -11,9 +12,10 @@ from entwiner.entwine import (
     mult_twist,
     verify,
 )
-from entwiner.fields import QQ, PrimeField
+from entwiner.fields import QQ, FieldError, PrimeField
 from entwiner.linalg import (
     LinearMap,
+    ShapeError,
     check_map_identity,
     compose,
     identity,
@@ -26,8 +28,9 @@ from entwiner.linalg import (
     tensor,
     twist,
 )
-from entwiner.registry import ALGEBRA_NAMES, algebra, resolve_instance
+from entwiner.registry import ALGEBRA_NAMES, INSTANCE_NAMES, algebra, resolve_instance
 from entwiner.report import PreconditionError
+from entwiner.suite import rollup
 from entwiner.yangbaxter import (
     TypeIISystem,
     WXZSystem,
@@ -51,7 +54,16 @@ from entwiner.yangbaxter import (
     trivial_extension,
     type2_component,
 )
-from reference import embed13_chain, plain_rows, trivial_extension_rows
+from reference import (
+    comm_twist_rows,
+    eager_yb_operator,
+    embed13_chain,
+    mult_twist_rows,
+    plain_rows,
+    rmatrix_rows,
+    trivial_extension_rows,
+    type2_rows,
+)
 
 V = space("v0", "v1")
 VV = tensor(V, V)
@@ -317,3 +329,116 @@ def test_wxz_and_type2_dataclasses_validate():
     v3 = space("u0", "u1", "u2")
     with pytest.raises(ShapeError):
         WXZSystem(w, w, identity(QQ, tensor(v3, v3)))
+
+
+# ---------------------------------------------------------------------------
+# the derived maps against their index formulas
+
+FIELDS = (QQ, PrimeField(7))
+SCALARS = ("0", "1", "-1", "2", "1/2")
+
+
+def assert_one_pass_map(field, m, want):
+    assert plain_rows(field, m.rows) == plain_rows(field, want)
+    # its sparse columns are its rows': no zero kept, every entry reduced
+    assert m._cols == LinearMap(field, m.domain, m.codomain, m.rows)._cols
+    assert all(type(x) in field.types for row in m.rows for x in row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("q", "fp7"))
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_twist_builders_match_their_index_formulas(field, name):
+    a = algebra(name, field)
+    for qs in SCALARS:
+        q = field.parse(qs)
+        assert_one_pass_map(field, mult_twist(a, q), mult_twist_rows(a, q))
+        assert_one_pass_map(field, comm_twist(a, q), comm_twist_rows(a, q))
+        assert_one_pass_map(field, type2_component(a, q), type2_rows(a, q))
+        for ss in SCALARS:
+            s = field.parse(ss)
+            assert_one_pass_map(field, make_algebra_rmatrix(a, q, s), rmatrix_rows(a, q, s))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("q", "fp7"))
+def test_degenerate_coefficients_give_maps_of_the_full_shape(field):
+    a = algebra("M2", field)
+    sq = tensor(a.space, a.space)
+    zero = field.zero
+    rmat = make_algebra_rmatrix(a, zero, zero)
+    assert (rmat.domain, rmat.codomain) == (sq, sq)
+    assert not any(any(row) for row in rmat.rows) and rmat._cols == ((),) * sq.dim
+    if field != QQ:
+        # an int coefficient that vanishes mod p is a zero coefficient
+        assert mult_twist(a, 7).rows == mult_twist(a, zero).rows
+    assert plain_rows(field, type2_component(a, zero).rows) == plain_rows(field, type2_rows(a, 0))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("q", "fp7"))
+@pytest.mark.parametrize("name", ("K", "Kx2-0", "Kx2-1", "Kx3", "KZ2", "Kmono"))
+def test_comm_twist_on_a_commutative_algebra_cancels_to_the_flip(field, name):
+    a = algebra(name, field)
+    tw = twist(field, a.space, a.space)
+    for qs in SCALARS:
+        m = comm_twist(a, field.parse(qs))
+        assert m.rows == tw.rows
+        assert m._cols == tw._cols
+
+
+# ---------------------------------------------------------------------------
+# yb-operator: cross-checks computed only when read
+
+
+@pytest.fixture
+def yb_calls(monkeypatch):
+    """Counts of what check_yb_operator computes beyond the braid law."""
+    from entwiner import yangbaxter
+
+    counts = {"commutator_check": 0, "is_invertible": 0, "materialize": 0}
+
+    def counting(name):
+        real = getattr(yangbaxter, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(yangbaxter, name, wrapper)
+
+    for name in counts:
+        counting(name)
+    return counts
+
+
+def test_verify_braid_computes_the_braid_law_alone(capsys, yb_calls):
+    assert main(["verify", "--check", "braid", "mult_twist@M2,q=1"]) == 0
+    assert "[PASS] braid" in capsys.readouterr().out
+    assert yb_calls == {"commutator_check": 0, "is_invertible": 0, "materialize": 0}
+    assert main(["verify", "--check", "yb-operator", "mult_twist@M2,q=1"]) == 0
+    capsys.readouterr()
+    # the wrappers do see the cross-checks when they are read
+    assert yb_calls == {"commutator_check": 2, "is_invertible": 1, "materialize": 2}
+
+
+def test_a_rollup_stops_at_a_failing_braid(yb_calls):
+    phi = random_endo(random.Random(0))
+    rep = check_yb_operator(phi)
+    assert rollup("yb", rep).witness[0] == "braid"
+    assert yb_calls == {"commutator_check": 0, "is_invertible": 0, "materialize": 0}
+    assert rep.render() == eager_yb_operator(phi).render()
+
+
+@pytest.mark.parametrize("expr", [form + name for name in INSTANCE_NAMES for form in ("", "dual:")])
+def test_yb_operator_output_is_the_eager_reports(capsys, expr):
+    try:
+        obj = resolve_instance(expr, QQ)
+        phi = obj.psi if isinstance(obj, EntwiningData) else obj
+        want = eager_yb_operator(phi)
+    except (ShapeError, FieldError, PreconditionError):
+        want = None
+    for extra, text in (([], lambda r: r.render()), (["--json"], lambda r: r.to_json())):
+        code = main(["verify", "--check", "yb-operator", *extra, expr])
+        out = capsys.readouterr().out
+        if want is None:
+            assert code == 2
+        else:
+            assert (code, out) == (0 if want.passed else 1, text(want))
