@@ -11,11 +11,15 @@ an element of that field), and `apply` refuses such a vector entry.
 Every product - `compose`, `kron`, `LinearMap.apply`, `materialize` and the
 identity checks - streams sparse columns through a chain of elements: maps,
 lazy Kronecker products (`KronApply`) and `Composite`s.  The only code that
-multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.  They
-read plain scalars (`field.plain`) and return raw sums: zeros stay and, over
-F_p, entries are unreduced ints.  `field.nonzero` drops the zeros and reduces
-once per chain, at the end of `chain_apply_basis` and in `apply`, and once per
-column of a `combine`.
+multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.  Both
+take a block of columns: input key c*n + j is entry j of the block's column
+c, its slot, and output key c*m + r is entry r of that slot (n and m the
+element's domain and codomain dims).  A single column is the width-1 block,
+slot 0, keyed by its rows, so one kernel serves both.  The kernels read plain
+scalars (`field.plain`) and return raw sums: zeros stay and, over F_p,
+entries are unreduced ints.  `field.nonzero` drops the zeros and reduces once
+per chain and block, at the end of `chain_apply_basis` and in `apply`, and
+once per block of a `combine`.
 
 Every element carries its flat `domain_dims` and `codomain_dims`; chains are
 matched on those.  A `KronApply` lays out its legs from their dims alone and
@@ -23,24 +27,30 @@ builds its `domain` and `codomain` spaces only when they are read (a failing
 check's witness, `materialize`).  It copies the digit of each run of adjacent
 identity legs into the output index as one stride block, with no
 multiplication, and a product with one other leg writes that leg's entries
-straight into the output.  A `Composite` wraps a chain and computes column j
-with `chain_apply_basis` the first time it is read, then keeps it, so a law
-that stops at its first failing column pays only for the columns it read.
-`materialize`, the hot dense path, computes every column of a chain in one
-loop, fills dense rows from them itself and hands its result the sparse
-columns.  `combine` is the one linear-combination path: it gives
-sum c_k * chain_k in one such pass, each column summed raw across the terms
+straight into the output; the slot of a block is one more identity digit,
+outermost.  A `Composite` wraps a chain and computes column j with
+`chain_apply_basis` the first time it is read, then keeps it, so a law that
+stops at a failing column pays only for the columns of the blocks it
+streamed.
+
+Columns are streamed in blocks [0], [1], [2, 3], [4, 7], ..., each aligned to
+its width, which doubles up to `MAX_BLOCK` columns; the cap bounds what a
+block holds.  `materialize`, the hot dense path, streams every column of a
+chain so, fills dense rows from the blocks itself and hands its result the
+sparse columns.  `combine` is the one linear-combination path: it gives
+sum c_k * chain_k in one such pass, each block summed raw across the terms
 and reduced once, and `+`, `-`, unary `-` and `scale` of a `LinearMap` are
 calls to it.  Every other dense map is filled by `from_entries` from (row,
 column, scalar) triples: the structural maps, the unit insertions and counit
 contractions, and the injections and projections of a `direct_sum`.
 `identity` and `twist` are memoised on (field, spaces), the last few kept.
-Identity checks stream column by column, so a failing check stops at the
-lexicographically-first failing basis tuple - the witness reported.  Its
-`passed` is False at once; the witness and the rendered residual are computed
-the first time they are read, from what the check keeps: the column index,
-the two plain columns, the chain's innermost element (for the basis labels)
-and the codomain dim.  A reader of verdicts alone renders nothing.
+Identity checks stream both sides block by block and stop at the first block
+where they differ; its smallest differing slot is the lexicographically-first
+failing basis tuple - the witness reported.  Its `passed` is False at once;
+the witness and the rendered residual are computed the first time they are
+read, from what the check keeps: the block's first column, the two plain
+blocks, the chain's innermost element (for the basis labels) and the codomain
+dim.  A reader of verdicts alone neither searches the blocks nor renders.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
 maps, outermost layer first.  `check_law` returns a deferred check: the first
@@ -64,6 +74,9 @@ from math import prod
 
 from .fields import Field, FieldError, Scalar
 from .report import IdentityCheck
+
+# the widest block of columns streamed at once; it bounds a block's memory
+MAX_BLOCK = 256
 
 
 class ShapeError(ValueError):
@@ -162,6 +175,8 @@ class LinearMap:
                 )
             if not types.issuperset(map(type, r)):
                 _refuse_foreign(self.field, r, "hold")
+        # (n, m), read by the kernel on every call
+        object.__setattr__(self, "_shape", (self.domain.dim, self.codomain.dim))
 
     @property
     def domain_dims(self) -> tuple[int, ...]:
@@ -186,14 +201,20 @@ class LinearMap:
         return tuple(row[j] for row in self.rows)
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
-        # raw sums: zeros kept and, over F_p, entries unreduced
+        # a block of columns: input key c*n + j is entry j of slot c, output
+        # key c*m + r entry r of slot c; raw sums: zeros kept and, over F_p,
+        # entries unreduced
         out: dict[int, Scalar] = {}
         get = out.get
         cols = self._cols
-        for j, v in col.items():
-            for r, m in cols[j]:
-                cur = get(r)
-                out[r] = m * v if cur is None else cur + m * v
+        n, m = self._shape
+        for k, v in col.items():
+            c, j = divmod(k, n)
+            base = c * m
+            for r, x in cols[j]:
+                i = base + r
+                cur = get(i)
+                out[i] = x * v if cur is None else cur + x * v
         return out
 
     def apply(self, vec) -> tuple[Scalar, ...]:
@@ -336,12 +357,14 @@ class KronApply:
     vectors.  Legs are flattened, so nesting costs nothing.  A leg at input
     stride s and output stride t reads digit (j // s) % dim of input index j
     and adds r * t to the output index for each entry r of that column; a run
-    of identity legs adds its digit itself.  The layout needs only the legs'
-    dims, so `domain` and `codomain` are built the first time they are read.
+    of identity legs adds its digit itself, and so does the slot of a block,
+    the digit j // n (n the domain dim) with output stride m (the codomain
+    dim).  The layout needs only the legs' dims, so `domain` and `codomain`
+    are built the first time they are read.
     """
 
     __slots__ = (
-        "legs", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_blocks", "_maps"
+        "legs", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_slot", "_blocks", "_maps"
     )
 
     def __init__(self, *legs):
@@ -382,6 +405,11 @@ class KronApply:
             run = leg._is_identity
             s *= d
             t *= prod(cd)
+        # the slot of a block is one more identity digit, outermost, with no
+        # bound: (input stride, output stride), merged with an outermost run
+        if run:
+            s, _, t = blocks.pop()
+        self._slot = (s, t)
         self.domain_dims = tuple(dom)
         self.codomain_dims = tuple(cod)
         self._blocks = tuple(tuple(b) for b in blocks if b[1] > 1)
@@ -400,16 +428,17 @@ class KronApply:
         return self._codomain
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
-        # raw sums, as LinearMap.apply_sparse
+        # a block of columns and raw sums, as LinearMap.apply_sparse
         out: dict[int, Scalar] = {}
         get = out.get
+        s0, t0 = self._slot
         blocks = self._blocks
         maps = self._maps
         if len(maps) == 1:
             # one non-identity leg: each of its entries is one output term
             ((s1, d1, t1, cols1),) = maps
             for j, v in col.items():
-                base = 0
+                base = j // s0 * t0
                 for s, d, t in blocks:
                     base += j // s % d * t
                 for r, m in cols1[j // s1 % d1]:
@@ -418,7 +447,7 @@ class KronApply:
                     out[idx] = m * v if cur is None else cur + m * v
             return out
         for j, v in col.items():
-            base = 0
+            base = j // s0 * t0
             for s, d, t in blocks:
                 base += j // s % d * t
             terms: list[tuple[int, Scalar]] = [(base, v)]
@@ -449,11 +478,12 @@ class Composite:
     `_cols` has the shape of `LinearMap._cols`, so the composite works as a
     chain element (through `LinearMap.apply_sparse`) and as a Kronecker leg.
     A law that fails at its first column computes only the columns that
-    column reaches, and a column read again costs a dict lookup.  The columns
-    live as long as the composite; nothing is cached across composites.
+    column's block reaches, and a column read again costs a dict lookup.  The
+    columns live as long as the composite; nothing is cached across
+    composites.
     """
 
-    __slots__ = ("chain", "field", "domain_dims", "codomain_dims", "_cols")
+    __slots__ = ("chain", "field", "domain_dims", "codomain_dims", "_shape", "_cols")
     _is_identity = False
 
     def __init__(self, chain: Chain):
@@ -462,6 +492,7 @@ class Composite:
         self.field = chain[0].field
         self.domain_dims = chain[-1].domain_dims
         self.codomain_dims = chain[0].codomain_dims
+        self._shape = (prod(self.domain_dims), prod(self.codomain_dims))
         cols = self._cols = _Columns()
         cols.chain, cols.field = chain, self.field
 
@@ -478,8 +509,8 @@ class Composite:
         """Rows as read-only views, for readers of a map's `rows` (perfbench's
         tracer tests each Kronecker leg for the identity this way): entry
         (i, j) computes column j only."""
-        n = prod(self.domain_dims)
-        return tuple(_Row(self, i, n) for i in range(prod(self.codomain_dims)))
+        n, m = self._shape
+        return tuple(_Row(self, i, n) for i in range(m))
 
     apply_sparse = LinearMap.apply_sparse
 
@@ -530,9 +561,37 @@ def _as_chain(x: Chain) -> list[ChainElt]:
     return chain
 
 
-def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, Scalar]:
-    """Column j of the composite: plain scalars, zeros dropped, reduced once at the end."""
-    col: dict[int, Scalar] = {j: 1}  # 1 is the plain one of both fields
+def _seed(lo: int, hi: int, n: int, x: Scalar) -> dict[int, Scalar]:
+    # the block x*e_lo, ..., x*e_(hi-1) of an n-dim domain: slot c holds
+    # x*e_(lo + c) at key c*n + lo + c (a loop: as a comprehension, whose
+    # frame every single column pays, it cost 2 % of the CLI catalogue's time)
+    col = {lo: x}
+    for c in range(1, hi - lo):
+        col[lo + c * (n + 1)] = x
+    return col
+
+
+@lru_cache(maxsize=64)
+def _schedule(n: int) -> tuple[tuple[int, int], ...]:
+    """The blocks (lo, hi) that stream columns 0..n-1: [0], [1], [2, 3], [4, 7], ...,
+    each aligned to its width, which doubles up to MAX_BLOCK."""
+    out = []
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + min(lo or 1, MAX_BLOCK))
+        out.append((lo, hi))
+        lo = hi
+    return tuple(out)
+
+
+def chain_apply_basis(
+    chain: list[ChainElt], j: int, field: Field, hi: int | None = None
+) -> dict[int, Scalar]:
+    """Column j of the composite or, given `hi`, the block of columns j..hi-1,
+    whose key c*m + r holds entry r of column j + c (m the codomain dim):
+    plain scalars, zeros dropped, reduced once at the end."""
+    # 1 is the plain one of both fields
+    col = _seed(j, j + 1 if hi is None else hi, prod(chain[-1].domain_dims), 1)
     for elt in reversed(chain):
         if not col:
             break
@@ -541,12 +600,12 @@ def chain_apply_basis(chain: list[ChainElt], j: int, field: Field) -> dict[int, 
 
 
 def materialize(chain: Chain) -> LinearMap:
-    """Every column of the chain, computed in one loop, as dense rows (small shapes only)."""
+    """Every column of the chain, streamed in blocks, as dense rows (small shapes only)."""
     chain = _as_chain(chain)
     field = chain[0].field
-    n = prod(chain[-1].domain_dims)
-    cols = tuple(tuple(sorted(chain_apply_basis(chain, j, field).items())) for j in range(n))
-    return _filled(field, chain[-1].domain, chain[0].codomain, cols)
+    return _filled(
+        field, chain[-1].domain, chain[0].codomain, lambda lo, hi: chain_apply_basis(chain, lo, field, hi)
+    )
 
 
 def combine(terms) -> LinearMap:
@@ -577,12 +636,11 @@ def combine(terms) -> LinearMap:
         _refuse_foreign(field, coeffs, "scale by")
     plain = field.plain
     live = [(pc, chain[::-1]) for c, chain in terms if (pc := plain(c))]
-    nonzero = field.nonzero
-    cols = []
-    for j in range(n):
+
+    def block(lo: int, hi: int) -> dict[int, Scalar]:
         total: dict[int, Scalar] = {}
         for c, elts in live:
-            col = {j: c}
+            col = _seed(lo, hi, n, c)
             for elt in elts:
                 if not col:
                     break
@@ -594,25 +652,33 @@ def combine(terms) -> LinearMap:
             for i, x in col.items():
                 cur = get(i)
                 total[i] = x if cur is None else cur + x
-        cols.append(tuple(sorted(nonzero(total).items())))
-    return _filled(field, first[-1].domain, first[0].codomain, tuple(cols))
+        return field.nonzero(total)
+
+    return _filled(field, first[-1].domain, first[0].codomain, block)
 
 
-def _filled(field: Field, domain: Space, codomain: Space, cols) -> LinearMap:
-    # the dense map whose column j holds the sorted plain entries cols[j];
-    # those columns are the sparse columns the kernels read
+def _filled(field: Field, domain: Space, codomain: Space, block) -> LinearMap:
+    # the dense map whose columns lo..hi-1 are block(lo, hi), a block of plain
+    # entries as `chain_apply_basis` gives it; its sorted columns are the
+    # sparse columns the kernels read
+    n, m = domain.dim, codomain.dim
     elem = field.elem
-    rows = [[field.zero] * len(cols) for _ in range(codomain.dim)]
-    for j, col in enumerate(cols):
-        for i, x in col:
+    rows = [[field.zero] * n for _ in range(m)]
+    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    for lo, hi in _schedule(n):
+        # key k of the block is entry i of column j, for j*m + i = k + lo*m
+        off = lo * m
+        for k, x in sorted(block(lo, hi).items()):
+            j, i = divmod(k + off, m)
+            cols[j].append((i, x))
             rows[i][j] = elem(x)
-    m = LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
-    object.__setattr__(m, "_cols", cols)
-    return m
+    f = LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
+    object.__setattr__(f, "_cols", tuple(map(tuple, cols)))
+    return f
 
 
 def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
-    """Compare two composites column by column; witness = first failing basis tuple.
+    """Compare two composites block by block; witness = first failing basis tuple.
 
     A failure's witness and residual are computed when first read (see
     `IdentityCheck.failed`).
@@ -632,14 +698,29 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
         raise ShapeError(
             f"identity codomains differ: {cod_dim} vs {prod(rc[0].codomain_dims)}"
         )
-    for j in range(dom_dim):
-        left = chain_apply_basis(lc, j, field)
-        right = chain_apply_basis(rc, j, field)
+    for lo, hi in _schedule(dom_dim):
+        left = chain_apply_basis(lc, lo, field, hi)
+        right = chain_apply_basis(rc, lo, field, hi)
         if left != right:
             return IdentityCheck.failed(
-                name, partial(_failure_details, field, lc[-1], cod_dim, j, left, right)
+                name, partial(_block_failure, field, lc[-1], cod_dim, lo, left, right)
             )
     return IdentityCheck(name, True)
+
+
+def _block_failure(field: Field, inner: ChainElt, cod_dim: int, lo: int, left, right) -> tuple:
+    # the details of two differing blocks from column lo: their first failing
+    # column is the slot that holds the smallest key where they differ
+    first = min(left.items() ^ right.items())[0]
+    base = first - first % cod_dim
+    return _failure_details(
+        field, inner, cod_dim, lo + base // cod_dim, _slot(left, base, cod_dim), _slot(right, base, cod_dim)
+    )
+
+
+def _slot(block: dict[int, Scalar], base: int, m: int) -> dict[int, Scalar]:
+    # the column of a block whose keys run from base to base + m - 1, keyed by row
+    return {k - base: x for k, x in block.items() if base <= k < base + m}
 
 
 def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, right) -> tuple:

@@ -4,6 +4,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from entwiner.fields import QQ, FieldError, PrimeField
 from entwiner.linalg import (
+    MAX_BLOCK,
     Composite,
     KronApply,
     LinearMap,
@@ -44,7 +46,7 @@ from entwiner.linalg import (
     zero_map,
 )
 from entwiner.report import IdentityCheck, Report
-from reference import embed13_chain
+from reference import embed13_chain, first_failing_column
 
 V2 = space("a0", "a1")
 V3 = space("b0", "b1", "b2")
@@ -587,6 +589,102 @@ def test_identity_legs_match_the_oracle(field, layout):
     assert in_field(field, got)
 
 
+# ---------------------------------------------------------------------------
+# blocks: columns lo..hi-1 streamed at once, column lo + c at slot c
+
+
+def block_end(j, n):
+    """End of the streamed block holding column j of n: [0], [1], [2, 3],
+    [4, 7], ..., each aligned to its width, at most MAX_BLOCK wide."""
+    width = min(1 << max(j.bit_length() - 1, 0), MAX_BLOCK)
+    return min(n, j - j % width + width)
+
+
+def assert_blocks_match_the_oracle(field, chain, spans):
+    """Every block (lo, hi) of the chain, as a chain, as a dense map and as a
+    Composite, is the oracle's columns lo + c at keys c*m + r."""
+    rows = ref_chain(field, chain)
+    m = len(rows)
+    dense_ = materialize(chain)
+    for lo, hi in spans:
+        want = {c * m + i: rows[i][lo + c] for c in range(hi - lo) for i in range(m) if rows[i][lo + c]}
+        for as_chain in (chain, [dense_], [Composite(chain)]):
+            got = chain_apply_basis(as_chain, lo, field, hi)
+            assert got == want, (lo, hi)
+            assert plain_column(field, got)
+
+
+@given(st.data())
+def test_a_streamed_block_is_its_columns_at_slot_offsets(data):
+    specs = data.draw(chain_specs(data.draw(starts)))
+    n = build(QQ, specs[-1]).domain.dim
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    for field in (QQ, F7):
+        assert_blocks_match_the_oracle(field, [build(field, s) for s in specs], [(lo, hi)])
+
+
+BLOCK_LAYOUTS = (
+    ("map",),
+    ("map", "map"),
+    ("id", "map"),
+    ("map", "id"),
+    ("id", "map", "id"),
+    ("map", "id", "map"),
+    ("id", "map", "id", "map"),
+    ("id", "id"),
+)
+
+
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS, ids="-".join)
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_kronecker_blocks_match_the_oracle_for_each_run_layout(field, layout):
+    # 0, 1 and 2 identity runs, outermost, innermost or between 1 or 2 other legs
+    rng = random.Random("block-" + "-".join(layout))
+    atoms = iter((V3, V2, W3, W2, V2, W2, V3))
+
+    def m(dom, cod):
+        rows = tuple(
+            tuple(field.from_int(rng.randrange(-3, 4)) for _ in range(dom.dim)) for _ in range(cod.dim)
+        )
+        return LinearMap(field, dom, cod, rows)
+
+    legs = [identity(field, next(atoms)) if kind == "id" else m(next(atoms), next(atoms)) for kind in layout]
+    k = lazy_kron(*legs)
+    n = prod(k.domain_dims)
+    spans = [(lo, hi) for lo in range(n) for hi in range(lo + 1, n + 1) if rng.random() < 0.2]
+    spans += [(lo, block_end(lo, n)) for lo in range(n)] + [(0, n)]
+    assert_blocks_match_the_oracle(field, [k], spans)
+    # under a dense layer: the slot of the Kronecker layer's output is the next input's
+    assert_blocks_match_the_oracle(field, [m(k.codomain, V2), k], [(0, n), (1, n), (n - 1, n)])
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_a_failing_block_reports_its_first_failing_column(field):
+    # 54 columns: blocks [0], [1], [2, 3], ..., [16, 31] and the partial [32, 53]
+    rng = random.Random(18)
+
+    def m(dom, cod):
+        rows = tuple(
+            tuple(field.from_int(rng.randrange(-2, 3)) for _ in range(dom.dim)) for _ in range(cod.dim)
+        )
+        return LinearMap(field, dom, cod, rows)
+
+    chain = [
+        lazy_kron(identity(field, V3), m(tensor(W3, V2), W2), identity(field, W3)),
+        lazy_kron(m(V3, V3), twist(field, V2, W3), identity(field, W3)),
+    ]
+    dense_ = materialize(chain)
+    assert dense_.domain.dim == 54
+    for j in range(54):
+        bumped = bumped_at(dense_, j)
+        got = check_map_identity("law", chain, bumped)
+        assert not got.passed
+        assert (got.witness, got.residual) == first_failing_column(chain, bumped)
+        assert got.witness == dense_.domain.basis_tuple(j)
+    assert check_map_identity("law", chain, dense_).passed
+
+
 # e0 + e1 goes to zero over both fields, or to (7, 0), which is zero mod 7 only
 CANCELLING = (((1, -1), (2, -2)), ((3, 4), (1, -1)))
 
@@ -773,19 +871,19 @@ def test_a_failing_check_computes_only_the_columns_it_reads(field):
     chain = [m(V3, V2), m(tensor(V2, W2), V3)]
     n = 4
     for j in range(n):
-        # innermost: the check reads columns 0..j of the composite, no more
+        # innermost: the check reads the columns of the blocks up to j's, no more
         c = Composite(chain)
         got = check_map_identity("law", c, bumped_at(materialize(chain), j))
         assert not got.passed and got.witness == c.domain.basis_tuple(j)
-        assert sorted(c._cols) == list(range(j + 1))
+        assert sorted(c._cols) == list(range(block_end(j, n)))
         # as the left leg of the innermost layer: column k reads digit k // 3
         c = Composite(chain)
         idv = identity(field, V3)
         dense_leg = materialize([lazy_kron(materialize(chain), idv)])
         k = 3 * j + 1
         got = check_map_identity("law", [lazy_kron(c, idv)], bumped_at(dense_leg, k))
-        assert not got.passed
-        assert sorted(c._cols) == sorted({i // 3 for i in range(k + 1)})
+        assert not got.passed and got.witness == dense_leg.domain.basis_tuple(k)
+        assert sorted(c._cols) == sorted({i // 3 for i in range(block_end(k, 3 * n))})
     # a check that passes reads every column once
     c = Composite(chain)
     dense_ = materialize(chain)
@@ -880,7 +978,8 @@ def bumped_rows(field):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of comparisons run, columns streamed and Kronecker layers built."""
+    """Counts of comparisons run, columns streamed (the widths of the blocks
+    streamed, summed) and Kronecker layers built."""
     import entwiner.linalg as linalg
 
     counts = {"compared": 0, "columns": 0, "kron": 0}
@@ -892,9 +991,9 @@ def counted(monkeypatch):
         counts["compared"] += 1
         return compare(*args)
 
-    def counting_apply(*args):
-        counts["columns"] += 1
-        return apply_basis(*args)
+    def counting_apply(chain, j, field, hi=None):
+        counts["columns"] += 1 if hi is None else hi - j
+        return apply_basis(chain, j, field, hi)
 
     def counting_init(self, *legs):
         counts["kron"] += 1

@@ -36,6 +36,15 @@ def test_mix_ab_times_one_group_of_this_checkout_against_itself():
     assert lines[1].split()[:2] == ["exit2", "20"]
     assert lines[2].startswith("round 1: parent ")
     assert lines[3].startswith("median round ratio ")
+    words = lines[4].split()
+    assert lines[4].startswith("per-command min over rounds, ms: parent p50 ")
+    p50_a, p99_a, p50_b, p99_b = (float(words[i]) for i in (7, 9, 12, 14))
+    assert 0 < p50_a <= p99_a and 0 < p50_b <= p99_b
+    words = lines[5].split()
+    assert lines[5].startswith("per-command ratio quartiles: ")
+    q1, q2, q3 = map(float, words[3:6])
+    assert 0 < q1 <= q2 <= q3
+    assert words[6:] == ["(over", "20", "commands)"]
 
 
 def test_mix_ab_refuses_a_group_that_is_not_in_the_catalogue():

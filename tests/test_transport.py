@@ -17,6 +17,7 @@ from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import LinearMap, ShapeError
 from entwiner.registry import INSTANCE_NAMES, resolve_instance
 from entwiner.structures import Algebra, Coalgebra
+from entwiner.yangbaxter import check_yb_operator
 
 
 def unitriangular(rng, n):
@@ -93,4 +94,33 @@ def test_verdicts_survive_a_change_of_basis(field):
             cases += 1
             moved_psi += moved.psi != e.psi
     assert cases == 76
+    assert moved_psi > cases // 2
+
+
+def conjugated(phi, g, gi):
+    """R' = (g (x) g) R (g (x) g)^-1 for R on V (x) V."""
+    return (g @ g) * phi * (gi @ gi)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_yb_operator_verdicts_survive_a_change_of_basis(field):
+    # the braid and QYBE laws stream the dim V^3 columns of V (x) V (x) V, so
+    # they cross blocks of width 2 and more
+    cases = moved_psi = 0
+    for name in INSTANCE_NAMES:
+        for expr in (name, "corrupt:" + name, "dual:" + name):
+            try:
+                psi = resolve_instance(expr, field).psi
+            except ShapeError:  # dual: of a non-factorization
+                continue
+            v, w = psi.domain.factors if len(psi.domain.factors) == 2 else (None, None)
+            if v is None or v != w:
+                continue
+            g, gi = basis_change(random.Random(expr), field, v)
+            moved = conjugated(psi, g, gi)
+            want = [(c.name, c.passed) for c in check_yb_operator(psi).checks]
+            assert [(c.name, c.passed) for c in check_yb_operator(moved).checks] == want, expr
+            cases += 1
+            moved_psi += moved != psi
+    assert cases == 56
     assert moved_psi > cases // 2

@@ -23,8 +23,12 @@ that an `emit` command prints is written to disk, as the benchmark does.
 
 It prints, per group, the number of commands, each side's time summed over
 the rounds and their ratio (change / parent), then each round's total time
-per side and its ratio, and the median of those round ratios.  A ratio below
-1 means the change is faster.  Stdlib only.
+per side and its ratio, and the median of those round ratios.  Then it takes
+each command's minimum time over the rounds on each side and prints each
+side's p50 and p99 of those (nearest rank, as the benchmark's `op_p50_ms` and
+`op_p99_ms`), and the quartiles of the per-command ratio, so a shift in
+either percentile can be read in process.  A ratio below 1 means the change
+is faster.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import gc
 import importlib
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -46,6 +51,12 @@ from row_ab import load
 SIDES = ("a", "b")
 GROUPS = ("verify", "emit", "parse", "exit2")
 FILES = "{files}"
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 def run(cli, argv: list[str]) -> tuple[int, str]:
@@ -107,12 +118,13 @@ def main(argv=None) -> int:
             write_setup(clis, roots, catalogue, files)
 
             spent = {(s, g): 0.0 for s in SIDES for g in groups}
+            best = {s: [math.inf] * len(ops) for s in SIDES}
             totals = []
             for r in range(args.rounds):
                 total = dict.fromkeys(SIDES, 0.0)
                 flip = r % 2
                 gc.collect()
-                for group, template in ops:
+                for k, (group, template) in enumerate(ops):
                     real = expand(template, files)
                     seen = {}
                     for s in SIDES[::-1] if flip else SIDES:
@@ -125,6 +137,7 @@ def main(argv=None) -> int:
                         dt = time.process_time() - t0
                         spent[s, group] += dt
                         total[s] += dt
+                        best[s][k] = min(best[s][k], dt)
                     flip ^= 1
                     if seen["a"] != seen["b"]:
                         raise SystemExit(f"{' '.join(template)}: the two trees give different output")
@@ -146,6 +159,15 @@ def main(argv=None) -> int:
         f"median round ratio {statistics.median(ratios):.3f} "
         f"(change faster in {faster} of {len(ratios)} rounds)"
     )
+    p50, p99 = ({s: 1000 * percentile(best[s], q) for s in SIDES} for q in (0.50, 0.99))
+    print(
+        f"per-command min over rounds, ms: parent p50 {p50['a']:.3f} p99 {p99['a']:.3f}  "
+        f"change p50 {p50['b']:.3f} p99 {p99['b']:.3f}"
+    )
+    per_op = [b / a for a, b in zip(best["a"], best["b"]) if a > 0]
+    if per_op:
+        q1, q2, q3 = (percentile(per_op, q) for q in (0.25, 0.50, 0.75))
+        print(f"per-command ratio quartiles: {q1:.3f} {q2:.3f} {q3:.3f} (over {len(per_op)} commands)")
     return 0
 
 
