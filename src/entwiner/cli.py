@@ -47,7 +47,7 @@ from .registry import (
     make_mult_twist,
     resolve_instance,
 )
-from .report import PreconditionError, Report
+from .report import PreconditionError, Report, render_tuple
 from .serial import FormatError, decode_json, document, emit, ensure_space, load, read_text
 from .structures import (
     Algebra,
@@ -137,30 +137,6 @@ def _on_psi(check):
     return run
 
 
-def _check_declared(obj) -> Report:
-    if isinstance(obj, EntwiningData):
-        return verify(obj)
-    if isinstance(obj, Bialgebra):
-        return check_bialgebra(obj)
-    if isinstance(obj, Algebra):
-        return check_algebra(obj)
-    if isinstance(obj, Coalgebra):
-        return check_coalgebra(obj)
-    if isinstance(obj, ModuleAction):
-        return check_module(obj)
-    if isinstance(obj, ComoduleCoaction):
-        return check_comodule(obj)
-    if isinstance(obj, GeneratorAction):
-        return check_tambara_relations(obj)
-    if isinstance(obj, WXZSystem):
-        return check_wxz(obj.w, obj.x, obj.z)
-    if isinstance(obj, TypeIISystem):
-        return check_type2(obj)
-    if isinstance(obj, LinearMap):
-        return check_yb_operator(obj)
-    raise ShapeError(f"no declared check for {type(obj).__name__}")
-
-
 def _check_braid_only(psi: LinearMap) -> Report:
     return Report("braid", (check_yb_operator(psi).check("braid"),))
 
@@ -183,6 +159,28 @@ def _check_braided(e: EntwiningData) -> Report:
 
 def _check_r_comm(e: EntwiningData) -> Report:
     return check_r_commutative(e.algebra, _self_entwining(e, "r-commutative").psi)
+
+
+# the type of a target -> its declared check, the `verify` default
+DECLARED = {
+    EntwiningData: verify,
+    Bialgebra: check_bialgebra,
+    Algebra: check_algebra,
+    Coalgebra: check_coalgebra,
+    ModuleAction: check_module,
+    ComoduleCoaction: check_comodule,
+    GeneratorAction: check_tambara_relations,
+    WXZSystem: lambda s: check_wxz(s.w, s.x, s.z),
+    TypeIISystem: check_type2,
+    LinearMap: check_yb_operator,
+}
+
+
+def _check_declared(obj) -> Report:
+    check = DECLARED.get(type(obj))
+    if check is None:
+        raise ShapeError(f"no declared check for {type(obj).__name__}")
+    return check(obj)
 
 
 CHECKS = {
@@ -250,8 +248,7 @@ def cmd_suite(args) -> int:
                 f"row {name}: {status} ({len(rep.checks) - len(bad)}/{len(rep.checks)})\n"
             )
             for c in bad:
-                w = "(" + ", ".join(c.witness) + ")" if c.witness else "-"
-                sys.stdout.write(f"  [FAIL] {c.name}  witness={w}\n")
+                sys.stdout.write(f"  [FAIL] {c.name}  witness={render_tuple(c.witness)}\n")
         sys.stdout.write(f"total: {total - failed}/{total} checks passed\n")
     return 0 if all(rep.passed for _, rep in results) else 1
 

@@ -31,7 +31,6 @@ from .linalg import (
     ShapeError,
     Space,
     check_law,
-    check_map_identity,
     combine,
     contract_left,
     direct_sum,
@@ -370,16 +369,17 @@ def induced_AtensorB_module(a: Algebra, b: Space, psi: LinearMap) -> ModuleActio
     return ModuleAction(a, tensor(a.space, b), act)
 
 
+# f : M -> N a map of right A-modules with actions ρ on M and σ on N
+INTERTWINING_LAW = ("intertwining", ["f", "ρ"], ["σ", ("f", "A")])
+
+
 def check_intertwining(f: LinearMap, source: ModuleAction, target: ModuleAction) -> Report:
     """f is a module map: f(m . a) = f(m) . a for the two given actions."""
     if source.algebra.space.dim != target.algebra.space.dim:
         raise ShapeError("intertwining requires actions of the same algebra")
     maps = {"f": f, "ρ": source.act, "σ": target.act}
     maps["A"] = identity(source.field, source.algebra.space)
-    return Report(
-        "intertwining",
-        (check_law(("intertwining", ["f", "ρ"], ["σ", ("f", "A")]), maps),),
-    )
+    return Report("intertwining", (check_law(INTERTWINING_LAW, maps),))
 
 
 def intertwining_from_semi(e: EntwiningData) -> Report:
@@ -499,6 +499,12 @@ LEFT_COMODULE_LAWS = (
     ("coassociativity", [("Δ", "M"), "δ"], [("C", "δ"), "δ"]),
     ("counit", [("ε", "M"), "δ"], ["M"]),
 )
+# entwined_roundtrip: the split action ρ and measuring φ against the given ρ₀ and φ₀
+ROUNDTRIP_LAWS = (
+    ("split-action", ["ρ"], ["ρ₀"]),
+    ("split-measuring", ["φ"], ["φ₀"]),
+    ("split-compatibility", *VARIANT_LAWS["semi-entwined-module"][1:]),
+)
 
 
 @dataclass(frozen=True)
@@ -596,17 +602,13 @@ def entwined_roundtrip(e: EntwiningData, act: LinearMap, triangle: LinearMap) ->
     m_sp = act.domain.factors[0]
     mod = module_from_pair(a, b, psi, act, triangle)
     split_act, split_tri = pair_from_module(a, b, mod)
-    maps = {"φ": split_tri, "ρ": split_act, "ψ": psi, "M": identity(a.field, m_sp)}
-    maps |= {"V": identity(a.field, b.space), "A": identity(a.field, a.space)}
-    _, lhs, rhs = VARIANT_LAWS["semi-entwined-module"]
-    compat = check_law(("split-compatibility", lhs, rhs), maps)
+    maps = {"φ": split_tri, "ρ": split_act, "φ₀": triangle, "ρ₀": act, "ψ": psi}
+    maps |= {"M": identity(a.field, m_sp), "V": identity(a.field, b.space), "A": identity(a.field, a.space)}
     return merge(
         "entwined-roundtrip",
         verify(e).prefixed("factorization"),
         check_module(ModuleAction(a, m_sp, act)).prefixed("module-a"),
         check_module(ModuleAction(b, m_sp, triangle)).prefixed("module-b"),
         check_module(mod).prefixed("product-module"),
-        check_map_identity("split-action", split_act, act),
-        check_map_identity("split-measuring", split_tri, triangle),
-        compat,
+        tuple(check_law(law, maps) for law in ROUNDTRIP_LAWS),
     )

@@ -42,7 +42,8 @@ sum c_k * chain_k in one such pass, each block summed raw across the terms
 and reduced once, and `+`, `-`, unary `-` and `scale` of a `LinearMap` are
 calls to it.  Every other dense map is filled by `from_entries` from (row,
 column, scalar) triples: the structural maps, the unit insertions and counit
-contractions, and the injections and projections of a `direct_sum`.
+contractions, vectors and covectors, and the injections and projections of a
+`direct_sum`.
 `identity` and `twist` are memoised on (field, spaces), the last few kept.
 Identity checks stream both sides block by block and stop at the first block
 where they differ; its smallest differing slot is the lexicographically-first
@@ -57,7 +58,10 @@ maps, outermost layer first.  `check_law` returns a deferred check: the first
 time the verdict is read, `law_chains` binds the names and builds the layers,
 and the two chains are compared as `check_map_identity` does, so a
 `ShapeError` from a law's chains surfaces at that read.  `check_map_identity`
-itself compares at once.  `mirror` moves a law onto the left leg.
+itself compares at once.  `mirror` moves a law onto the left leg.  A vector v
+of V is the map K -> V, 1 -> v (`vector_map`), and a covector on V the map
+V -> K (`covector_map`), K the one shared one-dimensional space; so a law on
+vectors is a word like any other, and its witness is K's one basis tuple.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
 product.  All objects are immutable after construction; a `KronApply`'s
@@ -127,6 +131,10 @@ class Space:
 
 def space(*labels: str) -> Space:
     return Space(labels=tuple(labels))
+
+
+# the one shared one-dimensional space that vectors map from and covectors to
+K = space("1")
 
 
 def tensor(*spaces: Space) -> Space:
@@ -734,20 +742,6 @@ def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, 
     return inner.domain.basis_tuple(j), residual
 
 
-def check_vector_identity(
-    name: str, field: Field, space_: Space, lhs, rhs
-) -> IdentityCheck:
-    lhs = tuple(lhs)
-    rhs = tuple(rhs)
-    if len(lhs) != len(rhs) or len(lhs) != space_.dim:
-        raise ShapeError("vector identity length mismatch")
-    for i, (a, b) in enumerate(zip(lhs, rhs)):
-        if a != b:
-            residual = tuple(field.render(x - y) for x, y in zip(lhs, rhs))
-            return IdentityCheck(name, False, space_.basis_tuple(i), residual)
-    return IdentityCheck(name, True)
-
-
 def mirror(law: Law) -> Law:
     """The same law on the left leg: every tuple layer reversed, name prefixed `left-`."""
     name, lhs, rhs = law
@@ -818,17 +812,6 @@ def tensor_vec(v, w) -> tuple:
     return tuple(a * b for a in v for b in w)
 
 
-def apply_covector(phi, vec):
-    """Pairing <phi, vec> as an exact scalar (lengths must agree)."""
-    if len(phi) != len(vec):
-        raise ShapeError("covector/vector length mismatch")
-    total = None
-    for a, b in zip(phi, vec):
-        t = a * b
-        total = t if total is None else total + t
-    return total
-
-
 def _vector_map(field: Field, vec, w: Space, v: Space, dom: Space, cod: Space, strides) -> LinearMap:
     # vec[k] (vec on W) at (rj*j + rk*k, cj*j + ck*k) for each j < dim V; strides = (rj, rk, cj, ck)
     vec = tuple(vec)
@@ -859,11 +842,11 @@ def contract_left(field: Field, phi, w: Space, v: Space) -> LinearMap:
     return _vector_map(field, phi, w, v, tensor(w, v), v, (1, 0, 1, v.dim))
 
 
-def rank_one(field: Field, domain: Space, covec, codomain: Space, vec) -> LinearMap:
-    """x -> covec(x) * vec."""
-    if len(covec) != domain.dim or len(vec) != codomain.dim:
-        raise ShapeError("rank_one shape mismatch")
-    entries = (
-        (i, j, vi * cj) for i, vi in enumerate(vec) if vi for j, cj in enumerate(covec) if cj
-    )
-    return from_entries(field, domain, codomain, entries)
+def vector_map(field: Field, vec, v: Space) -> LinearMap:
+    """The vector vec of V as the map K -> V, 1 -> vec."""
+    return _vector_map(field, vec, v, K, K, v, (0, 1, 0, 0))
+
+
+def covector_map(field: Field, phi, v: Space) -> LinearMap:
+    """The covector phi on V as the map V -> K, x -> phi(x) 1."""
+    return _vector_map(field, phi, v, K, v, K, (0, 0, 0, 1))

@@ -7,11 +7,11 @@ are immutable and render deterministically, so output is byte-identical
 across runs.
 
 A check made by `linalg.check_law` is deferred: its verdict (`passed`,
-`witness`, `residual`) is computed, by `linalg.check_map_identity`, the first
-time one of them is read, then kept, so a caller that stops at the first
-failing law pays for the laws it read.  A `ShapeError` from a deferred law's
-chains surfaces at that first read.  A failure from `check_map_identity`
-knows `passed` at once; its witness and residual are rendered the first time
+`witness`, `residual`) is computed, by the identity checker of `linalg`, the
+first time one of them is read, then kept, so a caller that stops at the
+first failing law pays for the laws it read.  A `ShapeError` from a deferred
+law's chains surfaces at that first read.  A failure from that checker knows
+`passed` at once; its witness and residual are rendered the first time
 either is read, so a caller that reads only `passed` renders nothing, and the
 rendering runs in the layer of the code that reads them.  Rendering,
 `to_dict`, `==`, `hash`, `repr` and pickling read every verdict in full; a
@@ -193,11 +193,15 @@ class Report:
             if c.passed:
                 lines.append(f"  [PASS] {c.name}")
             else:
-                w = "(" + ", ".join(c.witness) + ")" if c.witness else "-"
-                r = "(" + ", ".join(c.residual) + ")" if c.residual else "-"
+                w, r = render_tuple(c.witness), render_tuple(c.residual)
                 lines.append(f"  [FAIL] {c.name}  witness={w}  residual={r}")
         lines.append(f"verdict: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+def render_tuple(t: tuple[str, ...] | None) -> str:
+    """A witness or residual as text: `(a, b)`, or `-` when it is None or empty."""
+    return "(" + ", ".join(t) + ")" if t else "-"
 
 
 def merge(suite: str, *parts) -> Report:

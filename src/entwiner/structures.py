@@ -8,13 +8,17 @@ Conventions: modules are right modules (act : M (x) A -> M), comodules are
 right comodules (coact : M -> M (x) C), units are coefficient vectors and
 counits coefficient covectors over the fixed basis.
 
-Each map law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
-`MODULE_LAWS`, `COMODULE_LAWS`) checked by `linalg.check_law`.  Names: m and
-Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
+Every law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
+`MODULE_LAWS`, `COMODULE_LAWS`, `BIALGEBRA_LAWS`, `COMODULE_ALGEBRA_LAWS`,
+`INTEGRAL_LAWS`, `DERIVATION_LAWS`) checked by `linalg.check_law`.  Names: m
+and Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
 identity, and (X, "η"), ("η", X), (X, "ε"), ("ε", X) the unit insertions and
 counit contractions that `unit_maps` and `counit_maps` bind.  Like
 `linalg.identity`, those are built once per content key (field, unit or
-counit, spaces), the last few kept.
+counit, spaces), the last few kept.  A law on a vector reads it as a map
+from `linalg.K`: a unit or an integral is a map K -> H named η or ξ, a counit
+a map H -> K named ε, and K names the identity of K, so such a law fails with
+K's one basis tuple as its witness.
 """
 
 from __future__ import annotations
@@ -24,27 +28,24 @@ from functools import lru_cache
 
 from .fields import Field, Scalar
 from .linalg import (
+    K,
     Composite,
     LinearMap,
     ShapeError,
     Space,
-    apply_covector,
     check_law,
-    check_map_identity,
-    check_vector_identity,
     combine,
     contract_left,
     contract_right,
+    covector_map,
     dual_space,
     identity,
     insert_left,
     insert_right,
     lazy_kron,
-    rank_one,
-    space,
-    tensor,
-    tensor_vec,
     twist,
+    vector_map,
+    zero_map,
 )
 from .report import Report, merge
 
@@ -65,6 +66,30 @@ MODULE_LAWS = (
 COMODULE_LAWS = (
     ("coaction-coassociativity", [("δ", "C"), "δ"], [("M", "Δ"), "δ"]),
     ("coaction-counit", [("M", "ε"), "δ"], ["M"]),
+)
+# η : K -> H the unit and ε : H -> K the counit, as maps
+BIALGEBRA_LAWS = (
+    ("comult-multiplicative", ["Δ", "m"], [("m", "m"), ("H", "τ", "H"), ("Δ", "Δ")]),
+    ("comult-unit", ["Δ", "η"], [("η", "η")]),
+    ("counit-multiplicative", ["ε", "m"], [("ε", "ε")]),
+    ("counit-unit", ["ε", "η"], ["K"]),
+)
+# the algebra E (m, η) with a coaction δ over the bialgebra H (μ, η_H)
+COMODULE_ALGEBRA_LAWS = (
+    ("coaction-multiplicative", ["δ", "m"], [("m", "μ"), ("E", "τ", "H"), ("δ", "δ")]),
+    ("coaction-unit", ["δ", "η"], [("η", "η_H")]),
+)
+# ξ : K -> H a vector of the bialgebra H, and ("ξ", "H"), ("H", "ξ") its insertions
+INTEGRAL_LAWS = (
+    ("grouplike-comult", ["Δ", "ξ"], [("ξ", "ξ")]),
+    ("grouplike-counit", ["ε", "ξ"], ["K"]),
+    ("integral-left", ["m", ("ξ", "H")], ["ξ", "ε"]),
+    ("integral-right", ["m", ("H", "ξ")], ["ξ", "ε"]),
+)
+# d : A -> A; the right side of Leibniz is one bound `combine`, and 0 : K -> A
+DERIVATION_LAWS = (
+    ("leibniz", ["d", "m"], ["m(d⊗A + A⊗d)"]),
+    ("unit-annihilation", ["d", "η"], ["0"]),
 )
 
 
@@ -171,34 +196,13 @@ class Bialgebra:
 
 def check_bialgebra(b: Bialgebra) -> Report:
     field, h = b.field, b.space
-    eps = LinearMap(field, h, space("k"), (tuple(b.counit),))
-    maps = {"m": b.mult, "Δ": b.comult, "ε": eps, "H": identity(field, h), "τ": twist(field, h, h)}
-    compat = (
-        check_law(
-            ("comult-multiplicative", ["Δ", "m"], [("m", "m"), ("H", "τ", "H"), ("Δ", "Δ")]),
-            maps,
-        ),
-        check_vector_identity(
-            "comult-unit",
-            field,
-            tensor(h, h),
-            b.comult.apply(b.unit),
-            tensor_vec(b.unit, b.unit),
-        ),
-        check_law(("counit-multiplicative", ["ε", "m"], [("ε", "ε")]), maps),
-        check_vector_identity(
-            "counit-unit",
-            field,
-            space("unit"),
-            (apply_covector(b.counit, b.unit),),
-            (field.one,),
-        ),
-    )
+    maps = {"m": b.mult, "Δ": b.comult, "H": identity(field, h), "τ": twist(field, h, h)}
+    maps |= {"η": vector_map(field, b.unit, h), "ε": covector_map(field, b.counit, h), "K": identity(field, K)}
     return merge(
         "bialgebra",
         check_algebra(b.algebra).prefixed("algebra"),
         check_coalgebra(b.coalgebra).prefixed("coalgebra"),
-        *compat,
+        *(check_law(law, maps) for law in BIALGEBRA_LAWS),
     )
 
 
@@ -261,23 +265,16 @@ def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Repo
         "δ": coact,
         "m": alg.mult,
         "μ": h.mult,
+        "η": vector_map(field, alg.unit, e),
+        "η_H": vector_map(field, h.unit, h.space),
         "E": identity(field, e),
         "H": identity(field, h.space),
         "τ": twist(field, h.space, e),
     }
-    multiplicative = check_law(
-        ("coaction-multiplicative", ["δ", "m"], [("m", "μ"), ("E", "τ", "H"), ("δ", "δ")]),
-        maps,
-    )
-    unital = check_vector_identity(
-        "coaction-unit",
-        field,
-        tensor(e, h.space),
-        coact.apply(alg.unit),
-        tensor_vec(alg.unit, h.unit),
-    )
     return merge(
-        "comodule-algebra", check_comodule(com).prefixed("comodule"), multiplicative, unital
+        "comodule-algebra",
+        check_comodule(com).prefixed("comodule"),
+        *(check_law(law, maps) for law in COMODULE_ALGEBRA_LAWS),
     )
 
 
@@ -306,32 +303,11 @@ def convolution_algebra(c: Coalgebra) -> Algebra:
 def check_grouplike_bilateral_integral(b: Bialgebra, x: tuple[Scalar, ...]) -> Report:
     """x is group-like (comult x = x (x) x, counit x = 1) and a two-sided integral."""
     field, h = b.field, b.space
-    absorb = rank_one(field, h, b.counit, h, x)
-    return Report(
-        "grouplike-integral",
-        (
-            check_vector_identity(
-                "grouplike-comult",
-                field,
-                tensor(h, h),
-                b.comult.apply(x),
-                tensor_vec(x, x),
-            ),
-            check_vector_identity(
-                "grouplike-counit",
-                field,
-                space("counit"),
-                (apply_covector(b.counit, x),),
-                (field.one,),
-            ),
-            check_map_identity(
-                "integral-left", [b.mult, insert_left(field, x, h, h)], absorb
-            ),
-            check_map_identity(
-                "integral-right", [b.mult, insert_right(field, h, x, h)], absorb
-            ),
-        ),
-    )
+    x = tuple(x)
+    maps = {"m": b.mult, "Δ": b.comult, "ξ": vector_map(field, x, h)}
+    maps |= {"ε": covector_map(field, b.counit, h), "K": identity(field, K)}
+    maps[("H", "ξ")], maps[("ξ", "H")] = _insertions(field, x, h, h)
+    return Report("grouplike-integral", tuple(check_law(law, maps) for law in INTEGRAL_LAWS))
 
 
 def check_derivation(a: Algebra, d: LinearMap) -> Report:
@@ -339,14 +315,14 @@ def check_derivation(a: Algebra, d: LinearMap) -> Report:
 
     The right side of Leibniz is one `combine` of its two terms.
     """
-    one = a.field.one
-    ida = identity(a.field, a.space)
-    leibniz = combine([(one, [a.mult, lazy_kron(d, ida)]), (one, [a.mult, lazy_kron(ida, d)])])
-    zero = (a.field.zero,) * a.space.dim
-    return Report(
-        "derivation",
-        (
-            check_map_identity("leibniz", [d, a.mult], leibniz),
-            check_vector_identity("unit-annihilation", a.field, a.space, d.apply(a.unit), zero),
-        ),
-    )
+    field = a.field
+    one = field.one
+    ida = identity(field, a.space)
+    maps = {
+        "d": d,
+        "m": a.mult,
+        "m(d⊗A + A⊗d)": combine([(one, [a.mult, lazy_kron(d, ida)]), (one, [a.mult, lazy_kron(ida, d)])]),
+        "η": vector_map(field, a.unit, a.space),
+        "0": zero_map(field, K, a.space),
+    }
+    return Report("derivation", tuple(check_law(law, maps) for law in DERIVATION_LAWS))

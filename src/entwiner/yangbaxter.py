@@ -33,8 +33,6 @@ from .linalg import (
     ShapeError,
     Space,
     check_law,
-    check_map_identity,
-    check_vector_identity,
     combine,
     direct_sum,
     identity,
@@ -44,6 +42,7 @@ from .linalg import (
     lazy_kron,
     materialize,
     twist,
+    vector_map,
 )
 from .report import IdentityCheck, PreconditionError, Report, merge
 from .structures import Algebra, check_algebra, check_derivation, opposite_algebra
@@ -54,6 +53,13 @@ from .structures import Algebra, check_algebra, check_derivation, opposite_algeb
 _S13 = [("U", "τ⁻¹"), ("S", "V"), ("U", "τ")]
 TRIPLE_LAW = ("commutator", [("R", "W"), *_S13, ("U", "T")], [("U", "T"), *_S13, ("R", "W")])
 BRAID_LAW = ("braid", [("φ", "V"), ("V", "φ"), ("φ", "V")], [("V", "φ"), ("φ", "V"), ("V", "φ")])
+# an algebra A (m, η) with a braiding ψ, and f : A -> B into the algebra B (n, η_B) braided by φ
+R_COMMUTATIVE_LAW = ("r-commutative", ["m", "ψ"], ["m"])
+BRAIDED_MORPHISM_LAWS = (
+    ("morphism-mult", ["f", "m"], ["n", ("f", "f")]),
+    ("morphism-unit", ["f", "η"], ["η_B"]),
+    ("braiding-compatibility", [("f", "f"), "ψ"], ["φ", ("f", "f")]),
+)
 
 
 def _square_endo(m: LinearMap, what: str):
@@ -392,10 +398,7 @@ def check_braided_algebra(a: Algebra, psi: LinearMap) -> Report:
 
 def check_r_commutative(a: Algebra, psi: LinearMap) -> Report:
     """mult o psi = mult, the commutativity-up-to-braiding flag."""
-    return Report(
-        "r-commutative",
-        (check_map_identity("r-commutative", [a.mult, psi], a.mult),),
-    )
+    return Report("r-commutative", (check_law(R_COMMUTATIVE_LAW, {"m": a.mult, "ψ": psi}),))
 
 
 def check_braided_morphism(
@@ -403,16 +406,8 @@ def check_braided_morphism(
 ) -> Report:
     """f is an algebra morphism intertwining the two braidings."""
     maps = {"f": f, "m": a.mult, "n": b.mult, "ψ": psi_a, "φ": psi_b}
-    return Report(
-        "braided-morphism",
-        (
-            check_law(("morphism-mult", ["f", "m"], ["n", ("f", "f")]), maps),
-            check_vector_identity(
-                "morphism-unit", a.field, b.space, f.apply(a.unit), b.unit
-            ),
-            check_law(("braiding-compatibility", [("f", "f"), "ψ"], ["φ", ("f", "f")]), maps),
-        ),
-    )
+    maps |= {"η": vector_map(a.field, a.unit, a.space), "η_B": vector_map(b.field, b.unit, b.space)}
+    return Report("braided-morphism", tuple(check_law(law, maps) for law in BRAIDED_MORPHISM_LAWS))
 
 
 def trivial_extension(a: Algebra) -> Algebra:

@@ -267,3 +267,17 @@ def eager_yb_operator(phi: LinearMap) -> Report:
     checks.append(IdentityCheck("twist-agreement", verdicts[0] == verdicts[1] == verdicts[2]))
     checks.append(IdentityCheck("invertible", is_invertible(phi)))
     return Report("yb-operator", tuple(checks))
+
+
+def vector_identity(name: str, field, space_: Space, lhs, rhs) -> IdentityCheck:
+    """The identity lhs = rhs of two coefficient vectors on `space_`, checked
+    eagerly: a failure's witness is the basis tuple of the first coordinate
+    where they differ, and its residual is lhs - rhs rendered."""
+    lhs, rhs = tuple(lhs), tuple(rhs)
+    if len(lhs) != len(rhs) or len(lhs) != space_.dim:
+        raise ShapeError("vector identity length mismatch")
+    for i, (a, b) in enumerate(zip(lhs, rhs)):
+        if a != b:
+            residual = tuple(field.render(x - y) for x, y in zip(lhs, rhs))
+            return IdentityCheck(name, False, space_.basis_tuple(i), residual)
+    return IdentityCheck(name, True)

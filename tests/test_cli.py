@@ -22,6 +22,7 @@ from entwiner.entwine import EntwiningData
 from entwiner.fields import QQ
 from entwiner.linalg import ShapeError
 from entwiner.registry import INSTANCE_NAMES, algebra, bialgebra, coalgebra
+from entwiner.report import IdentityCheck, Report, render_tuple
 from entwiner.serial import document, emit, ensure_space, parse
 from entwiner.suite import worker_count
 
@@ -44,6 +45,28 @@ def test_verify_failing_instance(capsys):
     assert "[FAIL]" in out
     assert "witness=" in out
     assert "verdict: FAIL" in out
+
+
+def test_a_failing_check_renders_its_witness_alike_in_verify_and_suite(capsys, monkeypatch):
+    rep = entwiner.verify(entwiner.registry.resolve_instance("mult_twist@Kx3,q=1/2", QQ))
+    checks = (*rep.failures(), IdentityCheck("no-witness", False))
+    monkeypatch.setattr(entwiner.cli, "run_suite", lambda *a, **k: [("row", Report("row", checks))])
+    code, suite_out, _ = run(capsys, "suite")
+    assert code == 1
+    report_out = Report("row", checks).render()
+    assert "  [FAIL] left-unit  witness=(x)  residual=(0, 1/2, 0, -1/2, 0, 0, 0, 0, 0)\n" in report_out
+    assert "  [FAIL] no-witness  witness=-  residual=-\n" in report_out
+    for c in checks:
+        line = f"  [FAIL] {c.name}  witness={render_tuple(c.witness)}"
+        assert f"{line}\n" in suite_out and f"{line}  residual={render_tuple(c.residual)}\n" in report_out
+    assert "  [FAIL] left-unit  witness=(x)\n" in suite_out
+
+
+def test_verify_of_a_target_without_a_declared_check_is_a_usage_error(capsys, tmp_path):
+    code, out, _ = run(capsys, "construct", "mult_twist", "Kx2-1", "2")
+    path = tmp_path / "gamma.json"
+    path.write_text(out)
+    assert run(capsys, "verify", f"{path}:A-space") == (2, "", "error: no declared check for Space\n")
 
 
 def test_verify_over_prime_field(capsys):

@@ -1,0 +1,146 @@
+"""The law tables: every identity is a row, vector laws included."""
+
+import os
+from dataclasses import replace
+
+import pytest
+
+import entwiner
+from entwiner import entwine, structures, suite, yangbaxter
+from entwiner.fields import QQ, PrimeField
+from entwiner.linalg import K, from_columns, tensor, tensor_vec
+from entwiner.registry import algebra, bialgebra
+from entwiner.report import render_tuple
+from entwiner.structures import (
+    check_bialgebra,
+    check_comodule_algebra,
+    check_derivation,
+    check_grouplike_bilateral_integral,
+)
+from entwiner.yangbaxter import check_braided_morphism, make_braiding
+
+from reference import vector_identity
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def law_tables() -> dict:
+    """Every module-level law table of the modules that check laws, by name: a
+    `*_LAWS` tuple or dict of rows, or a single `*_LAW` row."""
+    tables = {}
+    for module in (structures, entwine, yangbaxter, suite):
+        for name, value in vars(module).items():
+            if name.endswith("_LAWS"):
+                tables[name] = tuple(value.values()) if isinstance(value, dict) else value
+            elif name.endswith("_LAW"):
+                tables[name] = (value,)
+    return tables
+
+
+def test_every_law_table_row_is_a_name_and_two_words():
+    tables = law_tables()
+    assert {"BIALGEBRA_LAWS", "INTEGRAL_LAWS", "DERIVATION_LAWS", "ROUNDTRIP_LAWS"} <= set(tables)
+    assert {"BRAIDED_MORPHISM_LAWS", "R_COMMUTATIVE_LAW", "SELF_INVERSE_LAW"} <= set(tables)
+    for name, rows in tables.items():
+        assert rows, name
+        for row in rows:
+            assert type(row) is tuple and len(row) == 3, (name, row)
+            law, lhs, rhs = row
+            assert type(law) is str and type(lhs) is list and type(rhs) is list, (name, row)
+            for layer in lhs + rhs:
+                legs = layer if type(layer) is tuple else (layer,)
+                assert legs and all(type(leg) is str for leg in legs), (name, layer)
+
+
+def test_reading_a_law_names_every_law_table():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Reading a law")[1].split("\n## ")[0]
+    assert [name for name in law_tables() if f"`{name}`" not in section] == []
+
+
+def test_only_linalg_and_the_package_name_the_identity_checker():
+    src = os.path.dirname(entwiner.__file__)
+    naming = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                if "check_map_identity" in fh.read():
+                    naming.append(name)
+    assert naming == ["__init__.py", "linalg.py"]
+
+
+def _pairing(field, phi, vec):
+    return sum((a * b for a, b in zip(phi, vec)), field.zero)
+
+
+# law -> (field, a vector v) -> (a report that holds the law, the space of its
+# two sides as vectors, the two sides computed eagerly); v is the unit of KZ2,
+# the image of 1 under a coaction of K, an integral of KZ2, or the image of 1
+# under a derivation or an endomorphism of Kx2-1 that fixes x, all of dim 2
+def _comult_unit(field, u):
+    b = replace(bialgebra("KZ2", field), unit=u)
+    return check_bialgebra(b), tensor(b.space, b.space), b.comult.apply(u), tensor_vec(u, u)
+
+
+def _counit_unit(field, u):
+    b = replace(bialgebra("KZ2", field), unit=u)
+    return check_bialgebra(b), K, (_pairing(field, b.counit, u),), (field.one,)
+
+
+def _coaction_unit(field, v):
+    k, h = algebra("K", field), bialgebra("KZ2", field)
+    coact = from_columns(field, k.space, tensor(k.space, h.space), (v,))
+    rep = check_comodule_algebra(k, h, coact)
+    return rep, coact.codomain, coact.apply(k.unit), tensor_vec(k.unit, h.unit)
+
+
+def _grouplike_comult(field, x):
+    h = bialgebra("KZ2", field)
+    return check_grouplike_bilateral_integral(h, x), tensor(h.space, h.space), h.comult.apply(x), tensor_vec(x, x)
+
+
+def _grouplike_counit(field, x):
+    h = bialgebra("KZ2", field)
+    return check_grouplike_bilateral_integral(h, x), K, (_pairing(field, h.counit, x),), (field.one,)
+
+
+def _unit_annihilation(field, v):
+    a = algebra("Kx2-1", field)
+    d = from_columns(field, a.space, a.space, (v, (field.zero, field.zero)))
+    return check_derivation(a, d), a.space, d.apply(a.unit), (field.zero, field.zero)
+
+
+def _morphism_unit(field, v):
+    a = algebra("Kx2-1", field)
+    f = from_columns(field, a.space, a.space, (v, (field.zero, field.one)))
+    braiding = make_braiding(a)
+    return check_braided_morphism(f, a, braiding, a, braiding), a.space, f.apply(a.unit), a.unit
+
+
+VECTOR_LAWS = {
+    "comult-unit": _comult_unit,
+    "counit-unit": _counit_unit,
+    "coaction-unit": _coaction_unit,
+    "grouplike-comult": _grouplike_comult,
+    "grouplike-counit": _grouplike_counit,
+    "unit-annihilation": _unit_annihilation,
+    "morphism-unit": _morphism_unit,
+}
+VECTORS = ((1, 0), (0, 1), (1, 1), (2, 0), (3, -1), (0, 0), (4, 4))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize("law", VECTOR_LAWS)
+def test_a_vector_law_fails_at_the_basis_tuple_of_K_with_the_eager_residual(law, field):
+    failed = 0
+    for ints in VECTORS:
+        vec = tuple(map(field.from_int, ints))
+        rep, space_, lhs, rhs = VECTOR_LAWS[law](field, vec)
+        got, want = rep.check(law), vector_identity(law, field, space_, lhs, rhs)
+        assert got.passed == want.passed, (law, ints)
+        if not got.passed:
+            failed += 1
+            assert got.witness == K.basis_tuple(0) == ("1",)
+            assert got.residual == want.residual, (law, ints)
+            assert f"  [FAIL] {law}  witness=(1)  residual={render_tuple(want.residual)}\n" in rep.render()
+    assert failed, law

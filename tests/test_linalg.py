@@ -18,7 +18,6 @@ from entwiner.linalg import (
     LinearMap,
     ShapeError,
     Space,
-    apply_covector,
     chain_apply_basis,
     check_law,
     check_map_identity,
@@ -38,7 +37,6 @@ from entwiner.linalg import (
     law_chains,
     lazy_kron,
     materialize,
-    rank_one,
     space,
     tensor,
     tensor_vec,
@@ -270,13 +268,6 @@ def test_from_columns():
     assert f.rows == ((1, 0), (2, 1), (3, 0))
 
 
-def test_covector_helpers():
-    phi = (2, -1)
-    assert apply_covector(phi, (3, 4)) == 2
-    r = rank_one(QQ, V2, phi, V3, (1, 0, 1))
-    assert r.rows == ((2, -1), (0, 0), (2, -1))
-
-
 def test_insert_and_contract():
     wv = (3, 5)
     ins = insert_left(QQ, wv, W2, V3)
@@ -290,7 +281,7 @@ def test_insert_and_contract():
     phi = (1, -2)
     cl = contract_left(QQ, phi, W2, V3)
     assert compose(cl, ins).rows == tuple(
-        tuple(apply_covector(phi, wv) * x for x in row)
+        tuple((1 * 3 - 2 * 5) * x for x in row)
         for row in identity(QQ, V3).rows
     )
     cr = contract_right(QQ, V3, phi, W2)
