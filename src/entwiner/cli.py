@@ -436,10 +436,7 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(exc.report.render())
         return 1
-    except (ShapeError, FormatError, FieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ShapeError, FormatError, FieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

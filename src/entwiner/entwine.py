@@ -4,9 +4,10 @@ A map psi : B (x) A -> A (x) B over an algebra A (or psi : D (x) C -> C (x) D
 over a coalgebra C) can satisfy several graded axiom sets.  Each named kind is
 one row of KIND_TABLE: the algebra pair SEMI_LAWS (unit, product) or the
 coalgebra pair COSEMI_LAWS (counit, coproduct) on the right leg, optionally
-followed by one of the two pairs mirrored onto the left leg.  Sweedler sums
-are never symbolic: every axiom is a word of tensor layers of named maps (see
-`linalg.check_law`), checked on basis columns.
+followed by one of the two pairs mirrored onto the left leg; COSEMI_LAWS is
+derived from SEMI_LAWS by `linalg.dual`.  Sweedler sums are never symbolic:
+every axiom is a word of tensor layers of named maps (see `linalg.check_law`),
+checked on basis columns.
 
 The second half builds what a verified map induces: the twisted product on
 A (x) B (an algebra iff the map is a factorization), the dual coproduct, the
@@ -14,10 +15,10 @@ convolution-side dual, the induced module and the intertwining into it, the
 B (+) A comodule algebra over a bialgebra, entwined module/comodule variants,
 and the module/measuring round trip.  Each twisted (co)product is one chain:
 `factorization_product` and `cofactorization_coproduct` materialize it, and
-the iff checks run the (co)algebra laws on its `Composite`, so a psi that
-fails at an early column computes only the columns read so far.  Their
-verdict agreement reads the (co)unit laws before (co)associativity, so a psi
-that fails a (co)unit law streams no (co)associativity column.
+the two iff checks, one driver, run the (co)algebra laws on its `Composite`,
+so a psi that fails at an early column computes only the columns read so far.
+Their verdict agreement reads the (co)unit laws before (co)associativity, so a
+psi that fails a (co)unit law streams no (co)associativity column.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .linalg import (
     combine,
     contract_left,
     direct_sum,
+    dual,
     identity,
     insert_left,
     insert_right,
@@ -82,11 +84,8 @@ SEMI_LAWS = (
     ("unit", ["ψ", ("B", "η")], [("η", "B")]),
     ("multiplicativity", ["ψ", ("B", "m")], [("m", "B"), ("A", "ψ"), ("ψ", "A")]),
 )
-# psi : D (x) C -> C (x) D with the coalgebra (C, Δ, ε) on the right leg
-COSEMI_LAWS = (
-    ("counit", [("ε", "D"), "ψ"], [("D", "ε")]),
-    ("comultiplicativity", [("Δ", "D"), "ψ"], [("C", "ψ"), ("ψ", "C"), ("D", "Δ")]),
-)
+# psi : D (x) C -> C (x) D, C on the right leg: the semi laws' duals, mirrored back from the left
+COSEMI_LAWS = tuple(mirror(dual(law), prefix="") for law in SEMI_LAWS)
 
 
 @dataclass(frozen=True)
@@ -255,39 +254,6 @@ def factorization_product(a: Algebra, b: Algebra, psi: LinearMap) -> Algebra:
     return _twisted_product(a, b, psi, materialize)
 
 
-def _passed_units_first(rep: Report) -> bool:
-    """`rep.passed`, with the (co)unit laws read before (co)associativity.
-
-    The conjunction is the same; only the read order differs.  A (co)unit law
-    compares dim V columns and (co)associativity dim V^3, each of which fans
-    out through the twisted (co)product twice.  Most random ψ fail a (co)unit
-    law, so the verdict is usually settled before (co)associativity streams a
-    column.
-    """
-    return all(c.passed for c in rep.checks if "unit" in c.name) and rep.passed
-
-
-def check_product_iff(e: EntwiningData) -> Report:
-    """The twisted product is an algebra iff psi is a factorization; verdicts must agree.
-
-    The product's side of `verdict-agreement` reads its unit laws before
-    associativity; the report lists the laws in their table's order.
-    """
-    e = replace(e, kind="factorization")
-    # the laws read the product's columns on demand; most ψ fail at the first
-    product = check_algebra(_twisted_product(e.algebra, e.left_algebra, e.psi, Composite))
-    factorization = verify(e)
-    agreement = IdentityCheck(
-        "verdict-agreement", _passed_units_first(product) == factorization.passed
-    )
-    return merge(
-        "product-iff",
-        product.prefixed("product"),
-        factorization.prefixed("factorization"),
-        agreement,
-    )
-
-
 def _twisted_coproduct(c: Coalgebra, d: Coalgebra, psi: LinearMap, build) -> Coalgebra:
     """The twisted coproduct on D (x) C induced by psi : D (x) C -> C (x) D; `build`
     turns the chain (D (x) psi (x) C) o (Δ_D (x) Δ_C) into the comultiplication."""
@@ -304,26 +270,28 @@ def cofactorization_coproduct(c: Coalgebra, d: Coalgebra, psi: LinearMap) -> Coa
     return _twisted_coproduct(c, d, psi, materialize)
 
 
-def check_coproduct_iff(e: EntwiningData) -> Report:
-    """The twisted coproduct is a coalgebra iff psi is a coalgebra factorization.
-
-    The coproduct's side of `verdict-agreement` reads its counit laws before
-    coassociativity; the report lists the laws in their table's order.
-    """
-    e = replace(e, kind="cofactorization")
-    coproduct = check_coalgebra(
-        _twisted_coproduct(e.coalgebra, e.left_coalgebra, e.psi, Composite)
-    )
+def _check_iff(e: EntwiningData, kind: str, side: str, twisted, check) -> Report:
+    """`check`'s laws on the `Composite` twisted (co)product that `twisted` builds, `verify`
+    of e as `kind`, and their `verdict-agreement`, whose (co)product side reads the
+    (co)unit laws first: they compare dim V columns, (co)associativity dim V^3, and most
+    random ψ fail one.  The report lists the laws in their table's order."""
+    e = replace(e, kind=kind)
+    _, right, left = KIND_TABLE[kind]
+    laws = check(twisted(getattr(e, right), getattr(e, "left_" + left), e.psi, Composite))
     factorization = verify(e)
-    agreement = IdentityCheck(
-        "verdict-agreement", _passed_units_first(coproduct) == factorization.passed
-    )
-    return merge(
-        "coproduct-iff",
-        coproduct.prefixed("coproduct"),
-        factorization.prefixed("factorization"),
-        agreement,
-    )
+    units_first = all(c.passed for c in laws.checks if "unit" in c.name) and laws.passed
+    agreement = IdentityCheck("verdict-agreement", units_first == factorization.passed)
+    return merge(f"{side}-iff", laws.prefixed(side), factorization.prefixed("factorization"), agreement)
+
+
+def check_product_iff(e: EntwiningData) -> Report:
+    """The twisted product is an algebra iff psi is a factorization; verdicts must agree."""
+    return _check_iff(e, "factorization", "product", _twisted_product, check_algebra)
+
+
+def check_coproduct_iff(e: EntwiningData) -> Report:
+    """The twisted coproduct is a coalgebra iff psi is a coalgebra factorization."""
+    return _check_iff(e, "cofactorization", "coproduct", _twisted_coproduct, check_coalgebra)
 
 
 def dualize_cosemi(c: Coalgebra, d: Space, psi: LinearMap) -> EntwiningData:
@@ -434,12 +402,16 @@ def make_biproduct(
     product and each coaction are one `combine` of their terms over the
     injections and projections of the direct sum.
     """
-    if integral is not None:
-        integral = tuple(integral)
-        if len(integral) != h.space.dim:
-            raise ShapeError(f"the integral has length {len(integral)}, but dim H is {h.space.dim}")
     field = h.field
     a_sp = h.space
+    dom, cod = b.dims + a_sp.dims, a_sp.dims + b.dims
+    if (psi.domain_dims, psi.codomain_dims) != (dom, cod):
+        got = f"{psi.domain_dims} -> {psi.codomain_dims}"
+        raise ShapeError(f"psi maps {got}, not B (x) H -> H (x) B, {dom} -> {cod}")
+    if integral is not None:
+        integral = tuple(integral)
+        if len(integral) != a_sp.dim:
+            raise ShapeError(f"the integral has length {len(integral)}, but dim H is {a_sp.dim}")
     e_sp, i_b, i_a, p_b, p_a = direct_sum(field, b, a_sp, "B", "A")
     id_a = identity(field, a_sp)
 
@@ -491,9 +463,11 @@ def make_biproduct(
 VARIANT_LAWS = {
     "semi-entwined-module": ("compatibility", ["φ", ("ρ", "V"), ("M", "ψ")], ["ρ", ("φ", "A")]),
     "semi-entwined-comodule": ("compatibility", ["φ", "ρ"], [("ρ", "V"), ("M", "ψ"), ("φ", "A")]),
-    "cosemi-entwined-module": ("compatibility", ["δ", "φ"], [("C", "φ"), ("ψ", "M"), ("V", "δ")]),
+    # written out, as LEFT_COMODULE_LAWS is: deriving either swaps its sides, negating its residual
     "cosemi-entwined-comodule": ("compatibility", [("C", "φ"), "δ"], [("ψ", "M"), ("V", "δ"), "φ"]),
 }
+# the dual of the semi-entwined-comodule row, mirrored back as in COSEMI_LAWS
+VARIANT_LAWS["cosemi-entwined-module"] = mirror(dual(VARIANT_LAWS["semi-entwined-comodule"]), prefix="")
 VARIANTS = tuple(VARIANT_LAWS)
 LEFT_COMODULE_LAWS = (
     ("coassociativity", [("Δ", "M"), "δ"], [("C", "δ"), "δ"]),
@@ -557,8 +531,7 @@ def check_entwined_variant(mm: MeasuredModule, e: EntwiningData) -> Report:
         maps |= {"ρ": mm.act, "A": identity(field, a.space)}
         prereq = check_module(ModuleAction(a, m_sp, mm.act)).prefixed("module")
     else:
-        c = e.coalgebra
-        coact = mm.coact
+        c, coact = e.coalgebra, mm.coact
         if coact.domain.dims != m_sp.dims or coact.codomain.dims != c.space.dims + m_sp.dims:
             raise ShapeError("left coaction must map M -> C (x) M")
         maps |= {"δ": coact, "Δ": c.comult, "C": identity(field, c.space)}

@@ -21,7 +21,8 @@ when it is built, and so does `LinearMap.apply` for a vector entry.
 `from_int`, `div` and `render` refuse such a scalar on both fields.
 
 `parse` takes "n" or "n/d" with optional surrounding whitespace; the
-strings "-9" ... "9" are looked up in a table of their values first.
+strings "-9" ... "9" are looked up in a table of their values first.  A
+string with more digits than `int` converts is refused with FieldError.
 
 Field tags ("q", "fp:<p>") are shared by the CLI --field flag and the
 structure-file format.
@@ -85,10 +86,13 @@ class Rationals:
         m = _SCALAR_RE.match(s.strip())
         if not m:
             raise FieldError(f"bad scalar string {s!r}")
-        num = int(m.group(1))
-        if m.group(2) is None:
+        num, den = m.groups()
+        try:
+            num, den = int(num), den and int(den)
+        except ValueError:  # more digits than `int` converts
+            raise FieldError(f"scalar string of {len(s)} characters has too many digits") from None
+        if den is None:
             return num
-        den = int(m.group(2))
         if den == 0:
             raise FieldError(f"zero denominator in {s!r}")
         return _normalize(Fraction(num, den))
@@ -231,13 +235,16 @@ class PrimeField:
         m = _SCALAR_RE.match(s.strip())
         if not m:
             raise FieldError(f"bad scalar string {s!r}")
-        num = self.elem(int(m.group(1)))
-        if m.group(2) is None:
-            return num
-        den = int(m.group(2)) % self.p
-        if den == 0:
+        num, den = m.groups()
+        try:
+            num, den = int(num), den and int(den)
+        except ValueError:  # more digits than `int` converts
+            raise FieldError(f"scalar string of {len(s)} characters has too many digits") from None
+        if den is None:
+            return self.elem(num)
+        if den % self.p == 0:
             raise FieldError(f"denominator of {s!r} vanishes mod {self.p}")
-        return num * self.elem(pow(den, self.p - 2, self.p))
+        return self.elem(num * pow(den, self.p - 2, self.p))
 
     def render(self, x) -> str:
         return str(self.plain(x))

@@ -58,10 +58,12 @@ maps, outermost layer first.  `check_law` returns a deferred check: the first
 time the verdict is read, `law_chains` binds the names and builds the layers,
 and the two chains are compared as `check_map_identity` does, so a
 `ShapeError` from a law's chains surfaces at that read.  `check_map_identity`
-itself compares at once.  `mirror` moves a law onto the left leg.  A vector v
-of V is the map K -> V, 1 -> v (`vector_map`), and a covector on V the map
-V -> K (`covector_map`), K the one shared one-dimensional space; so a law on
-vectors is a word like any other, and its witness is K's one basis tuple.
+itself compares at once.  `mirror` moves a law onto the other leg, and `dual`
+transposes it into the law of the dual structure (layers reversed; m and Δ, η
+and ε, ... swapped).  A vector v of V is the map K -> V, 1 -> v (`vector_map`),
+and a covector on V the map V -> K (`covector_map`), K the one shared
+one-dimensional space; so a law on vectors is a word like any other, and its
+witness is K's one basis tuple.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
 product.  All objects are immutable after construction; a `KronApply`'s
@@ -742,14 +744,32 @@ def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, 
     return inner.domain.basis_tuple(j), residual
 
 
-def mirror(law: Law) -> Law:
-    """The same law on the left leg: every tuple layer reversed, name prefixed `left-`."""
+def mirror(law: Law, prefix: str = "left-") -> Law:
+    """The same law on the other leg: every tuple layer reversed, name prefixed `prefix`."""
     name, lhs, rhs = law
 
     def flip(side):
         return [w[::-1] if isinstance(w, tuple) else w for w in side]
 
-    return ("left-" + name, flip(lhs), flip(rhs))
+    return (prefix + name, flip(lhs), flip(rhs))
+
+
+# the involution of `dual` on map names and on the words of a law's name
+_DUALS = {"m": "Δ", "η": "ε", "A": "C", "B": "D", "ρ": "δ", "unit": "counit"}
+_DUALS |= {w: "co" + w for w in ("associativity", "multiplicativity", "action")}
+_DUALS |= {v: k for k, v in _DUALS.items()}
+
+
+def dual(law: Law) -> Law:
+    """The transposed law, that of the dual structure: each side's layers reversed, each map
+    name and `-`-separated word of the law's name swapped by `_DUALS`, leg order kept."""
+    name, lhs, rhs = law
+    word = _DUALS.get
+
+    def swap(side):
+        return [tuple(word(n, n) for n in w) if isinstance(w, tuple) else word(w, w) for w in reversed(side)]
+
+    return ("-".join(word(w, w) for w in name.split("-")), swap(lhs), swap(rhs))
 
 
 def law_chains(law: Law, maps: dict) -> tuple[list[ChainElt], list[ChainElt]]:

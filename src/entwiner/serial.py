@@ -303,6 +303,8 @@ def decode_json(text: str, what: str):
         raise FormatError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise FormatError(f"{what} is nested too deeply to decode") from None
+    except ValueError:  # a number with more digits than `int` converts
+        raise FormatError(f"{what} holds a number with too many digits") from None
 
 
 def read_text(path: str, what: str) -> str:

@@ -10,7 +10,9 @@ counits coefficient covectors over the fixed basis.
 
 Every law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
 `MODULE_LAWS`, `COMODULE_LAWS`, `BIALGEBRA_LAWS`, `COMODULE_ALGEBRA_LAWS`,
-`INTEGRAL_LAWS`, `DERIVATION_LAWS`) checked by `linalg.check_law`.  Names: m
+`INTEGRAL_LAWS`, `DERIVATION_LAWS`) checked by `linalg.check_law`.  The
+coalgebra and comodule tables are not written out: each row is `linalg.dual` of
+its algebra or module row, the transposed identity.  Names: m
 and Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
 identity, and (X, "η"), ("η", X), (X, "ε"), ("ε", X) the unit insertions and
 counit contractions that `unit_maps` and `counit_maps` bind.  Like
@@ -38,6 +40,7 @@ from .linalg import (
     contract_left,
     contract_right,
     covector_map,
+    dual,
     dual_space,
     identity,
     insert_left,
@@ -54,19 +57,13 @@ ALGEBRA_LAWS = (
     ("unit-left", ["m", ("η", "A")], ["A"]),
     ("unit-right", ["m", ("A", "η")], ["A"]),
 )
-COALGEBRA_LAWS = (
-    ("coassociativity", [("Δ", "C"), "Δ"], [("C", "Δ"), "Δ"]),
-    ("counit-left", [("ε", "C"), "Δ"], ["C"]),
-    ("counit-right", [("C", "ε"), "Δ"], ["C"]),
-)
 MODULE_LAWS = (
     ("action-associativity", ["ρ", ("ρ", "A")], ["ρ", ("M", "m")]),
     ("action-unit", ["ρ", ("M", "η")], ["M"]),
 )
-COMODULE_LAWS = (
-    ("coaction-coassociativity", [("δ", "C"), "δ"], [("M", "Δ"), "δ"]),
-    ("coaction-counit", [("M", "ε"), "δ"], ["M"]),
-)
+# the transposes, for (C, Δ, ε) and a right comodule δ : M -> M (x) C
+COALGEBRA_LAWS = tuple(map(dual, ALGEBRA_LAWS))
+COMODULE_LAWS = tuple(map(dual, MODULE_LAWS))
 # η : K -> H the unit and ε : H -> K the counit, as maps
 BIALGEBRA_LAWS = (
     ("comult-multiplicative", ["Δ", "m"], [("m", "m"), ("H", "τ", "H"), ("Δ", "Δ")]),

@@ -646,16 +646,19 @@ def worker_count(jobs: int, tasks: int) -> int:
 def run_suite(field_tag: str, rows=None, jobs: int = 1) -> list:
     """Run the named rows (default all) and return (name, Report) pairs in order.
 
-    Each (row, field) pair is built once.  `field-independence` compares the
+    An unknown or repeated row name is refused with ShapeError.  Each
+    (row, field) pair is built once.  `field-independence` compares the
     base rows built over the main field with the same rows built over the
     alternate field (F_7 for Q, Q for any F_p), kept only as signatures.
     """
     names = list(ROW_NAMES if rows is None else rows)
     if not names:
         raise ShapeError("the suite grid names no rows")
-    for n in names:
+    for i, n in enumerate(names):
         if n not in ROW_NAMES:
             raise ShapeError(f"unknown suite row '{n}'")
+        if n in names[:i]:
+            raise ShapeError(f"the suite grid repeats row '{n}'")
     compare = "field-independence" in names
     wanted = [n for n in names if n in BASE_ROWS] + list(BASE_ROWS if compare else ())
     tasks = [(n, field_tag) for n in dict.fromkeys(wanted)]

@@ -133,6 +133,40 @@ def test_verify_refuses_a_huge_prime_quickly(capsys):
     assert time.perf_counter() - start < 5
 
 
+ONES = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("verify", f"mult_twist@Kx3,q={ONES}"),
+        ("verify", "--field", "fp:7", f"mult_twist@Kx3,q={ONES}"),
+        ("construct", "mult_twist", "Kx3", ONES),
+        ("construct", "--field", "fp:7", "mult_twist", "Kx3", f"1/{ONES}"),
+    ),
+)
+def test_a_scalar_with_too_many_digits_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: scalar string of {len(argv[-1].rpartition('=')[2])} characters has too many digits\n"
+
+
+@pytest.mark.parametrize("what", ("structure file", "grid file"))
+def test_a_json_number_with_too_many_digits_is_bad_input(capsys, tmp_path, what):
+    p = tmp_path / "big.json"
+    if what == "grid file":
+        p.write_text('{"rows": [' + "1" * 5000 + "]}")
+        argv = ("suite", "--grid", str(p))
+    else:
+        p.write_text('{"format": ' + "1" * 5000 + ', "field": "q", "objects": []}')
+        argv = ("verify", f"{p}:A")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} holds a number with too many digits\n"
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run(capsys, "verify", "--json", "mult_twist@Kx3,q=1/2")
     assert code == 1
@@ -280,6 +314,16 @@ def test_suite_refuses_an_empty_grid(capsys, tmp_path, monkeypatch, grid):
     assert out == ""
 
 
+@pytest.mark.parametrize("grid", ("biproduct,biproduct", "twice.json"))
+def test_suite_refuses_a_repeated_row(capsys, tmp_path, monkeypatch, grid):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "twice.json").write_text(json.dumps({"rows": ["biproduct", "twists", "biproduct"]}))
+    code, out, err = run(capsys, "suite", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the suite grid repeats row 'biproduct'\n"
+
+
 def test_suite_unknown_row_is_usage_error(capsys):
     code, _, err = run(capsys, "suite", "--grid", "twsits")
     assert code == 2
@@ -370,6 +414,13 @@ def test_construct_biproduct_refuses_an_integral_of_the_wrong_length(capsys, int
     assert out == ""
     length = len(integral.split(":"))
     assert err == f"error: the integral has length {length}, but dim H is 2\n"
+
+
+def test_construct_biproduct_refuses_a_psi_of_the_wrong_shape(capsys):
+    code, out, err = run(capsys, "construct", "biproduct", "KZ2", "mult_twist@Kx3,q=1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: psi maps (3, 3) -> (3, 3), not B (x) H -> H (x) B, (3, 2) -> (2, 3)\n"
 
 
 def test_construct_type2_on_noncommutative_fails_with_report(capsys):

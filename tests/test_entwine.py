@@ -32,7 +32,9 @@ from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import (
     Composite,
     ShapeError,
+    contract_left,
     identity,
+    insert_left,
     insert_right,
     kron,
     materialize,
@@ -48,6 +50,7 @@ from entwiner.registry import (
     coalgebra,
     coalgebra_pairs,
     corrupt_map,
+    make_cotwist,
     random_entwining_matrix,
     resolve_instance,
 )
@@ -316,6 +319,45 @@ def test_corrupted_measuring_fails_with_witness():
     assert rep.failures()[0].witness is not None
 
 
+# (C, variant) -> the witness, and the length and nonzero entries over Q of the
+# residual, of the corrupted measuring on cotwist@GL2,C, C's comultiplication
+# its left coaction on itself
+COSEMI_VARIANT_FAILURES = {
+    ("GL2", "cosemi-entwined-module"): (("g1", "g1"), 4, {0: 1, 2: -1}),
+    ("GL2", "cosemi-entwined-comodule"): (("g1",), 8, {0: -1, 4: 1}),
+    ("Kx2-1*", "cosemi-entwined-module"): (("g1", "1*"), 4, {2: -1}),
+    ("Kx2-1*", "cosemi-entwined-comodule"): (("1*",), 8, {4: 1}),
+    ("M2*", "cosemi-entwined-module"): (("g1", "e01*"), 16, {4: -1}),
+    ("M2*", "cosemi-entwined-comodule"): (("e01*",), 32, {8: 1}),
+    ("KZ2", "cosemi-entwined-module"): (("g1", "g"), 4, {0: 1, 2: -1}),
+    ("KZ2", "cosemi-entwined-comodule"): (("g",), 8, {0: -1, 4: 1}),
+}
+COSEMI_VARIANT_CHECKS = [
+    *(f"entwining:{n}" for n in ("counit", "comultiplicativity", "left-counit", "left-comultiplicativity")),
+    "comodule:coassociativity",
+    "comodule:counit",
+    "compatibility",
+]
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize("cname, variant", COSEMI_VARIANT_FAILURES)
+def test_a_cosemi_entwined_variant_holds_and_its_corrupted_measuring_fails(field, cname, variant):
+    # the measuring v ⊗ m -> v0(v)·m, or m -> v0 ⊗ m, with v0 the first basis vector of GL2
+    gl2, c = coalgebra("GL2", field), coalgebra(cname, field)
+    e = make_cotwist(gl2, c)
+    measure = contract_left if variant == "cosemi-entwined-module" else insert_left
+    measuring = measure(field, (field.one, field.zero), gl2.space, c.space)
+    for m, failing in ((measuring, []), (corrupt_map(measuring), ["compatibility"])):
+        rep = check_entwined_variant(MeasuredModule(variant, c.space, gl2.space, m, coact=c.comult), e)
+        assert [x.name for x in rep.checks] == COSEMI_VARIANT_CHECKS
+        assert [x.name for x in rep.failures()] == failing
+    witness, n, entries = COSEMI_VARIANT_FAILURES[cname, variant]
+    (bad,) = rep.failures()
+    assert bad.witness == witness
+    assert bad.residual == tuple(field.render(field.from_int(entries.get(i, 0))) for i in range(n))
+
+
 @pytest.mark.parametrize("expr", ("twist@Kx2-0,Kx2-0", "quad@p=1,q=2"))
 def test_entwined_module_roundtrip(expr):
     e = resolve_instance(expr, QQ)
@@ -395,6 +437,15 @@ def test_biproduct_refuses_an_integral_of_the_wrong_length(integral):
     h = bialgebra("KZ2", QQ)
     with pytest.raises(ShapeError, match=f"the integral has length {len(integral)}, but dim H is 2"):
         make_biproduct(h, h.space, mult_twist(h.algebra, QQ.one), integral=integral)
+
+
+def test_biproduct_refuses_a_psi_of_the_wrong_shape():
+    h, b = bialgebra("KZ2", QQ), algebra("Kx3", QQ)
+    with pytest.raises(ShapeError, match=r"psi maps \(3, 3\) -> \(3, 3\), not .*, \(3, 2\) -> \(2, 3\)"):
+        make_biproduct(h, b.space, mult_twist(b, QQ.one))
+    # ψ : H (x) B -> B (x) H, its legs the wrong way round
+    with pytest.raises(ShapeError, match=r"psi maps \(2, 3\) -> \(3, 2\)"):
+        make_biproduct(h, b.space, twist(QQ, h.space, b.space))
 
 
 def test_biproduct_rejects_non_integral():

@@ -57,6 +57,16 @@ def test_prime_field_parse():
         F7.parse("2.5")
 
 
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+@pytest.mark.parametrize("form", ("{}", "-{}", "1/{}", "{}/3"))
+def test_parse_refuses_more_digits_than_int_converts(field, form):
+    # 4,301 digits is one past the default limit of `int` on a string
+    s = form.format("1" * 4301)
+    with pytest.raises(FieldError, match=f"scalar string of {len(s)} characters has too many digits"):
+        field.parse(s)
+    assert field.parse(form.format("1" * 100)) is not None
+
+
 PARSE_EDGES = (" 1", "+1", "01", "-0", "1/1", "1_0", "", "1/0", "10", "-10", "9 ", "1/-1")
 
 

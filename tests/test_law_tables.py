@@ -8,7 +8,7 @@ import pytest
 import entwiner
 from entwiner import entwine, structures, suite, yangbaxter
 from entwiner.fields import QQ, PrimeField
-from entwiner.linalg import K, from_columns, tensor, tensor_vec
+from entwiner.linalg import K, dual, from_columns, mirror, tensor, tensor_vec
 from entwiner.registry import algebra, bialgebra
 from entwiner.report import render_tuple
 from entwiner.structures import (
@@ -67,6 +67,49 @@ def test_only_linalg_and_the_package_name_the_identity_checker():
                 if "check_map_identity" in fh.read():
                     naming.append(name)
     assert naming == ["__init__.py", "linalg.py"]
+
+
+def test_dual_is_an_involution_on_every_law_table_row():
+    for name, rows in law_tables().items():
+        for row in rows:
+            assert dual(dual(row)) == row, (name, row)
+
+
+def test_dual_transposes_a_law_and_mirror_moves_it_back_to_the_right_leg():
+    # README's example: associativity of m is coassociativity of Δ, layer order reversed
+    assert dual(structures.ALGEBRA_LAWS[0]) == ("coassociativity", [("Δ", "C"), "Δ"], [("C", "Δ"), "Δ"])
+    # the dual of a semi law holds C on the left leg; `mirror` under the same name moves it
+    unit = dual(entwine.SEMI_LAWS[0])
+    assert unit == ("counit", [("D", "ε"), "ψ"], [("ε", "D")])
+    assert mirror(unit, prefix="") == entwine.COSEMI_LAWS[0] == ("counit", [("ε", "D"), "ψ"], [("D", "ε")])
+
+
+# the package's public names, submodules included; `linalg.mirror` and
+# `linalg.dual` are used inside the package and not re-exported
+PUBLIC_NAMES = [
+    "Algebra", "Bialgebra", "COSEMI_KINDS", "Coalgebra", "ComoduleCoaction", "EntwiningData",
+    "FieldError", "FormatError", "GeneratorAction", "IdentityCheck", "KINDS", "KIND_TABLE",
+    "LinearMap", "MeasuredModule", "ModuleAction", "PreconditionError", "PrimeField", "QQ",
+    "Rationals", "Report", "SEMI_KINDS", "ShapeError", "Space", "StructureFile", "TripleSystem",
+    "TypeIISystem", "WXZSystem", "action_from_semi", "algebra_axioms", "check_action_roundtrip",
+    "check_algebra", "check_bialgebra", "check_braided_algebra", "check_coalgebra",
+    "check_comodule", "check_comodule_coalgebra_refinement", "check_coproduct_iff",
+    "check_cotambara_relations", "check_entwined_variant", "check_law", "check_map_identity",
+    "check_module", "check_module_algebra_refinement", "check_product_iff", "check_qybe",
+    "check_tambara_relations", "check_type2", "check_wxz", "check_yb_operator",
+    "coalgebra_axioms", "comm_twist", "commutator_check", "convolution_algebra",
+    "cotambara_action", "document", "dual_space", "dualize_algebra", "dualize_cosemi", "emit",
+    "ensure_space", "entwine", "entwined_roundtrip", "factorization_product", "field_from_tag",
+    "fields", "identity", "intertwining_from_semi", "kron", "linalg", "load",
+    "make_algebra_rmatrix", "make_biproduct", "make_braiding", "make_type2_family",
+    "materialize", "merge", "mult_twist", "opposite_algebra", "parse", "regular_module",
+    "report", "semi_from_action", "semi_system_equivalence", "serial", "space", "structures",
+    "tambara", "tensor", "transpose_entwining", "twist", "verify", "yangbaxter",
+]
+
+
+def test_the_package_exports_exactly_its_public_names():
+    assert entwiner.__all__ == PUBLIC_NAMES
 
 
 def _pairing(field, phi, vec):

@@ -149,6 +149,13 @@ def test_parse_rejects_malformed_documents():
         parse(json.dumps({"format": 1, "field": "q", "objects": {}}))
 
 
+@pytest.mark.parametrize("number", ("1" * 5000, "-" + "1" * 5000), ids=("positive", "negative"))
+def test_parse_refuses_a_json_number_with_too_many_digits(number):
+    text = json.dumps({"format": 1, "field": "q", "objects": []}).replace("1", number, 1)
+    with pytest.raises(FormatError, match="structure file holds a number with too many digits"):
+        parse(text)
+
+
 def test_parse_rejects_bad_references_and_names():
     base = {"format": 1, "field": "q"}
     missing_ref = dict(

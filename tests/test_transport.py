@@ -1,10 +1,17 @@
-"""Transport of structure: a change of basis on every tensor factor keeps every verdict.
+"""Transport of structure: a change of basis on every tensor factor keeps every verdict,
+and so does transposition onto the dual spaces.
 
 The laws are basis-free, so conjugating psi and the structures on its two legs
 by invertible maps g_L, g_R must leave the per-check verdicts of `verify`
 unchanged, whichever laws the table assembles.  Unitriangular integer
 matrices have integral inverses, so the same change of basis is valid over Q
 and every F_p.
+
+For finite-dimensional spaces the transpose of a law identity is the law
+identity of the dual structure, `linalg.dual` of its row: an algebra and its
+dual coalgebra, a module and its transposed comodule, and a semi-entwining and
+its transposed cosemi-entwining must each give the same verdict list, under
+the dual law names.
 """
 
 import random
@@ -12,11 +19,21 @@ from dataclasses import replace
 
 import pytest
 
-from entwiner.entwine import verify
+from entwiner.entwine import SEMI_KINDS, EntwiningData, verify
 from entwiner.fields import QQ, PrimeField
-from entwiner.linalg import LinearMap, ShapeError
-from entwiner.registry import INSTANCE_NAMES, resolve_instance
-from entwiner.structures import Algebra, Coalgebra
+from entwiner.linalg import LinearMap, ShapeError, dual, dual_space, twist
+from entwiner.registry import ALGEBRA_NAMES, INSTANCE_NAMES, algebra, corrupt_map, resolve_instance
+from entwiner.structures import (
+    Algebra,
+    Coalgebra,
+    ComoduleCoaction,
+    check_algebra,
+    check_coalgebra,
+    check_comodule,
+    check_module,
+    dualize_algebra,
+    regular_module,
+)
 from entwiner.yangbaxter import check_yb_operator
 
 
@@ -124,3 +141,52 @@ def test_yb_operator_verdicts_survive_a_change_of_basis(field):
             moved_psi += moved != psi
     assert cases == 56
     assert moved_psi > cases // 2
+
+
+def dual_verdicts(rep):
+    """The (name, verdict) list of a report, each name read as its dual law's."""
+    return [(dual((c.name, [], []))[0], c.passed) for c in rep.checks]
+
+
+def co_opposite_dual(a):
+    """The dual coalgebra of A with Δ = τ∘mᵀ: flipping both legs of a transposed
+    semi law reverses the order of C (x) C."""
+    c = dualize_algebra(a)
+    return replace(c, comult=twist(c.field, c.space, c.space) * c.comult)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_an_algebra_and_its_regular_module_transpose_with_their_verdicts(field):
+    # every registry algebra, and the same with its multiplication corrupted
+    failing = 0
+    for name in ALGEBRA_NAMES:
+        plain = algebra(name, field)
+        for a in (plain, replace(plain, mult=corrupt_map(plain.mult))):
+            c = dualize_algebra(a)
+            comodule = ComoduleCoaction(c, c.space, a.mult.transpose())
+            for rep, co in ((check_algebra(a), check_coalgebra(c)),
+                            (check_module(regular_module(a)), check_comodule(comodule))):
+                assert [(x.name, x.passed) for x in co.checks] == dual_verdicts(rep), (name, rep.render())
+                failing += not rep.passed
+    assert failing == 8
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_a_semi_entwining_transposes_to_a_cosemi_entwining_with_its_verdicts(field):
+    # psi : B (x) A -> A (x) B goes to τ∘ψᵀ∘τ : B* (x) A* -> A* (x) B* over the
+    # co-opposite of A*, for every semi-side registry instance and its corrupt: form
+    cases = failing = 0
+    for name in INSTANCE_NAMES:
+        for expr in (name, "corrupt:" + name):
+            e = resolve_instance(expr, field)
+            if e.kind not in SEMI_KINDS:
+                continue
+            a, b = map(dual_space, e.psi.codomain.factors)
+            flip = twist(field, b, a)
+            co_psi = flip * e.psi.transpose() * flip
+            co = EntwiningData(kind="cosemi", psi=co_psi, coalgebra=co_opposite_dual(e.algebra))
+            rep = verify(replace(e, kind="semi"))
+            assert [(x.name, x.passed) for x in verify(co).checks] == dual_verdicts(rep), expr
+            cases += 1
+            failing += not rep.passed
+    assert (cases, failing) == (48, 18)
