@@ -33,6 +33,7 @@ from .linalg import (
     ShapeError,
     Space,
     check_law,
+    check_laws,
     check_map_identity,
     dual_space,
     identity,

@@ -6,8 +6,9 @@ one row of KIND_TABLE: the algebra pair SEMI_LAWS (unit, product) or the
 coalgebra pair COSEMI_LAWS (counit, coproduct) on the right leg, optionally
 followed by one of the two pairs mirrored onto the left leg; COSEMI_LAWS is
 derived from SEMI_LAWS by `linalg.dual`.  Sweedler sums are never symbolic:
-every axiom is a word of tensor layers of named maps (see `linalg.check_law`),
-checked on basis columns.
+every axiom is a word of tensor layers of named maps (see `linalg.check_laws`),
+checked on basis columns.  The mirrored pairs are the tables `LEFT_SEMI_LAWS`
+and `LEFT_COSEMI_LAWS`, mirrored once, at import.
 
 The second half builds what a verified map induces: the twisted product on
 A (x) B (an algebra iff the map is a factorization), the dual coproduct, the
@@ -32,6 +33,7 @@ from .linalg import (
     ShapeError,
     Space,
     check_law,
+    check_laws,
     combine,
     contract_left,
     direct_sum,
@@ -86,6 +88,9 @@ SEMI_LAWS = (
 )
 # psi : D (x) C -> C (x) D, C on the right leg: the semi laws' duals, mirrored back from the left
 COSEMI_LAWS = tuple(mirror(dual(law), prefix="") for law in SEMI_LAWS)
+# the two pairs on the left leg, mirrored once
+LEFT_SEMI_LAWS = tuple(map(mirror, SEMI_LAWS))
+LEFT_COSEMI_LAWS = tuple(map(mirror, COSEMI_LAWS))
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,7 @@ def algebra_axioms(
     """
     maps = {"ψ": psi, "m": a.mult, **unit_maps(a, B=other)}
     maps |= {"A": identity(a.field, a.space), "B": identity(a.field, other)}
-    laws = map(mirror, SEMI_LAWS) if left else SEMI_LAWS
-    return tuple(check_law(law, maps) for law in laws)
+    return check_laws(LEFT_SEMI_LAWS if left else SEMI_LAWS, maps)
 
 
 def coalgebra_axioms(
@@ -165,8 +169,7 @@ def coalgebra_axioms(
     """
     maps = {"ψ": psi, "Δ": c.comult, **counit_maps(c, D=other)}
     maps |= {"C": identity(c.field, c.space), "D": identity(c.field, other)}
-    laws = map(mirror, COSEMI_LAWS) if left else COSEMI_LAWS
-    return tuple(check_law(law, maps) for law in laws)
+    return check_laws(LEFT_COSEMI_LAWS if left else COSEMI_LAWS, maps)
 
 
 _AXIOMS = {"algebra": algebra_axioms, "coalgebra": coalgebra_axioms}
@@ -274,8 +277,10 @@ def _check_iff(e: EntwiningData, kind: str, side: str, twisted, check) -> Report
     """`check`'s laws on the `Composite` twisted (co)product that `twisted` builds, `verify`
     of e as `kind`, and their `verdict-agreement`, whose (co)product side reads the
     (co)unit laws first: they compare dim V columns, (co)associativity dim V^3, and most
-    random ψ fail one.  The report lists the laws in their table's order."""
-    e = replace(e, kind=kind)
+    random ψ fail one.  The report lists the laws in their table's order.  An e already
+    of `kind` is read as it is; any other is re-declared, which checks its structures."""
+    if e.kind != kind:
+        e = replace(e, kind=kind)
     _, right, left = KIND_TABLE[kind]
     laws = check(twisted(getattr(e, right), getattr(e, "left_" + left), e.psi, Composite))
     factorization = verify(e)
@@ -433,7 +438,7 @@ def make_biproduct(
 
     maps = {"λ": l_act, "ρ": r_act, "m": h.mult, **unit_maps(h.algebra, B=b)}
     maps |= {"A": id_a, "B": identity(field, b)}
-    bimodule = tuple(check_law(law, maps) for law in BIMODULE_LAWS)
+    bimodule = check_laws(BIMODULE_LAWS, maps)
 
     coact_unit = coaction(h.unit)
     parts = [
@@ -536,7 +541,7 @@ def check_entwined_variant(mm: MeasuredModule, e: EntwiningData) -> Report:
             raise ShapeError("left coaction must map M -> C (x) M")
         maps |= {"δ": coact, "Δ": c.comult, "C": identity(field, c.space)}
         maps |= counit_maps(c, M=m_sp)
-        prereq = tuple(check_law(law, maps) for law in LEFT_COMODULE_LAWS)
+        prereq = check_laws(LEFT_COMODULE_LAWS, maps)
         prereq = Report("comodule", prereq).prefixed("comodule")
     return merge(
         mm.variant,
@@ -583,5 +588,5 @@ def entwined_roundtrip(e: EntwiningData, act: LinearMap, triangle: LinearMap) ->
         check_module(ModuleAction(a, m_sp, act)).prefixed("module-a"),
         check_module(ModuleAction(b, m_sp, triangle)).prefixed("module-b"),
         check_module(mod).prefixed("product-module"),
-        tuple(check_law(law, maps) for law in ROUNDTRIP_LAWS),
+        check_laws(ROUNDTRIP_LAWS, maps),
     )

@@ -18,7 +18,10 @@ value.  `types` is the set of entry types a map over the field may hold: int
 and Fraction over Q, int and the element class over F_p; a map refuses any
 other entry (a float, a bool, an element of another field) with FieldError
 when it is built, and so does `LinearMap.apply` for a vector entry.
-`from_int`, `div` and `render` refuse such a scalar on both fields.
+`from_int`, `div` and `render` refuse such a scalar on both fields.  `render`
+gives every digit of a value of any length: a computed value can outgrow the
+digit limit of `str` of an int, and such a value's digits come from
+`decimal.Decimal`, which has none.
 
 `parse` takes "n" or "n/d" with optional surrounding whitespace; the
 strings "-9" ... "9" are looked up in a table of their values first.  A
@@ -31,6 +34,7 @@ structure-file format.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -43,6 +47,17 @@ _SCALAR_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 _SMALL = tuple(str(n) for n in range(-9, 10))
 
 Scalar = int | Fraction  # F_p elements are int subclasses
+
+
+def _digits(n: int) -> str:
+    # the one path from an int to its decimal digits: `str` of an int refuses
+    # more than `sys.get_int_max_str_digits()` digits, so a longer value goes
+    # through `Decimal`, exact, whose `str` has no digit limit (`str` stays
+    # first: rendering a short value through `Decimal` costs about 3x)
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def _normalize(x):
@@ -98,9 +113,11 @@ class Rationals:
         return _normalize(Fraction(num, den))
 
     def render(self, x) -> str:
-        if type(x) is int:
-            return str(x)
-        return str(_normalize(self._own(x)))
+        if type(x) is not int:
+            x = _normalize(self._own(x))
+            if type(x) is Fraction:
+                return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+        return _digits(x)
 
     def div(self, a, b):
         if not self._own(b):
@@ -247,7 +264,7 @@ class PrimeField:
         return self.elem(num * pow(den, self.p - 2, self.p))
 
     def render(self, x) -> str:
-        return str(self.plain(x))
+        return _digits(self.plain(x))
 
     def div(self, a, b):
         a, b = self.plain(a), self.plain(b)

@@ -33,9 +33,11 @@ outermost.  A `Composite` wraps a chain and computes column j with
 stops at a failing column pays only for the columns of the blocks it
 streamed.
 
-Columns are streamed in blocks [0], [1], [2, 3], [4, 7], ..., each aligned to
-its width, which doubles up to `MAX_BLOCK` columns; the cap bounds what a
-block holds.  `materialize`, the hot dense path, streams every column of a
+Columns are streamed in blocks [0], [1, 4], [5, 20], [21, 84], ..., each
+four times as wide as the one before, up to `MAX_BLOCK` columns; the cap
+bounds what a block holds.  Most failing checks fail at their first or second
+column, so the first block is one column wide, and a passing check streams
+few blocks.  `materialize`, the hot dense path, streams every column of a
 chain so, fills dense rows from the blocks itself and hands its result the
 sparse columns.  `combine` is the one linear-combination path: it gives
 sum c_k * chain_k in one such pass, each block summed raw across the terms
@@ -54,13 +56,14 @@ blocks, the chain's innermost element (for the basis labels) and the codomain
 dim.  A reader of verdicts alone neither searches the blocks nor renders.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
-maps, outermost layer first.  `check_law` returns a deferred check: the first
-time the verdict is read, `law_chains` binds the names and builds the layers,
-and the two chains are compared as `check_map_identity` does, so a
-`ShapeError` from a law's chains surfaces at that read.  `check_map_identity`
-itself compares at once.  `mirror` moves a law onto the other leg, and `dual`
-transposes it into the law of the dual structure (layers reversed; m and Δ, η
-and ε, ... swapped).  A vector v of V is the map K -> V, 1 -> v (`vector_map`),
+maps, outermost layer first.  `check_laws` returns a deferred check per law
+of a table, `check_law` the one of a single law: the first time a verdict is
+read, `law_chains` binds the names and builds the layers, and the two chains
+are compared as `check_map_identity` does, so a `ShapeError` from a law's
+chains surfaces at that read.  A table's laws share one copy of the maps and
+the layers built so far.  `check_map_identity` itself compares at once.
+`mirror` moves a law onto the other leg, and `dual` transposes it into the
+law of the dual structure (layers reversed; m and Δ, η and ε, ... swapped).  A vector v of V is the map K -> V, 1 -> v (`vector_map`),
 and a covector on V the map V -> K (`covector_map`), K the one shared
 one-dimensional space; so a law on vectors is a word like any other, and its
 witness is K's one basis tuple.
@@ -583,14 +586,14 @@ def _seed(lo: int, hi: int, n: int, x: Scalar) -> dict[int, Scalar]:
 
 @lru_cache(maxsize=64)
 def _schedule(n: int) -> tuple[tuple[int, int], ...]:
-    """The blocks (lo, hi) that stream columns 0..n-1: [0], [1], [2, 3], [4, 7], ...,
-    each aligned to its width, which doubles up to MAX_BLOCK."""
+    """The blocks (lo, hi) that stream columns 0..n-1: [0], [1, 4], [5, 20], [21, 84], ...,
+    each four times as wide as the one before, up to MAX_BLOCK."""
     out = []
-    lo = 0
+    lo, width = 0, 1
     while lo < n:
-        hi = min(n, lo + min(lo or 1, MAX_BLOCK))
+        hi = min(n, lo + width)
         out.append((lo, hi))
-        lo = hi
+        lo, width = hi, min(4 * width, MAX_BLOCK)
     return tuple(out)
 
 
@@ -772,34 +775,48 @@ def dual(law: Law) -> Law:
     return ("-".join(word(w, w) for w in name.split("-")), swap(lhs), swap(rhs))
 
 
-def law_chains(law: Law, maps: dict) -> tuple[list[ChainElt], list[ChainElt]]:
+def law_chains(
+    law: Law, maps: dict, built: dict | None = None
+) -> tuple[list[ChainElt], list[ChainElt]]:
     """The two sides of the law `(name, lhs, rhs)` as chains over the bound maps.
 
     Each side lists its layers outermost first.  A layer is a bound name, or a
     tuple of names tensored left to right; a tuple bound as a whole (a unit
     insertion such as ("B", "η")) is looked up before it is split.  Each
     distinct layer is built once, so the two sides share their lazy Kronecker
-    products.
+    products; `built`, a dict kept across calls over the same maps, shares
+    them across laws too.
     """
     _, lhs, rhs = law
-    built = {
-        w: maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
-        for w in dict.fromkeys([*lhs, *rhs])
-    }
+    if built is None:
+        built = {}
+    for w in (*lhs, *rhs):
+        if w not in built:
+            built[w] = maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
     return [built[w] for w in lhs], [built[w] for w in rhs]
 
 
-def check_law(law: Law, maps: dict) -> IdentityCheck:
-    """Evaluate the law `(name, lhs, rhs)` on the maps bound to its names.
+def check_laws(table, maps: dict) -> tuple[IdentityCheck, ...]:
+    """Evaluate each law `(name, lhs, rhs)` of the table on the maps bound to its names.
 
-    The check is deferred: `law_chains` binds and builds the layers, and the
-    columns are streamed, the first time its verdict is read, against the maps
-    bound when `check_law` was called.  A `ShapeError` from the chains
-    surfaces then.
+    The checks are deferred: `law_chains` binds and builds a law's layers, and
+    the columns are streamed, the first time its verdict is read, against the
+    maps bound when `check_laws` was called.  The maps are copied once for
+    the table, and a layer two laws share is built once.  A `ShapeError` from
+    a law's chains surfaces at that read.
     """
-    name = law[0]
-    maps = dict(maps)
-    return IdentityCheck.deferred(name, lambda: check_map_identity(name, *law_chains(law, maps)))
+    maps, built = dict(maps), {}
+    return tuple(IdentityCheck.deferred(law[0], partial(_law_verdict, law, maps, built)) for law in table)
+
+
+def check_law(law: Law, maps: dict) -> IdentityCheck:
+    """`check_laws` of the one-law table."""
+    return check_laws((law,), maps)[0]
+
+
+def _law_verdict(law: Law, maps: dict, built: dict) -> IdentityCheck:
+    # bound through the module-level names, which a tracer may wrap
+    return check_map_identity(law[0], *law_chains(law, maps, built))
 
 
 def is_invertible(f: LinearMap) -> bool:

@@ -6,14 +6,14 @@ labels) and the exact residual vector, rendered as scalar strings.  Reports
 are immutable and render deterministically, so output is byte-identical
 across runs.
 
-A check made by `linalg.check_law` is deferred: its verdict (`passed`,
-`witness`, `residual`) is computed, by the identity checker of `linalg`, the
-first time one of them is read, then kept, so a caller that stops at the
-first failing law pays for the laws it read.  A `ShapeError` from a deferred
-law's chains surfaces at that first read.  A failure from that checker knows
-`passed` at once; its witness and residual are rendered the first time
-either is read, so a caller that reads only `passed` renders nothing, and the
-rendering runs in the layer of the code that reads them.  Rendering,
+A check made by `linalg.check_laws` or `check_law` is deferred: its verdict
+(`passed`, `witness`, `residual`) is computed, by the identity checker of
+`linalg`, the first time one of them is read, then kept, so a caller that
+stops at the first failing law pays for the laws it read.  A `ShapeError`
+from a deferred law's chains surfaces at that first read.  A failure from
+that checker knows `passed` at once; its witness and residual are rendered
+the first time either is read, so a caller that reads only `passed` renders
+nothing, and the rendering runs in the layer of the code that reads them.  Rendering,
 `to_dict`, `==`, `hash`, `repr` and pickling read every verdict in full; a
 renamed copy (`renamed`, `Report.prefixed`) shares its original's
 computation, the details included.

@@ -10,7 +10,7 @@ counits coefficient covectors over the fixed basis.
 
 Every law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
 `MODULE_LAWS`, `COMODULE_LAWS`, `BIALGEBRA_LAWS`, `COMODULE_ALGEBRA_LAWS`,
-`INTEGRAL_LAWS`, `DERIVATION_LAWS`) checked by `linalg.check_law`.  The
+`INTEGRAL_LAWS`, `DERIVATION_LAWS`) checked by `linalg.check_laws`.  The
 coalgebra and comodule tables are not written out: each row is `linalg.dual` of
 its algebra or module row, the transposed identity.  Names: m
 and Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
@@ -35,7 +35,7 @@ from .linalg import (
     LinearMap,
     ShapeError,
     Space,
-    check_law,
+    check_laws,
     combine,
     contract_left,
     contract_right,
@@ -128,7 +128,7 @@ def _insertions(field: Field, unit: tuple, a: Space, v: Space) -> tuple[LinearMa
 
 def check_algebra(a: Algebra) -> Report:
     maps = {"m": a.mult, "A": identity(a.field, a.space), **unit_maps(a, A=a.space)}
-    return Report("algebra", tuple(check_law(law, maps) for law in ALGEBRA_LAWS))
+    return Report("algebra", check_laws(ALGEBRA_LAWS, maps))
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _contractions(field: Field, counit: tuple, c: Space, v: Space) -> tuple[Line
 
 def check_coalgebra(c: Coalgebra) -> Report:
     maps = {"Δ": c.comult, "C": identity(c.field, c.space), **counit_maps(c, C=c.space)}
-    return Report("coalgebra", tuple(check_law(law, maps) for law in COALGEBRA_LAWS))
+    return Report("coalgebra", check_laws(COALGEBRA_LAWS, maps))
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def check_bialgebra(b: Bialgebra) -> Report:
         "bialgebra",
         check_algebra(b.algebra).prefixed("algebra"),
         check_coalgebra(b.coalgebra).prefixed("coalgebra"),
-        *(check_law(law, maps) for law in BIALGEBRA_LAWS),
+        *check_laws(BIALGEBRA_LAWS, maps),
     )
 
 
@@ -225,7 +225,7 @@ def check_module(mod: ModuleAction) -> Report:
     a = mod.algebra
     maps = {"ρ": mod.act, "m": a.mult, **unit_maps(a, M=mod.space)}
     maps |= {"M": identity(a.field, mod.space), "A": identity(a.field, a.space)}
-    return Report("module", tuple(check_law(law, maps) for law in MODULE_LAWS))
+    return Report("module", check_laws(MODULE_LAWS, maps))
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ def check_comodule(com: ComoduleCoaction) -> Report:
     c = com.coalgebra
     maps = {"δ": com.coact, "Δ": c.comult, **counit_maps(c, M=com.space)}
     maps |= {"M": identity(c.field, com.space), "C": identity(c.field, c.space)}
-    return Report("comodule", tuple(check_law(law, maps) for law in COMODULE_LAWS))
+    return Report("comodule", check_laws(COMODULE_LAWS, maps))
 
 
 def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Report:
@@ -271,7 +271,7 @@ def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Repo
     return merge(
         "comodule-algebra",
         check_comodule(com).prefixed("comodule"),
-        *(check_law(law, maps) for law in COMODULE_ALGEBRA_LAWS),
+        *check_laws(COMODULE_ALGEBRA_LAWS, maps),
     )
 
 
@@ -304,7 +304,7 @@ def check_grouplike_bilateral_integral(b: Bialgebra, x: tuple[Scalar, ...]) -> R
     maps = {"m": b.mult, "Δ": b.comult, "ξ": vector_map(field, x, h)}
     maps |= {"ε": covector_map(field, b.counit, h), "K": identity(field, K)}
     maps[("H", "ξ")], maps[("ξ", "H")] = _insertions(field, x, h, h)
-    return Report("grouplike-integral", tuple(check_law(law, maps) for law in INTEGRAL_LAWS))
+    return Report("grouplike-integral", check_laws(INTEGRAL_LAWS, maps))
 
 
 def check_derivation(a: Algebra, d: LinearMap) -> Report:
@@ -322,4 +322,4 @@ def check_derivation(a: Algebra, d: LinearMap) -> Report:
         "η": vector_map(field, a.unit, a.space),
         "0": zero_map(field, K, a.space),
     }
-    return Report("derivation", tuple(check_law(law, maps) for law in DERIVATION_LAWS))
+    return Report("derivation", check_laws(DERIVATION_LAWS, maps))

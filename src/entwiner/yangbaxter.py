@@ -33,6 +33,7 @@ from .linalg import (
     ShapeError,
     Space,
     check_law,
+    check_laws,
     combine,
     direct_sum,
     identity,
@@ -407,7 +408,7 @@ def check_braided_morphism(
     """f is an algebra morphism intertwining the two braidings."""
     maps = {"f": f, "m": a.mult, "n": b.mult, "ψ": psi_a, "φ": psi_b}
     maps |= {"η": vector_map(a.field, a.unit, a.space), "η_B": vector_map(b.field, b.unit, b.space)}
-    return Report("braided-morphism", tuple(check_law(law, maps) for law in BRAIDED_MORPHISM_LAWS))
+    return Report("braided-morphism", check_laws(BRAIDED_MORPHISM_LAWS, maps))
 
 
 def trivial_extension(a: Algebra) -> Algebra:

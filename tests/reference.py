@@ -1,7 +1,11 @@
 """Reference constructions the tests compare the library against."""
 
+from math import prod
+
 from entwiner.linalg import (
     ChainElt,
+    Composite,
+    KronApply,
     LinearMap,
     ShapeError,
     Space,
@@ -156,18 +160,142 @@ def trivial_extension_rows(a):
     return mult
 
 
+# ---------------------------------------------------------------------------
+# A law evaluator that reads map entries only: a LinearMap by its rows, a
+# KronApply by its legs and the Kronecker index formula, a Composite by its
+# own chain.  It shares no code with the kernels of `linalg`, their block
+# schedule, their dense fill or `law_chains`: vectors are dense lists of field
+# elements, applied one input entry at a time.
+
+
+class Kron(tuple):
+    """The Kronecker product of its legs, left to right: a layer that the
+    evaluator binds itself, as `law_chains` would build a `KronApply`."""
+
+    @property
+    def field(self):
+        return self[0].field
+
+
+def _legs(elt):
+    return elt if isinstance(elt, Kron) else elt.legs
+
+
+def _is_kron(elt) -> bool:
+    return isinstance(elt, (Kron, KronApply))
+
+
+def _chain(x) -> list:
+    """A chain given as one element or a list or tuple of them, outermost first."""
+    return list(x) if type(x) in (list, tuple) else [x]
+
+
+def _domain_dim(elt) -> int:
+    if _is_kron(elt):
+        return prod(_domain_dim(leg) for leg in _legs(elt))
+    if isinstance(elt, Composite):
+        return _domain_dim(elt.chain[-1])
+    return len(elt.rows[0])
+
+
+def _domain_labels(elt) -> list:
+    """The label tuples of the atomic factors of an element's domain, left to right."""
+    if _is_kron(elt):
+        return [labels for leg in _legs(elt) for labels in _domain_labels(leg)]
+    if isinstance(elt, Composite):
+        return _domain_labels(elt.chain[-1])
+
+    def atoms(s):
+        return [s.labels] if s.labels else [labels for f in s.factors for labels in atoms(f)]
+
+    return atoms(elt.domain)
+
+
+class _Columns:
+    """Dense columns of chain elements over one field, each computed once."""
+
+    def __init__(self, field):
+        self.field = field
+        self.cache = {}
+
+    def column(self, elt, j: int) -> list:
+        """Column j of a chain element, dense."""
+        key = id(elt), j
+        col = self.cache.get(key)
+        if col is None:
+            col = self.cache[key] = self._compute(elt, j)
+        return col
+
+    def _compute(self, elt, j: int) -> list:
+        field = self.field
+        if _is_kron(elt):
+            # (f (x) g) e_(j1*n + j2) = f e_j1 (x) g e_j2, row-major, for g's domain dim n
+            legs = _legs(elt)
+            digits = []
+            for leg in reversed(legs):
+                j, d = divmod(j, _domain_dim(leg))
+                digits.append(d)
+            col = [field.one]
+            for leg, d in zip(legs, reversed(digits)):
+                other = self.column(leg, d)
+                col = [a * b if a else field.zero for a in col for b in other]
+            return col
+        if isinstance(elt, Composite):
+            return self.apply(elt.chain, _basis_vector(field, _domain_dim(elt), j))
+        return [row[j] for row in elt.rows]
+
+    def apply(self, chain: list, vec: list) -> list:
+        """The chain, innermost element first, applied to a dense vector."""
+        zero = self.field.zero
+        for elt in reversed(chain):
+            out = [zero] * len(self.column(elt, 0))
+            for j, v in enumerate(vec):
+                if v:
+                    for i, x in enumerate(self.column(elt, j)):
+                        if x:
+                            out[i] += x * v
+            vec = out
+        return vec
+
+
+def _basis_vector(field, n: int, j: int) -> list:
+    vec = [field.zero] * n
+    vec[j] = field.one
+    return vec
+
+
 def first_failing_column(lhs, rhs):
-    """(witness, residual) of the identity lhs = rhs, computed eagerly: both
-    sides materialized as dense maps, then the first column in which they
-    differ, its basis tuple and the rendered difference of the two columns;
-    None when the sides are equal."""
-    left, right = materialize(lhs), materialize(rhs)
-    field = left.field
-    for j in range(left.domain.dim):
-        if left.column(j) != right.column(j):
-            residual = tuple(field.render(a - b) for a, b in zip(left.column(j), right.column(j)))
-            return left.domain.basis_tuple(j), residual
+    """(witness, residual) of the identity lhs = rhs, computed eagerly by the
+    evaluator above: the first column in which the two sides differ, its basis
+    tuple and the rendered difference of the two columns; None when the sides
+    are equal."""
+    lhs, rhs = _chain(lhs), _chain(rhs)
+    field = lhs[0].field
+    columns = _Columns(field)
+    for j in range(_domain_dim(lhs[-1])):
+        left = columns.apply(lhs, _basis_vector(field, _domain_dim(lhs[-1]), j))
+        right = columns.apply(rhs, _basis_vector(field, _domain_dim(rhs[-1]), j))
+        if left != right:
+            residual = tuple(field.render(a - b) for a, b in zip(left, right))
+            witness = []
+            for labels in reversed(_domain_labels(lhs[-1])):
+                j, d = divmod(j, len(labels))
+                witness.append(labels[d])
+            return tuple(reversed(witness)), residual
     return None
+
+
+def law_verdict(law, maps: dict) -> tuple:
+    """(passed, witness, residual) of the law `(name, lhs, rhs)` on the bound
+    maps, as `linalg.check_law` reports it: each layer a bound name, a tuple
+    bound as a whole, or else the `Kron` of its names."""
+    _, lhs, rhs = law
+
+    def side(words):
+        return [maps[w] if isinstance(w, str) or w in maps else Kron(maps[n] for n in w) for w in words]
+
+    failure = first_failing_column(side(lhs), side(rhs))
+    return (True, None, None) if failure is None else (False, *failure)
 
 
 def _square_rows(a, term):

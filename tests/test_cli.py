@@ -152,6 +152,41 @@ def test_a_scalar_with_too_many_digits_is_bad_input(capsys, argv):
     assert err == f"error: scalar string of {len(argv[-1].rpartition('=')[2])} characters has too many digits\n"
 
 
+def digits_value(s):
+    """The int that a decimal string spells, read 1,000 digits at a time, each
+    chunk well within the digit limit of `int`."""
+    sign, s = (-1, s[1:]) if s.startswith("-") else (1, s)
+    value = 0
+    for k in range(0, len(s), 1000):
+        chunk = s[k : k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+@pytest.mark.parametrize("as_json", (False, True), ids=("text", "json"))
+def test_a_residual_beyond_the_digit_limit_of_str_is_rendered_in_full(capsys, as_json):
+    # q has 4,000 digits, below the parse limit; left-multiplicativity's residual has 7,999
+    q = "1" * 4000
+    code, out, err = run(capsys, "verify", *(["--json"] if as_json else []), f"mult_twist@Kx3,q={q}")
+    assert (code, err) == (1, "")
+    if as_json:
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        residuals = {name: checks[name]["residual"] for name in ("left-unit", "left-multiplicativity")}
+    else:
+        lines = {line.split()[1]: line for line in out.splitlines() if line.startswith("  [FAIL]")}
+        residuals = {
+            name: lines[name].split("residual=(")[1].rstrip(")").split(", ")
+            for name in ("left-unit", "left-multiplicativity")
+        }
+    # the residuals are those of any q: (0, 1 - q, 0, q - 1, 0, ...) and (0, q² - q, 0, q - q², 0, ...)
+    n = int(q)
+    zeros = [0] * 5
+    assert [digits_value(x) for x in residuals["left-unit"]] == [0, 1 - n, 0, n - 1, *zeros]
+    square = n * n - n
+    assert [digits_value(x) for x in residuals["left-multiplicativity"]] == [0, square, 0, -square, *zeros]
+    assert len(residuals["left-multiplicativity"][1]) == 7999
+
+
 @pytest.mark.parametrize("what", ("structure file", "grid file"))
 def test_a_json_number_with_too_many_digits_is_bad_input(capsys, tmp_path, what):
     p = tmp_path / "big.json"

@@ -502,6 +502,24 @@ def test_verdict_agreement_is_the_declaration_order_conjunction(side, field):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
 @pytest.mark.parametrize("side", IFF_SIDES)
+def test_an_iff_check_reports_an_instance_of_its_kind_as_a_redeclared_copy(side, field):
+    # an instance already of the kind is read as it is; a copy re-declared as
+    # that kind, or as the one-leg kind, is re-declared by the check
+    kind, check = IFF_SIDES[side][4:]
+    one_leg = "semi" if kind == "factorization" else "cosemi"
+    registry = (resolve_instance(x, field) for n in INSTANCE_NAMES for x in (n, f"corrupt:{n}"))
+    cases = [*(e for _, e in suite_iff_cases(side, field)), *(e for e in registry if e.kind == kind)]
+    failing = 0
+    for e in cases:
+        want = check(e).to_dict()
+        assert check(replace(e, kind=kind)).to_dict() == want
+        assert check(replace(e, kind=one_leg)).to_dict() == want
+        failing += not want["passed"]
+    assert 0 < failing < len(cases)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+@pytest.mark.parametrize("side", IFF_SIDES)
 def test_a_failing_unit_law_settles_the_agreement_before_associativity(monkeypatch, side, field):
     import entwiner.linalg as linalg
 

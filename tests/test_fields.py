@@ -25,6 +25,16 @@ def test_rational_parse_normalizes():
     assert QQ.parse("-6/4") == Fraction(-3, 2)
 
 
+def test_render_gives_every_digit_of_a_value_beyond_the_digit_limit_of_str():
+    # 10**5000 + 7 has 5,001 digits, more than `str` of an int converts by default
+    n = 10**5000 + 7
+    digits = "1" + "0" * 4997 + "007"
+    assert QQ.render(n) == digits and QQ.render(-n) == "-" + digits
+    assert QQ.render(Fraction(n, 3)) == digits + "/3"
+    assert QQ.render(Fraction(-3, n)) == "-3/" + digits
+    assert F7.render(n) == F7.render(F7.from_int(n)) == str((10**5000 + 7) % 7)
+
+
 def test_rational_parse_rejects_garbage():
     for s in ("", "x", "1.5", "1/0", "1/2/3", "--1"):
         with pytest.raises(FieldError):

@@ -94,9 +94,9 @@ PUBLIC_NAMES = [
     "TypeIISystem", "WXZSystem", "action_from_semi", "algebra_axioms", "check_action_roundtrip",
     "check_algebra", "check_bialgebra", "check_braided_algebra", "check_coalgebra",
     "check_comodule", "check_comodule_coalgebra_refinement", "check_coproduct_iff",
-    "check_cotambara_relations", "check_entwined_variant", "check_law", "check_map_identity",
-    "check_module", "check_module_algebra_refinement", "check_product_iff", "check_qybe",
-    "check_tambara_relations", "check_type2", "check_wxz", "check_yb_operator",
+    "check_cotambara_relations", "check_entwined_variant", "check_law", "check_laws",
+    "check_map_identity", "check_module", "check_module_algebra_refinement", "check_product_iff",
+    "check_qybe", "check_tambara_relations", "check_type2", "check_wxz", "check_yb_operator",
     "coalgebra_axioms", "comm_twist", "commutator_check", "convolution_algebra",
     "cotambara_action", "document", "dual_space", "dualize_algebra", "dualize_cosemi", "emit",
     "ensure_space", "entwine", "entwined_roundtrip", "factorization_product", "field_from_tag",

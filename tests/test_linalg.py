@@ -43,6 +43,7 @@ from entwiner.linalg import (
     twist,
     zero_map,
 )
+from entwiner.linalg import _schedule
 from entwiner.report import IdentityCheck, Report
 from reference import embed13_chain, first_failing_column
 
@@ -585,10 +586,19 @@ def test_identity_legs_match_the_oracle(field, layout):
 
 
 def block_end(j, n):
-    """End of the streamed block holding column j of n: [0], [1], [2, 3],
-    [4, 7], ..., each aligned to its width, at most MAX_BLOCK wide."""
-    width = min(1 << max(j.bit_length() - 1, 0), MAX_BLOCK)
-    return min(n, j - j % width + width)
+    """End of the streamed block holding column j of n, as `_schedule` streams them."""
+    return next(hi for lo, hi in _schedule(n) if lo <= j < hi)
+
+
+def test_the_schedule_partitions_the_columns_into_blocks_that_grow_at_most_fourfold():
+    assert _schedule(0) == ()
+    for n in range(1, 2001):
+        blocks = _schedule(n)
+        assert [j for lo, hi in blocks for j in range(lo, hi)] == list(range(n)), n
+        assert blocks[0] == (0, 1), n
+        widths = [hi - lo for lo, hi in blocks]
+        assert all(0 < w <= MAX_BLOCK for w in widths), n
+        assert all(b <= 4 * a for a, b in zip(widths, widths[1:])), n
 
 
 def assert_blocks_match_the_oracle(field, chain, spans):
@@ -652,7 +662,7 @@ def test_kronecker_blocks_match_the_oracle_for_each_run_layout(field, layout):
 
 @pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
 def test_a_failing_block_reports_its_first_failing_column(field):
-    # 54 columns: blocks [0], [1], [2, 3], ..., [16, 31] and the partial [32, 53]
+    # 54 columns: blocks [0], [1, 4], [5, 20] and the partial [21, 53]
     rng = random.Random(18)
 
     def m(dom, cod):

@@ -3,7 +3,9 @@ and so does transposition onto the dual spaces.
 
 The laws are basis-free, so conjugating psi and the structures on its two legs
 by invertible maps g_L, g_R must leave the per-check verdicts of `verify`
-unchanged, whichever laws the table assembles.  Unitriangular integer
+unchanged, whichever laws the table assembles; so must conjugating a
+bialgebra, or a module and its algebra, with `check_bialgebra` and
+`check_module`.  Unitriangular integer
 matrices have integral inverses, so the same change of basis is valid over Q
 and every F_p.
 
@@ -22,12 +24,25 @@ import pytest
 from entwiner.entwine import SEMI_KINDS, EntwiningData, verify
 from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import LinearMap, ShapeError, dual, dual_space, twist
-from entwiner.registry import ALGEBRA_NAMES, INSTANCE_NAMES, algebra, corrupt_map, resolve_instance
+from entwiner.registry import (
+    ALGEBRA_NAMES,
+    BIALGEBRA_NAMES,
+    INSTANCE_NAMES,
+    algebra,
+    bialgebra,
+    corrupt_map,
+    resolve_instance,
+    sign_module,
+    trivial_module,
+)
 from entwiner.structures import (
     Algebra,
+    Bialgebra,
     Coalgebra,
     ComoduleCoaction,
+    ModuleAction,
     check_algebra,
+    check_bialgebra,
     check_coalgebra,
     check_comodule,
     check_module,
@@ -112,6 +127,62 @@ def test_verdicts_survive_a_change_of_basis(field):
             moved_psi += moved.psi != e.psi
     assert cases == 76
     assert moved_psi > cases // 2
+
+
+def verdicts(rep):
+    return [(c.name, c.passed) for c in rep.checks]
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_bialgebra_verdicts_survive_a_change_of_basis(field):
+    # KZ2 and Kmono, and each with its product or its coproduct corrupted
+    cases = failing = 0
+    for name in BIALGEBRA_NAMES:
+        plain = bialgebra(name, field)
+        for h in (
+            plain,
+            replace(plain, mult=corrupt_map(plain.mult)),
+            replace(plain, comult=corrupt_map(plain.comult)),
+        ):
+            g, gi = basis_change(random.Random(name), field, h.space)
+            a = transport_structure(h.algebra, g, gi)
+            c = transport_structure(h.coalgebra, g, gi)
+            moved = Bialgebra(field, h.space, a.mult, a.unit, c.comult, c.counit)
+            assert moved.mult != h.mult and moved.comult != h.comult
+            assert verdicts(check_bialgebra(moved)) == verdicts(check_bialgebra(h)), name
+            cases += 1
+            failing += not check_bialgebra(h).passed
+    assert (cases, failing) == (6, 4)
+
+
+def transport_module(mod, g_m, g_mi, g_a, g_ai):
+    """act' = g_M act (g_M^-1 (x) g_A^-1) over the algebra moved by g_A."""
+    a = transport_structure(mod.algebra, g_a, g_ai)
+    return ModuleAction(a, mod.space, g_m * mod.act * (g_mi @ g_ai))
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_module_verdicts_survive_a_change_of_basis(field):
+    # the regular module of every registry algebra and the trivial and sign
+    # characters of KZ2 and Kmono, each also with its action corrupted; the
+    # carrier and the algebra move by two different changes of basis
+    modules = [(name, regular_module(algebra(name, field))) for name in ALGEBRA_NAMES]
+    for h in BIALGEBRA_NAMES:
+        modules += [(f"{m.__name__}:{h}", m(bialgebra(h, field))) for m in (trivial_module, sign_module)]
+    cases = failing = moved_act = 0
+    for label, plain in modules:
+        for mod in (plain, replace(plain, act=corrupt_map(plain.act))):
+            rng = random.Random(label)
+            g_m, g_mi = basis_change(rng, field, mod.space)
+            g_a, g_ai = basis_change(rng, field, mod.algebra.space)
+            moved = transport_module(mod, g_m, g_mi, g_a, g_ai)
+            assert verdicts(check_module(moved)) == verdicts(check_module(mod)), label
+            cases += 1
+            failing += not check_module(mod).passed
+            moved_act += moved.act != mod.act
+    assert cases == 2 * len(modules)
+    assert failing == len(modules)
+    assert moved_act > cases // 2
 
 
 def conjugated(phi, g, gi):
