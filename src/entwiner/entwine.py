@@ -19,7 +19,11 @@ and the module/measuring round trip.  Each twisted (co)product is one chain:
 the two iff checks, one driver, run the (co)algebra laws on its `Composite`,
 so a psi that fails at an early column computes only the columns read so far.
 Their verdict agreement reads the (co)unit laws before (co)associativity, so a
-psi that fails a (co)unit law streams no (co)associativity column.
+psi that fails a (co)unit law streams no (co)associativity column.  What every
+psi of one (co)algebra pair shares is built once per pair (`linalg.object_memo`):
+the outer layer m_A (x) m_B or Delta_D (x) Delta_C, the identity legs, the
+product space and (co)unit, and every map of the (co)semi laws but psi; so
+a psi pays only for the layers that hold it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .linalg import (
     lazy_kron,
     materialize,
     mirror,
+    object_memo,
     tensor,
     tensor_vec,
     twist,
@@ -153,9 +158,15 @@ def algebra_axioms(
     respects the product of A; on the left leg psi : A (x) B -> B (x) A, the
     mirror image of both, named left-unit and left-multiplicativity.
     """
-    maps = {"ψ": psi, "m": a.mult, **unit_maps(a, B=other)}
-    maps |= {"A": identity(a.field, a.space), "B": identity(a.field, other)}
+    maps = {"ψ": psi, **_semi_maps(a, other)}
     return check_laws(LEFT_SEMI_LAWS if left else SEMI_LAWS, maps)
+
+
+@object_memo
+def _semi_maps(a: Algebra, other: Space) -> dict:
+    # every map of the semi laws but ψ, shared by the ψ checked against one (A, B)
+    maps = {"m": a.mult, **unit_maps(a, B=other)}
+    return maps | {"A": identity(a.field, a.space), "B": identity(a.field, other)}
 
 
 def coalgebra_axioms(
@@ -167,9 +178,15 @@ def coalgebra_axioms(
     psi : C (x) D -> D (x) C, with the mirrored left-counit and
     left-comultiplicativity.
     """
-    maps = {"ψ": psi, "Δ": c.comult, **counit_maps(c, D=other)}
-    maps |= {"C": identity(c.field, c.space), "D": identity(c.field, other)}
+    maps = {"ψ": psi, **_cosemi_maps(c, other)}
     return check_laws(LEFT_COSEMI_LAWS if left else COSEMI_LAWS, maps)
+
+
+@object_memo
+def _cosemi_maps(c: Coalgebra, other: Space) -> dict:
+    # every map of the cosemi laws but ψ, shared by the ψ checked against one (C, D)
+    maps = {"Δ": c.comult, **counit_maps(c, D=other)}
+    return maps | {"C": identity(c.field, c.space), "D": identity(c.field, other)}
 
 
 _AXIOMS = {"algebra": algebra_axioms, "coalgebra": coalgebra_axioms}
@@ -244,12 +261,22 @@ def doi_koppinen(h: Bialgebra, comod: ComoduleCoaction, mod: ModuleAction) -> Li
 def _twisted_product(a: Algebra, b: Algebra, psi: LinearMap, build) -> Algebra:
     """(a (x) b)(a' (x) b') = a psi(b (x) a') b' on A (x) B; `build` turns the chain
     (m_A (x) m_B) o (A (x) psi (x) B) into the multiplication."""
+    outer, id_a, id_b, ab, unit = _product_parts(a, b)
+    return Algebra(a.field, ab, build([outer, lazy_kron(id_a, psi, id_b)]), unit)
+
+
+@object_memo
+def _product_parts(a: Algebra, b: Algebra) -> tuple:
+    # what every twisted product on A (x) B shares: m_A (x) m_B, the identity
+    # legs A and B, the space A (x) B and the unit 1 (x) 1
     field = a.field
-    chain = [
+    return (
         lazy_kron(a.mult, b.mult),
-        lazy_kron(identity(field, a.space), psi, identity(field, b.space)),
-    ]
-    return Algebra(field, tensor(a.space, b.space), build(chain), tensor_vec(a.unit, b.unit))
+        identity(field, a.space),
+        identity(field, b.space),
+        tensor(a.space, b.space),
+        tensor_vec(a.unit, b.unit),
+    )
 
 
 def factorization_product(a: Algebra, b: Algebra, psi: LinearMap) -> Algebra:
@@ -260,12 +287,22 @@ def factorization_product(a: Algebra, b: Algebra, psi: LinearMap) -> Algebra:
 def _twisted_coproduct(c: Coalgebra, d: Coalgebra, psi: LinearMap, build) -> Coalgebra:
     """The twisted coproduct on D (x) C induced by psi : D (x) C -> C (x) D; `build`
     turns the chain (D (x) psi (x) C) o (Δ_D (x) Δ_C) into the comultiplication."""
+    outer, id_d, id_c, dc, counit = _coproduct_parts(c, d)
+    return Coalgebra(c.field, dc, build([lazy_kron(id_d, psi, id_c), outer]), counit)
+
+
+@object_memo
+def _coproduct_parts(c: Coalgebra, d: Coalgebra) -> tuple:
+    # what every twisted coproduct on D (x) C shares: Δ_D (x) Δ_C, the identity
+    # legs D and C, the space D (x) C and the counit ε (x) ε
     field = c.field
-    chain = [
-        lazy_kron(identity(field, d.space), psi, identity(field, c.space)),
+    return (
         lazy_kron(d.comult, c.comult),
-    ]
-    return Coalgebra(field, tensor(d.space, c.space), build(chain), tensor_vec(d.counit, c.counit))
+        identity(field, d.space),
+        identity(field, c.space),
+        tensor(d.space, c.space),
+        tensor_vec(d.counit, c.counit),
+    )
 
 
 def cofactorization_coproduct(c: Coalgebra, d: Coalgebra, psi: LinearMap) -> Coalgebra:

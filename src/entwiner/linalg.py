@@ -46,7 +46,10 @@ calls to it.  Every other dense map is filled by `from_entries` from (row,
 column, scalar) triples: the structural maps, the unit insertions and counit
 contractions, vectors and covectors, and the injections and projections of a
 `direct_sum`.
-`identity` and `twist` are memoised on (field, spaces), the last few kept.
+`identity` and `twist` are memoised on (field, spaces), and `tensor` on its
+argument spaces, so equal arguments give one `Space` object; each keeps the
+last few.  `object_memo` keeps the last few values built from whole
+structures, keyed by the identity of arguments that it keeps alive.
 Identity checks stream both sides block by block and stop at the first block
 where they differ; its smallest differing slot is the lexicographically-first
 failing basis tuple - the witness reported.  Its `passed` is False at once;
@@ -78,7 +81,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 from math import prod
 
 from .fields import Field, FieldError, Scalar
@@ -143,7 +146,13 @@ K = space("1")
 
 
 def tensor(*spaces: Space) -> Space:
-    """Tensor product, flattened; of one space, that space itself."""
+    """Tensor product, flattened; of one space, that space itself.  Equal
+    arguments give the same object while it is among the last few built."""
+    return _tensor(*spaces)
+
+
+@lru_cache(maxsize=8)
+def _tensor(*spaces: Space) -> Space:
     flat: list[Space] = []
     for s in spaces:
         if s.factors:
@@ -323,6 +332,32 @@ def _identity(field: Field, v: Space) -> LinearMap:
     m = from_entries(field, v, v, ((i, i, field.one) for i in range(v.dim)))
     object.__setattr__(m, "_is_identity", True)
     return m
+
+
+def object_memo(build):
+    """`build` memoised on the identity of its arguments, the last few calls kept.
+
+    Each entry keeps its arguments alive, so no other object can take an id of
+    its key while it lives: a hit is a call with the very same objects.  For
+    values built from structures (algebras, coalgebras), whose content is
+    costly to hash; `cache_clear` empties it, as it does an `lru_cache`.
+    """
+    entries: dict[tuple[int, ...], tuple] = {}
+
+    @wraps(build)
+    def memo(*args):
+        key = tuple(map(id, args))
+        hit = entries.get(key)
+        if hit is not None:
+            return hit[1]
+        if len(entries) >= 8:
+            del entries[next(iter(entries))]
+        value = build(*args)
+        entries[key] = (args, value)
+        return value
+
+    memo.cache_clear = entries.clear
+    return memo
 
 
 def zero_map(field: Field, domain: Space, codomain: Space) -> LinearMap:

@@ -237,22 +237,32 @@ def parity_comodule(h: Bialgebra) -> tuple[ComoduleCoaction, Coalgebra]:
 
 
 def random_entwining_matrix(field, left: Space, right: Space, seed: int) -> LinearMap:
-    """Seeded map left (x) right -> right (x) left with entries from {-1, 0, 1}."""
+    """Seeded map left (x) right -> right (x) left with entries from {-1, 0, 1}.
+
+    Its sparse columns, which the kernels read, are filled as its rows are
+    drawn, so no second pass reads them off the rows."""
     # rng.randrange(-1, 2) draws getrandbits(2) until it is below 3; drawing
     # the same bits here gives the same matrices without its per-call checks
     bits = random.Random(seed).getrandbits
     entries = tuple(map(field.from_int, (-1, 0, 1)))
+    # the nonzero draws -1 and 1 as the kernels read them, plain
+    minus, plus = field.plain(entries[0]), field.plain(entries[2])
     dim = left.dim * right.dim
     rows = []
-    for _ in range(dim):
+    cols = [[] for _ in range(dim)]
+    for i in range(dim):
         row = []
-        for _ in range(dim):
+        for col in cols:
             r = bits(2)
             while r == 3:
                 r = bits(2)
             row.append(entries[r])
+            if r != 1:
+                col.append((i, plus if r else minus))
         rows.append(tuple(row))
-    return LinearMap(field, tensor(left, right), tensor(right, left), tuple(rows))
+    psi = LinearMap(field, tensor(left, right), tensor(right, left), tuple(rows))
+    object.__setattr__(psi, "_cols", tuple(map(tuple, cols)))
+    return psi
 
 
 def corrupt_map(m: LinearMap) -> LinearMap:

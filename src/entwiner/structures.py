@@ -17,10 +17,11 @@ and Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
 identity, and (X, "η"), ("η", X), (X, "ε"), ("ε", X) the unit insertions and
 counit contractions that `unit_maps` and `counit_maps` bind.  Like
 `linalg.identity`, those are built once per content key (field, unit or
-counit, spaces), the last few kept.  A law on a vector reads it as a map
-from `linalg.K`: a unit or an integral is a map K -> H named η or ξ, a counit
-a map H -> K named ε, and K names the identity of K, so such a law fails with
-K's one basis tuple as its witness.
+counit, spaces), the last few kept, and so are the identity and (co)unit
+maps that `check_algebra` and `check_coalgebra` bind beside m or Δ.  A law
+on a vector reads it as a map from `linalg.K`: a unit or an integral is a
+map K -> H named η or ξ, a counit a map H -> K named ε, and K names the
+identity of K, so such a law fails with K's one basis tuple as its witness.
 """
 
 from __future__ import annotations
@@ -127,8 +128,15 @@ def _insertions(field: Field, unit: tuple, a: Space, v: Space) -> tuple[LinearMa
 
 
 def check_algebra(a: Algebra) -> Report:
-    maps = {"m": a.mult, "A": identity(a.field, a.space), **unit_maps(a, A=a.space)}
+    maps = {"m": a.mult, **_algebra_maps(a.field, a.space, tuple(a.unit))}
     return Report("algebra", check_laws(ALGEBRA_LAWS, maps))
+
+
+@lru_cache(maxsize=8)
+def _algebra_maps(field: Field, a: Space, unit: tuple) -> dict:
+    # the maps of ALGEBRA_LAWS but m, which every algebra on (field, a, unit) shares
+    ins_right, ins_left = _insertions(field, unit, a, a)
+    return {"A": identity(field, a), ("A", "η"): ins_right, ("η", "A"): ins_left}
 
 
 @dataclass(frozen=True)
@@ -167,8 +175,15 @@ def _contractions(field: Field, counit: tuple, c: Space, v: Space) -> tuple[Line
 
 
 def check_coalgebra(c: Coalgebra) -> Report:
-    maps = {"Δ": c.comult, "C": identity(c.field, c.space), **counit_maps(c, C=c.space)}
+    maps = {"Δ": c.comult, **_coalgebra_maps(c.field, c.space, tuple(c.counit))}
     return Report("coalgebra", check_laws(COALGEBRA_LAWS, maps))
+
+
+@lru_cache(maxsize=8)
+def _coalgebra_maps(field: Field, c: Space, counit: tuple) -> dict:
+    # the maps of COALGEBRA_LAWS but Δ, which every coalgebra on (field, c, counit) shares
+    con_right, con_left = _contractions(field, counit, c, c)
+    return {"C": identity(field, c), ("C", "ε"): con_right, ("ε", "C"): con_left}
 
 
 @dataclass(frozen=True)

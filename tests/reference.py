@@ -164,8 +164,9 @@ def trivial_extension_rows(a):
 # A law evaluator that reads map entries only: a LinearMap by its rows, a
 # KronApply by its legs and the Kronecker index formula, a Composite by its
 # own chain.  It shares no code with the kernels of `linalg`, their block
-# schedule, their dense fill or `law_chains`: vectors are dense lists of field
-# elements, applied one input entry at a time.
+# schedule, their dense fill or `law_chains`: a vector is a dict of its
+# nonzero entries as field elements, applied one input entry at a time, one
+# column of the identity at a time.
 
 
 class Kron(tuple):
@@ -190,12 +191,14 @@ def _chain(x) -> list:
     return list(x) if type(x) in (list, tuple) else [x]
 
 
-def _domain_dim(elt) -> int:
+def _dims(elt) -> tuple[int, int]:
+    """(domain dim, codomain dim) of a chain element."""
     if _is_kron(elt):
-        return prod(_domain_dim(leg) for leg in _legs(elt))
+        legs = [_dims(leg) for leg in _legs(elt)]
+        return prod(n for n, _ in legs), prod(m for _, m in legs)
     if isinstance(elt, Composite):
-        return _domain_dim(elt.chain[-1])
-    return len(elt.rows[0])
+        return _dims(elt.chain[-1])[0], _dims(elt.chain[0])[1]
+    return len(elt.rows[0]), len(elt.rows)
 
 
 def _domain_labels(elt) -> list:
@@ -212,56 +215,50 @@ def _domain_labels(elt) -> list:
 
 
 class _Columns:
-    """Dense columns of chain elements over one field, each computed once."""
+    """Columns of chain elements over one field, each computed once, as dicts
+    of their nonzero entries."""
 
     def __init__(self, field):
         self.field = field
         self.cache = {}
 
-    def column(self, elt, j: int) -> list:
-        """Column j of a chain element, dense."""
+    def column(self, elt, j: int) -> dict:
+        """Column j of a chain element."""
         key = id(elt), j
         col = self.cache.get(key)
         if col is None:
             col = self.cache[key] = self._compute(elt, j)
         return col
 
-    def _compute(self, elt, j: int) -> list:
-        field = self.field
+    def _compute(self, elt, j: int) -> dict:
         if _is_kron(elt):
-            # (f (x) g) e_(j1*n + j2) = f e_j1 (x) g e_j2, row-major, for g's domain dim n
+            # (f (x) g) e_(j1*n + j2) = f e_j1 (x) g e_j2: entry (i1, i2) at i1*m + i2,
+            # row-major, for g's domain and codomain dims n and m
             legs = _legs(elt)
             digits = []
             for leg in reversed(legs):
-                j, d = divmod(j, _domain_dim(leg))
+                j, d = divmod(j, _dims(leg)[0])
                 digits.append(d)
-            col = [field.one]
+            col = {0: self.field.one}
             for leg, d in zip(legs, reversed(digits)):
+                m = _dims(leg)[1]
                 other = self.column(leg, d)
-                col = [a * b if a else field.zero for a in col for b in other]
+                col = {i * m + k: a * b for i, a in col.items() for k, b in other.items()}
             return col
         if isinstance(elt, Composite):
-            return self.apply(elt.chain, _basis_vector(field, _domain_dim(elt), j))
-        return [row[j] for row in elt.rows]
+            return self.apply(elt.chain, j)
+        return {i: row[j] for i, row in enumerate(elt.rows) if row[j]}
 
-    def apply(self, chain: list, vec: list) -> list:
-        """The chain, innermost element first, applied to a dense vector."""
-        zero = self.field.zero
+    def apply(self, chain: list, j: int) -> dict:
+        """The chain, innermost element first, applied to basis vector j."""
+        vec = {j: self.field.one}
         for elt in reversed(chain):
-            out = [zero] * len(self.column(elt, 0))
-            for j, v in enumerate(vec):
-                if v:
-                    for i, x in enumerate(self.column(elt, j)):
-                        if x:
-                            out[i] += x * v
-            vec = out
+            out = {}
+            for k, v in vec.items():
+                for i, x in self.column(elt, k).items():
+                    out[i] = out[i] + x * v if i in out else x * v
+            vec = {i: x for i, x in out.items() if x}
         return vec
-
-
-def _basis_vector(field, n: int, j: int) -> list:
-    vec = [field.zero] * n
-    vec[j] = field.one
-    return vec
 
 
 def first_failing_column(lhs, rhs):
@@ -272,11 +269,12 @@ def first_failing_column(lhs, rhs):
     lhs, rhs = _chain(lhs), _chain(rhs)
     field = lhs[0].field
     columns = _Columns(field)
-    for j in range(_domain_dim(lhs[-1])):
-        left = columns.apply(lhs, _basis_vector(field, _domain_dim(lhs[-1]), j))
-        right = columns.apply(rhs, _basis_vector(field, _domain_dim(rhs[-1]), j))
+    for j in range(_dims(lhs[-1])[0]):
+        left, right = columns.apply(lhs, j), columns.apply(rhs, j)
         if left != right:
-            residual = tuple(field.render(a - b) for a, b in zip(left, right))
+            zero = field.zero
+            rows = range(_dims(lhs[0])[1])
+            residual = tuple(field.render(left.get(i, zero) - right.get(i, zero)) for i in rows)
             witness = []
             for labels in reversed(_domain_labels(lhs[-1])):
                 j, d = divmod(j, len(labels))

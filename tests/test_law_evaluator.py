@@ -4,14 +4,19 @@ against `check_law` row by row.
 `reference.law_verdict` binds a law's layers itself and reads map entries
 only (see `tests/reference.py`), so a defect in the block schedule, the dense
 fill, the Kronecker layout or the binding of `linalg` cannot pass both.  The
-sweep captures every (law, maps) that `check_law` and `check_laws` receive
-while `verify` checks each registry instance in its plain, `corrupt:` and
-`dual:` forms, and recomputes each one.
+sweeps capture every (law, maps) that `check_law` and `check_laws` receive,
+and recompute each one: while `verify` checks each registry instance in its
+plain, `corrupt:` and `dual:` forms, and while every `--check` of
+`entwiner verify` runs on each of them, over Q and F_7, the verify group of
+`tools/output_digest.py`.  The checks that bind no law table
+(`generator-relations`, `cogenerator-relations`, `action-roundtrip`) run and
+capture nothing.
 """
 
 import pytest
 
 from entwiner import entwine, structures, suite, yangbaxter
+from entwiner.cli import CHECKS
 from entwiner.entwine import MeasuredModule, check_entwined_variant, verify
 from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import ShapeError, check_law, check_laws, contract_left, insert_left
@@ -25,13 +30,15 @@ FIELD_IDS = ("q", "fp7")
 
 @pytest.fixture
 def captured(monkeypatch):
-    """The list of (table, maps) that every `check_laws` and `check_law` call of
-    the package receives from here on, a single law as a one-row table."""
+    """The list of (table, maps, checks) that every `check_laws` and `check_law`
+    call of the package receives and returns from here on, a single law as a
+    one-row table."""
     calls = []
 
     def recording_laws(table, maps):
-        calls.append((tuple(table), dict(maps)))
-        return check_laws(table, maps)
+        checks = check_laws(table, maps)
+        calls.append((tuple(table), dict(maps), checks))
+        return checks
 
     def recording_law(law, maps):
         (check,) = recording_laws((law,), maps)
@@ -61,7 +68,7 @@ def test_every_verified_law_matches_the_entry_evaluator(captured, field):
     for expr, e in expressions(field):
         del captured[:]
         rep = verify(e)
-        laws = [(law, maps) for table, maps in captured for law in table]
+        laws = [(law, maps) for table, maps, _ in captured for law in table]
         assert [law[0] for law, _ in laws] == [c.name for c in rep.checks], expr
         for (law, maps), check in zip(laws, rep.checks):
             want = law_verdict(law, maps)
@@ -70,6 +77,52 @@ def test_every_verified_law_matches_the_entry_evaluator(captured, field):
         laws_read += len(laws)
         instances += 1
     assert (instances, laws_read, failing) == (76, 272, 79)
+
+
+# --check -> (commands that exit 0 or 1, laws captured, laws failing), per field
+CHECK_SWEEP = {
+    "declared": (76, 272, 79),
+    "semi-entwining": (48, 96, 22),
+    "algebra-factorization": (36, 144, 46),
+    "cosemi-entwining": (28, 56, 20),
+    "coalgebra-factorization": (24, 96, 22),
+    "product-iff": (36, 252, 79),
+    "coproduct-iff": (24, 168, 40),
+    "intertwining": (48, 240, 40),
+    "generator-relations": (48, 0, 0),
+    "cogenerator-relations": (28, 0, 0),
+    "action-roundtrip": (48, 0, 0),
+    "yb-operator": (60, 180, 33),
+    "qybe": (60, 60, 45),
+    "braid": (60, 60, 11),
+    "braided-algebra": (38, 266, 78),
+    "r-commutative": (38, 38, 22),
+}
+
+
+def test_the_sweep_covers_every_check_of_the_cli():
+    assert sorted(CHECK_SWEEP) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("check", CHECK_SWEEP)
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_every_law_a_cli_check_binds_matches_the_entry_evaluator(captured, field, check):
+    handler = CHECKS[check]
+    commands = laws = failing = 0
+    for expr, e in expressions(field):
+        del captured[:]
+        try:
+            handler(e).to_dict()  # every verdict read, as `verify` prints them
+        except ShapeError:  # the command exits 2
+            continue
+        commands += 1
+        for table, maps, checks in captured:
+            for law, got in zip(table, checks):
+                want = law_verdict(law, maps)
+                assert (got.passed, got.witness, got.residual) == want, (expr, law[0])
+                laws += 1
+                failing += not got.passed
+    assert (commands, laws, failing) == CHECK_SWEEP[check]
 
 
 def row_key(law):
@@ -89,7 +142,7 @@ def test_check_laws_equals_check_law_row_by_row_on_registry_bindings(captured):
         check_entwined_variant(mm, make_cotwist(gl2, gl2))
     bound = set()
     seen = set()
-    for table, maps in captured:
+    for table, maps, _ in captured:
         keys = tuple(map(repr, table))
         if keys in seen:
             continue

@@ -52,3 +52,24 @@ def test_mix_ab_refuses_a_group_that_is_not_in_the_catalogue():
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert "'suite' is not a catalogue group" in done.stderr
+
+
+DIGEST = os.path.join(ROOT, "tools", "output_digest.py")
+
+
+def test_output_digest_of_this_checkout_is_the_same_by_default_and_by_root(tmp_path):
+    # both from another directory, the root given relative to it; run side by side
+    runs = [
+        subprocess.Popen([sys.executable, DIGEST, *extra], cwd=tmp_path, stdout=subprocess.PIPE, text=True)
+        for extra in ([], ["--root", os.path.relpath(ROOT, tmp_path)])
+    ]
+    default, rooted = (run.communicate(timeout=120)[0] for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert [line.split()[0] for line in default.splitlines()] == ["suite:", "verify:", "construct:", "list:"]
+    assert rooted == default
+
+
+def test_output_digest_refuses_a_root_without_the_package(tmp_path):
+    done = subprocess.run([sys.executable, DIGEST, "--root", str(tmp_path)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "holds no src/entwiner" in done.stderr

@@ -14,27 +14,26 @@ stdout bytes:
 
 Two checkouts whose digests match give the same stdout and exit code on every
 command of the sweep.  Stderr is not part of the digest: it carries only the
-wording of exit-2 refusals.  Stdlib only; takes no options.  Run it from any
-directory; it imports the package from the `src/` next to this file:
+wording of exit-2 refusals.  Stdlib only.  Run it from any directory; it
+imports the package from `ROOT/src`, ROOT being the checkout this file sits
+in unless `--root` names another, so one copy of the script digests any tree:
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py [--root ROOT]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
-
-from entwiner.cli import CHECKS, CONSTRUCTIONS, main  # noqa: E402
-from entwiner.registry import INSTANCE_NAMES  # noqa: E402
-
+HOME = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIELDS = ("q", "fp:7")
 # construction -> arguments; `entwining` reads the file `action` wrote
 CONSTRUCT_ARGS = {
@@ -50,11 +49,17 @@ CONSTRUCT_ARGS = {
 }
 
 
+def load(root: str):
+    """`entwiner.cli` and `entwiner.registry`, imported from ROOT/src."""
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    return importlib.import_module("entwiner.cli"), importlib.import_module("entwiner.registry")
+
+
 def run(argv: list[str]) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse refusals
             code = exc.code
     return code, out.getvalue().encode("utf-8")
@@ -82,8 +87,8 @@ def suite_commands():
 
 def verify_commands():
     for tag in FIELDS:
-        for check in CHECKS:
-            for name in INSTANCE_NAMES:
+        for check in cli.CHECKS:
+            for name in registry.INSTANCE_NAMES:
                 for expr in (name, "corrupt:" + name, "dual:" + name):
                     for json_flag in ([], ["--json"]):
                         yield ["verify", *json_flag, "--field", tag, "--check", check, expr]
@@ -96,7 +101,7 @@ def construct_results():
         os.chdir(tmp)
         try:
             for tag in FIELDS:
-                for what in CONSTRUCTIONS:
+                for what in cli.CONSTRUCTIONS:
                     argv = ["construct", "--field", tag, what, *CONSTRUCT_ARGS[what]]
                     code, stdout = run(argv)
                     yield argv, code, stdout
@@ -113,6 +118,12 @@ def construct_results():
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Digest the CLI output of a checkout.")
+    parser.add_argument("--root", default=HOME, help="the checkout to digest (default: this file's)")
+    root = parser.parse_args().root
+    if not os.path.isdir(os.path.join(root, "src", "entwiner")):
+        parser.error(f"{root} holds no src/entwiner")
+    cli, registry = load(root)
     for group, results in (
         ("suite", ran(suite_commands())),
         ("verify", ran(verify_commands())),
