@@ -40,6 +40,7 @@ from .linalg import (
     materialize,
     space,
     twist,
+    zero_map,
 )
 from .registry import (
     ALGEBRA_NAMES,
@@ -364,9 +365,10 @@ def _closed_form_module(a):
 
 
 def _maps_match(g, grid) -> bool:
-    n = len(grid)
+    n, x, field = len(grid), g.carrier, g.algebra.field
     return all(
-        list(map(list, g.maps[i][j].rows)) == grid[i][j] for i in range(n) for j in range(n)
+        g.maps[i][j].same_matrix(LinearMap(field, x, x, tuple(map(tuple, grid[i][j]))))
+        for i in range(n) for j in range(n)
     )
 
 
@@ -415,11 +417,8 @@ def row_generator_actions(field) -> Report:
         )
     a = algebra("Kx2-1", field)
     g = action_from_semi(make_twist(algebra("K", field), a))
-    eps_ok = all(
-        g.maps[i][j].rows[0][0] == (field.one if i == j else field.zero)
-        for i in range(2)
-        for j in range(2)
-    )
+    flip = (identity(field, g.carrier), zero_map(field, g.carrier, g.carrier))
+    eps_ok = all(g.maps[i][j].same_matrix(flip[i != j]) for i in range(2) for j in range(2))
     checks.append(IdentityCheck("eps-consistency:twist@K,Kx2-1", eps_ok))
     for expr in (
         "cotwist@GL2,GL2",

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import entwiner
-from entwiner import entwine, structures, suite, yangbaxter
+from entwiner import entwine, structures, suite, tambara, yangbaxter
 from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import K, dual, from_columns, mirror, tensor, tensor_vec
 from entwiner.registry import algebra, bialgebra
@@ -28,7 +28,7 @@ def law_tables() -> dict:
     """Every module-level law table of the modules that check laws, by name: a
     `*_LAWS` tuple or dict of rows, or a single `*_LAW` row."""
     tables = {}
-    for module in (structures, entwine, yangbaxter, suite):
+    for module in (structures, entwine, yangbaxter, suite, tambara):
         for name, value in vars(module).items():
             if name.endswith("_LAWS"):
                 tables[name] = tuple(value.values()) if isinstance(value, dict) else value

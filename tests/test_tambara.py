@@ -135,6 +135,7 @@ def test_module_algebra_refinement_matches_factorization(expr, expect):
     g = action_from_semi(e)
     refined = check_module_algebra_refinement(g, e.left_algebra)
     assert refined.passed == fact.passed, refined.render()
+    assert refined.check("agreement").passed, refined.render()
 
 
 def test_counit_consistency_on_one_dimensional_carrier():
@@ -175,7 +176,11 @@ def test_cotambara_relations_match_cosemi_verdict(expr):
 
 @pytest.mark.parametrize(
     "expr, expect",
-    (("cotwist@GL2,GL2", True), ("dual:mult_twist@Kx3,q=1/2", False)),
+    (
+        ("cotwist@GL2,GL2", True),
+        ("dual:mult_twist@Kx3,q=1/2", False),
+        ("dual:mult_twist@Kx2-1,q=1/2", False),
+    ),
 )
 def test_comodule_coalgebra_refinement(expr, expect):
     e = resolve_instance(expr, QQ)
@@ -184,3 +189,33 @@ def test_comodule_coalgebra_refinement(expr, expect):
     assert cofact.passed == expect
     rep = check_comodule_coalgebra_refinement(e, e.left_coalgebra)
     assert rep.passed == cofact.passed, rep.render()
+    # the split rows slice the left-leg laws, which hold here while the C-side laws may fail
+    assert rep.check("agreement").passed, rep.render()
+
+
+def _refinement(expr):
+    e = resolve_instance(expr, QQ)
+    return check_module_algebra_refinement(action_from_semi(e), e.left_algebra)
+
+
+REPORTS = {
+    "relations": lambda expr: check_tambara_relations(action_from_semi(resolve_instance(expr, QQ))),
+    "corelations": lambda expr: check_cotambara_relations(resolve_instance(expr, QQ)),
+    "refinement": _refinement,
+}
+# (report, instance, law) -> (witness, residual): the first failing basis tuple,
+# generator indices first, and the residual there
+WITNESSES = {
+    ("relations", "corrupt:module@Kx3", "action"): (("1*", "x", "x", "x2"), ("1", "0", "0")),
+    ("corelations", "corrupt:dkalt-KZ2-sign", "counit"): (("x***", "m"), ("1",)),
+    ("corelations", "corrupt:dkalt-KZ2-sign", "coaction"): (("1*", "1*", "x*", "m"), ("-1",)),
+    ("refinement", "comm_twist@M2,q=1", "product-split"): (("e00*", "e00", "e01", "e10"), ("-1", "0", "0", "-1")),
+    ("refinement", "mult_twist@Kx3,q=1/2", "unit-split"): (("1*", "x"), ("0", "1/2", "0")),
+}
+
+
+@pytest.mark.parametrize("key", WITNESSES, ids=lambda key: f"{key[1]}-{key[2]}")
+def test_a_failing_relation_reports_its_first_basis_tuple_and_residual(key):
+    report, expr, name = key
+    check = REPORTS[report](expr).check(name)
+    assert (check.passed, check.witness, check.residual) == (False, *WITNESSES[key])
