@@ -10,16 +10,17 @@ an element of that field), and `apply` refuses such a vector entry.
 
 Every product - `compose`, `kron`, `LinearMap.apply`, `materialize` and the
 identity checks - streams sparse columns through a chain of elements: maps,
-lazy Kronecker products (`KronApply`) and `Composite`s.  The only code that
-multiplies is `LinearMap.apply_sparse` and `KronApply.apply_sparse`.  Both
-take a block of columns: input key c*n + j is entry j of the block's column
-c, its slot, and output key c*m + r is entry r of that slot (n and m the
-element's domain and codomain dims).  A single column is the width-1 block,
-slot 0, keyed by its rows, so one kernel serves both.  The kernels read plain
-scalars (`field.plain`) and return raw sums: zeros stay and, over F_p,
-entries are unreduced ints.  `field.nonzero` drops the zeros and reduces once
-per chain and block, at the end of `chain_apply_basis` and in `apply`, and
-once per block of a `combine`.
+lazy Kronecker products (`KronApply`), the lazy S13 layer (`Embed13`) and
+`Composite`s.  The only code that multiplies is `LinearMap.apply_sparse`,
+`KronApply.apply_sparse` and `Embed13.apply_sparse`.  Each takes a block of
+columns: input key c*n + j is entry j of the block's column c, its slot, and
+output key c*m + r is entry r of that slot (n and m the element's domain and
+codomain dims).  A single column is the width-1 block, slot 0, keyed by its
+rows, so one kernel serves both.  The kernels read plain scalars
+(`field.plain`) and return raw sums: zeros stay and, over F_p, entries are
+unreduced ints.  `field.nonzero` drops the zeros and reduces once per chain
+and block, at the end of `chain_apply_basis` and in `apply`, and once per
+block of a `combine`.
 
 Every element carries its flat `domain_dims` and `codomain_dims`; chains are
 matched on those.  A `KronApply` lays out its legs from their dims alone and
@@ -28,10 +29,13 @@ check's witness, `materialize`).  It copies the digit of each run of adjacent
 identity legs into the output index as one stride block, with no
 multiplication, and a product with one other leg writes that leg's entries
 straight into the output; the slot of a block is one more identity digit,
-outermost.  A `Composite` wraps a chain and computes column j with
-`chain_apply_basis` the first time it is read, then keeps it, so a law that
-stops at a failing column pays only for the columns of the blocks it
-streamed.
+outermost.  An `Embed13` applies a map s on V1 (x) V3 to the outer factors
+of V1 (x) V2 (x) V3 and copies V2's digit, so the S13 of a Yang-Baxter
+commutator is one layer, not s (x) V2 between two flips; it too builds its
+spaces only when they are read.  A `Composite` wraps a chain and computes
+column j with `chain_apply_basis` the first time it is read, then keeps it,
+so a law that stops at a failing column pays only for the columns of the
+blocks it streamed.
 
 Columns are streamed in blocks [0], [1, 4], [5, 20], [21, 84], ..., each
 four times as wide as the one before, up to `MAX_BLOCK` columns; the cap
@@ -45,7 +49,7 @@ and reduced once, and `+`, `-`, unary `-` and `scale` of a `LinearMap` are
 calls to it.  Every other dense map is filled by `from_entries` from (row,
 column, scalar) triples: the structural maps, the unit insertions and counit
 contractions, vectors and covectors, and the injections and projections of a
-`direct_sum`.
+`direct_sum`; it too hands the map its sparse columns, from the triples.
 `identity` and `twist` are memoised on (field, spaces), and `tensor` on its
 argument spaces, so equal arguments give one `Space` object; each keeps the
 last few.  `object_memo` keeps the last few values built from whole
@@ -72,9 +76,9 @@ one-dimensional space; so a law on vectors is a word like any other, and its
 witness is K's one basis tuple.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
-product.  All objects are immutable after construction; a `KronApply`'s
-spaces and a `Composite`'s columns are filled in when first read, and are
-determined by what the object was built from.
+product.  All objects are immutable after construction; the spaces of a
+`KronApply` or an `Embed13` and the columns of a `Composite` are filled in
+when first read, and are determined by what the object was built from.
 """
 
 from __future__ import annotations
@@ -304,11 +308,22 @@ def from_entries(field: Field, domain: Space, codomain: Space, entries) -> Linea
     """The map with scalar c at (row i, column j) for each triple (i, j, c), zero elsewhere."""
     n, m = domain.dim, codomain.dim
     rows = [[field.zero] * n for _ in range(m)]
+    # the last scalar given at each position, keyed j*m + i, so sorted keys run column by column
+    at: dict[int, Scalar] = {}
     for i, j, c in entries:
         if not (0 <= i < m and 0 <= j < n):
             raise ShapeError(f"entry ({i}, {j}) lies outside a {m}x{n} matrix")
-        rows[i][j] = c
-    return LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
+        rows[i][j] = at[j * m + i] = c
+    f = LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
+    # its sparse columns from the triples, as `_filled` gives them: no scan of the dense rows
+    plain = field.plain
+    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    for k in sorted(at):
+        if c := at[k]:
+            j, i = divmod(k, m)
+            cols[j].append((i, plain(c)))
+    object.__setattr__(f, "_cols", tuple(map(tuple, cols)))
+    return f
 
 
 def from_columns(field: Field, domain: Space, codomain: Space, cols) -> LinearMap:
@@ -510,6 +525,69 @@ class KronApply:
         return f"KronApply({prod(self.domain_dims)}->{prod(self.codomain_dims)})"
 
 
+class Embed13:
+    """S13: a map s on V1 (x) V3 applied to the outer factors of V1 (x) V2 (x) V3
+    and the identity to V2, usable inside check chains only.
+
+    Input j = (u*n2 + v)*n3 + w reads column u*n3 + w of s, and its entry
+    u'*m3 + w' lands at (u'*n2 + v)*m3 + w': the digit v is copied, with no
+    multiplication.  The slot of a block is one more identity digit,
+    outermost, as in a `KronApply`; `domain` and `codomain` are built the
+    first time they are read.
+    """
+
+    __slots__ = ("s", "mid", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_shape", "_terms")
+    _is_identity = False
+
+    def __init__(self, s: LinearMap, mid: Space):
+        if len(s.domain_dims) != 2 or len(s.codomain_dims) != 2:
+            raise ShapeError("S13 needs a map between two-factor tensor spaces")
+        (n1, n3), (m1, m3) = s.domain_dims, s.codomain_dims
+        n2 = mid.dim
+        self.s, self.mid, self.field = s, mid, s.field
+        self._domain = self._codomain = None
+        self.domain_dims = (n1, *mid.dims, n3)
+        self.codomain_dims = (m1, *mid.dims, m3)
+        # (domain dim, V2 (x) V3 dim, n3, codomain dim, m3)
+        self._shape = (n1 * n2 * n3, n2 * n3, n3, m1 * n2 * m3, m3)
+        # s's columns, each entry u'*m3 + w' moved to its offset u'*n2*m3 + w'
+        self._terms = tuple(tuple((r // m3 * n2 * m3 + r % m3, x) for r, x in col) for col in s._cols)
+
+    @property
+    def domain(self) -> Space:
+        if self._domain is None:
+            v1, v3 = self.s.domain.factors
+            self._domain = tensor(v1, self.mid, v3)
+        return self._domain
+
+    @property
+    def codomain(self) -> Space:
+        if self._codomain is None:
+            v1, v3 = self.s.codomain.factors
+            self._codomain = tensor(v1, self.mid, v3)
+        return self._codomain
+
+    def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
+        # a block of columns and raw sums, as LinearMap.apply_sparse
+        out: dict[int, Scalar] = {}
+        get = out.get
+        terms = self._terms
+        n, n23, n3, m, m3 = self._shape
+        for k, y in col.items():
+            c, j = divmod(k, n)
+            u, vw = divmod(j, n23)
+            v, w = divmod(vw, n3)
+            base = c * m + v * m3
+            for r, x in terms[u * n3 + w]:
+                i = base + r
+                cur = get(i)
+                out[i] = x * y if cur is None else cur + x * y
+        return out
+
+    def __repr__(self):
+        return f"Embed13({prod(self.domain_dims)}->{prod(self.codomain_dims)})"
+
+
 class _Columns(dict):
     """Column j of a chain, sorted and plain, computed the first time it is read."""
 
@@ -585,7 +663,7 @@ class _Row(Sequence):
         return field.zero
 
 
-ChainElt = LinearMap | KronApply | Composite
+ChainElt = LinearMap | KronApply | Embed13 | Composite
 Chain = ChainElt | list | tuple
 # (name, lhs, rhs): each side a list of layers, a layer a name or a tuple of names
 Law = tuple[str, list, list]
@@ -596,7 +674,7 @@ def lazy_kron(*legs) -> KronApply:
 
 
 def _as_chain(x: Chain) -> list[ChainElt]:
-    if isinstance(x, (LinearMap, KronApply, Composite)):
+    if isinstance(x, (LinearMap, KronApply, Embed13, Composite)):
         return [x]
     chain = list(x)
     if not chain:

@@ -5,7 +5,9 @@ primitive: the braid relation, the quantum Yang-Baxter equation, WXZ systems,
 and four-map systems are all families of vanishing commutators.  Checks
 compare the two triple compositions (the word TRIPLE_LAW) column-by-column
 instead of materializing the commutator, so a failure surfaces the first bad
-basis vector.
+basis vector.  Each side is three lazy layers: R12 and T23 are Kronecker
+products with an identity leg, and S13 is one `linalg.Embed13`, which applies
+S to the outer legs and copies the middle digit, with no flips.
 
 The bridge results relate these systems to the entwining axioms: the algebra
 R-matrix R_{r,s} pairs with a twisted entwining map to form a (semi) system
@@ -29,6 +31,7 @@ from .entwine import (
 )
 from .fields import Scalar
 from .linalg import (
+    Embed13,
     LinearMap,
     ShapeError,
     Space,
@@ -49,10 +52,9 @@ from .report import IdentityCheck, PreconditionError, Report, merge
 from .structures import Algebra, check_algebra, check_derivation, opposite_algebra
 
 
-# R12 S13 T23 = T23 S13 R12 on U (x) V (x) W, where S13 is S (x) V conjugated
-# by τ : V (x) W -> W (x) V and τ⁻¹ : W (x) V -> V (x) W on the last two legs
-_S13 = [("U", "τ⁻¹"), ("S", "V"), ("U", "τ")]
-TRIPLE_LAW = ("commutator", [("R", "W"), *_S13, ("U", "T")], [("U", "T"), *_S13, ("R", "W")])
+# R12 S13 T23 = T23 S13 R12 on U (x) V (x) W, where "S13" is bound to one lazy
+# layer (`linalg.Embed13`): S on the outer legs U and W, the identity on V
+TRIPLE_LAW = ("commutator", [("R", "W"), "S13", ("U", "T")], [("U", "T"), "S13", ("R", "W")])
 BRAID_LAW = ("braid", [("φ", "V"), ("V", "φ"), ("φ", "V")], [("V", "φ"), ("φ", "V"), ("V", "φ")])
 # an algebra A (m, η) with a braiding ψ, and f : A -> B into the algebra B (n, η_B) braided by φ
 R_COMMUTATIVE_LAW = ("r-commutative", ["m", "ψ"], ["m"])
@@ -100,8 +102,7 @@ def commutator_check(name: str, r12: LinearMap, s13: LinearMap, t23: LinearMap) 
     """Column-streamed test that [r12, s13, t23] = 0."""
     u, v, w = TripleSystem(r12, s13, t23).spaces
     field = r12.field
-    maps = {"R": r12, "S": s13, "T": t23, "τ": twist(field, v, w), "τ⁻¹": twist(field, w, v)}
-    maps |= {"U": identity(field, u), "V": identity(field, v), "W": identity(field, w)}
+    maps = {"R": r12, "S13": Embed13(s13, v), "T": t23, "U": identity(field, u), "W": identity(field, w)}
     _, lhs, rhs = TRIPLE_LAW
     return check_law((name, lhs, rhs), maps)
 

@@ -5,6 +5,7 @@ from math import prod
 from entwiner.linalg import (
     ChainElt,
     Composite,
+    Embed13,
     KronApply,
     LinearMap,
     ShapeError,
@@ -162,8 +163,8 @@ def trivial_extension_rows(a):
 
 # ---------------------------------------------------------------------------
 # A law evaluator that reads map entries only: a LinearMap by its rows, a
-# KronApply by its legs and the Kronecker index formula, a Composite by its
-# own chain.  It shares no code with the kernels of `linalg`, their block
+# KronApply by its legs and the Kronecker index formula, an Embed13 by its map,
+# its middle space and the index formula of S13, a Composite by its own chain.  It shares no code with the kernels of `linalg`, their block
 # schedule, their dense fill or `law_chains`: a vector is a dict of its
 # nonzero entries as field elements, applied one input entry at a time, one
 # column of the identity at a time.
@@ -198,6 +199,9 @@ def _dims(elt) -> tuple[int, int]:
         return prod(n for n, _ in legs), prod(m for _, m in legs)
     if isinstance(elt, Composite):
         return _dims(elt.chain[-1])[0], _dims(elt.chain[0])[1]
+    if isinstance(elt, Embed13):
+        n, m = _dims(elt.s)
+        return n * elt.mid.dim, m * elt.mid.dim
     return len(elt.rows[0]), len(elt.rows)
 
 
@@ -211,6 +215,9 @@ def _domain_labels(elt) -> list:
     def atoms(s):
         return [s.labels] if s.labels else [labels for f in s.factors for labels in atoms(f)]
 
+    if isinstance(elt, Embed13):
+        v1, v3 = elt.s.domain.factors
+        return atoms(v1) + atoms(elt.mid) + atoms(v3)
     return atoms(elt.domain)
 
 
@@ -247,6 +254,15 @@ class _Columns:
             return col
         if isinstance(elt, Composite):
             return self.apply(elt.chain, j)
+        if isinstance(elt, Embed13):
+            # S13[(u', v', w'), (u, v, w)] = S[(u', w'), (u, w)] * δ(v', v), for
+            # the dims n2 of the middle space and n3, m3 of S's right legs
+            n2 = elt.mid.dim
+            n3, m3 = elt.s.domain.factors[1].dim, elt.s.codomain.factors[1].dim
+            u, v, w = j // (n2 * n3), j // n3 % n2, j % n3
+            return {
+                (i // m3 * n2 + v) * m3 + i % m3: x for i, x in self.column(elt.s, u * n3 + w).items()
+            }
         return {i: row[j] for i, row in enumerate(elt.rows) if row[j]}
 
     def apply(self, chain: list, j: int) -> dict:

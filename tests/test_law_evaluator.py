@@ -8,8 +8,10 @@ sweeps capture every (law, maps) that `check_law` and `check_laws` receive,
 and recompute each one: while `verify` checks each registry instance in its
 plain, `corrupt:` and `dual:` forms, and while every `--check` of
 `entwiner verify` runs on each of them, over Q and F_7, the verify group of
-`tools/output_digest.py`.  `action-roundtrip` runs and captures nothing: it
-compares maps with `LinearMap.same_matrix`, and binds no law.
+`tools/output_digest.py`; and while the `generator-actions` suite row runs,
+the one caller of the refinement rows, which no `--check` binds.
+`action-roundtrip` runs and captures nothing: it compares maps with
+`LinearMap.same_matrix`, and binds no law.
 """
 
 import pytest
@@ -155,3 +157,25 @@ def test_check_laws_equals_check_law_row_by_row_on_registry_bindings(captured):
         if repr(row_key(row)) not in bound
     ]
     assert unbound == []
+
+
+# (laws captured, laws failing) of the generator-actions suite row, per field,
+# and of them the rows of REFINEMENT_LAWS and COREFINEMENT_LAWS
+GENERATOR_ACTIONS_SWEEP = (266, 24, 46, 10)
+
+
+@pytest.mark.parametrize("tag", ("q", "fp:7"))
+def test_every_law_of_the_generator_actions_row_matches_the_entry_evaluator(captured, tag):
+    # the refinement rows are bound by no `--check`, only by this suite row
+    suite.run_row("generator-actions", tag)
+    refinements = {repr(row_key(law)) for law in tambara.REFINEMENT_LAWS + tambara.COREFINEMENT_LAWS}
+    counts = [0, 0, 0, 0]
+    for table, maps, checks in captured:
+        for law, got in zip(table, checks):
+            assert (got.passed, got.witness, got.residual) == law_verdict(law, maps), law[0]
+            refinement = repr(row_key(law)) in refinements
+            counts[0] += 1
+            counts[1] += not got.passed
+            counts[2] += refinement
+            counts[3] += refinement and not got.passed
+    assert tuple(counts) == GENERATOR_ACTIONS_SWEEP

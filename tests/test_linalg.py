@@ -1,5 +1,6 @@
 """Tensor bookkeeping: spaces, Kronecker products, chains, identity checks."""
 
+import itertools
 import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
@@ -14,6 +15,7 @@ from entwiner.fields import QQ, FieldError, PrimeField
 from entwiner.linalg import (
     MAX_BLOCK,
     Composite,
+    Embed13,
     KronApply,
     LinearMap,
     ShapeError,
@@ -244,6 +246,46 @@ def test_embed13_matches_definition():
                             got = e.rows[(i * dm + m) * dw + k][(j * dm + mm) * dw + l]
                             want = s.rows[i * dw + k][j * dw + l] if m == mm else 0
                             assert got == want
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_embed13_equals_the_conjugated_chain_and_its_index_formula(field):
+    # V1, V2, V3 of dims 2, 3, 4 (and V2 a tensor of two), so every block
+    # `materialize` streams after the first is wider than one column
+    rng = random.Random(59)
+    v1, v3 = V2, space("e0", "e1", "e2", "e3")
+
+    def random_map(dom, cod):
+        rows = tuple(tuple(field.from_int(rng.randrange(-2, 3)) for _ in range(dom.dim)) for _ in range(cod.dim))
+        return LinearMap(field, dom, cod, rows)
+
+    def assert_index_formula(e, s, n2):
+        # S13[(u', v', w'), (u, v, w)] = S[(u', w'), (u, w)] * δ(v', v)
+        (n1, n3), (m1, m3) = s.domain.dims, s.codomain.dims
+        got = materialize(e).rows
+        for u_, v_, w_, u, v, w in itertools.product(range(m1), range(n2), range(m3), range(n1), range(n2), range(n3)):
+            want = s.rows[u_ * m3 + w_][u * n3 + w] if v_ == v else field.zero
+            assert got[(u_ * n2 + v_) * m3 + w_][(u * n2 + v) * n3 + w] == want
+
+    for mid in (V3, tensor(W2, V2)):
+        for _ in range(3):
+            s = random_map(tensor(v1, v3), tensor(v1, v3))
+            e = Embed13(s, mid)
+            assert e.domain_dims == e.codomain_dims == (2, *mid.dims, 4)
+            got = materialize(e)
+            assert got.domain == got.codomain == tensor(v1, mid, v3)
+            assert got.rows == materialize(embed13_chain(s, mid)).rows
+            assert_index_formula(e, s, mid.dim)
+            t = random_map(tensor(v1, mid, v3), tensor(v1, mid, v3))
+            assert materialize([t, e, t]).rows == compose(t, compose(got, t)).rows
+    # S : V1 (x) V3 -> W3 (x) W2, the codomain's legs of other dims
+    s = random_map(tensor(v1, v3), tensor(W3, W2))
+    e = Embed13(s, V3)
+    assert (e.domain_dims, e.codomain_dims) == ((2, 3, 4), (3, 3, 2))
+    assert materialize(e).codomain == tensor(W3, V3, W2)
+    assert_index_formula(e, s, V3.dim)
+    with pytest.raises(ShapeError, match="two-factor"):
+        Embed13(random_map(v3, tensor(v1, v1)), V3)
 
 
 def test_lazy_kron_matches_dense_kron():

@@ -11,11 +11,13 @@ The commands are those of CHANGE_ROOT's `perfbench/catalogue.json`, which is
 read and never written.  Its set-up structure files are written once, into
 a temporary directory, from side a's output; side b must print the same
 bytes.  Every round runs each command of the chosen groups (default: all
-four) once on each side, in catalogue order, through `cli.main` with stdout
-and stderr captured, timed with `time.process_time`; the side that runs
-first alternates from one command to the next, and from one round to the
-next for each command, since the catalogue lists a command's text and
-`--json` forms in turn.  Each side runs with its own
+four) once on each side, through `cli.main` with stdout and stderr captured,
+timed with `time.process_time`.  Round r (from 0) runs the commands in an
+order shuffled by the seed r, as the benchmark's cli-mix shuffles each pass,
+so a command pays for what its neighbours leave in the package's caches;
+both sides run the same order.  The side that runs first alternates along
+the catalogue, which lists a command's text and `--json` forms in turn, and
+from one round to the next for each command.  Each side runs with its own
 root as the working directory, so a command naming `src/entwiner/data/...`
 reads that tree's file.  Each command must give both sides the same exit code
 and stdout, or the script exits with a message naming it.  A structure file
@@ -41,6 +43,7 @@ import io
 import json
 import math
 import os
+import random
 import statistics
 import sys
 import tempfile
@@ -122,12 +125,14 @@ def main(argv=None) -> int:
             totals = []
             for r in range(args.rounds):
                 total = dict.fromkeys(SIDES, 0.0)
-                flip = r % 2
+                order = list(range(len(ops)))
+                random.Random(r).shuffle(order)
                 gc.collect()
-                for k, (group, template) in enumerate(ops):
+                for k in order:
+                    group, template = ops[k]
                     real = expand(template, files)
                     seen = {}
-                    for s in SIDES[::-1] if flip else SIDES:
+                    for s in SIDES[::-1] if (k + r) % 2 else SIDES:
                         os.chdir(roots[s])
                         t0 = time.process_time()
                         seen[s] = run(clis[s], real)
@@ -138,7 +143,6 @@ def main(argv=None) -> int:
                         spent[s, group] += dt
                         total[s] += dt
                         best[s][k] = min(best[s][k], dt)
-                    flip ^= 1
                     if seen["a"] != seen["b"]:
                         raise SystemExit(f"{' '.join(template)}: the two trees give different output")
                 totals.append(total)

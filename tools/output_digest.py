@@ -16,9 +16,10 @@ Two checkouts whose digests match give the same stdout and exit code on every
 command of the sweep.  Stderr is not part of the digest: it carries only the
 wording of exit-2 refusals.  Stdlib only.  Run it from any directory; it
 imports the package from `ROOT/src`, ROOT being the checkout this file sits
-in unless `--root` names another, so one copy of the script digests any tree:
+in unless `--root` names another, so one copy of the script digests any tree.
+`--groups` runs only the named groups, in the order above:
 
-    python3 tools/output_digest.py [--root ROOT]
+    python3 tools/output_digest.py [--root ROOT] [--groups g,h]
 """
 
 from __future__ import annotations
@@ -117,18 +118,30 @@ def construct_results():
             os.chdir(home)
 
 
+# group -> its (argv, exit code, stdout) results, in the order the digest prints them
+GROUPS = {
+    "suite": lambda: ran(suite_commands()),
+    "verify": lambda: ran(verify_commands()),
+    "construct": construct_results,
+    "list": lambda: ran([["list"], ["list", "--json"]]),
+}
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Digest the CLI output of a checkout.")
     parser.add_argument("--root", default=HOME, help="the checkout to digest (default: this file's)")
-    root = parser.parse_args().root
+    parser.add_argument("--groups", help=f"comma-separated groups (default: all of {', '.join(GROUPS)})")
+    args = parser.parse_args()
+    root = args.root
+    chosen = args.groups.split(",") if args.groups else GROUPS
+    for g in chosen:
+        if g not in GROUPS:
+            parser.error(f"'{g}' is not a group (known: {', '.join(GROUPS)})")
     if not os.path.isdir(os.path.join(root, "src", "entwiner")):
         parser.error(f"{root} holds no src/entwiner")
     cli, registry = load(root)
-    for group, results in (
-        ("suite", ran(suite_commands())),
-        ("verify", ran(verify_commands())),
-        ("construct", construct_results()),
-        ("list", ran([["list"], ["list", "--json"]])),
-    ):
-        count, sha = digest(results)
+    for group, results in GROUPS.items():
+        if group not in chosen:
+            continue
+        count, sha = digest(results())
         print(f"{group}: {count} commands sha256={sha}", flush=True)
