@@ -8,20 +8,26 @@ ordinary operators (+, *, -, unary -, **) and truthiness for zero tests.  An
 F_p element refuses /, // and % (use `field.div`) and any operand that is
 neither an int nor an element of the same F_p, with FieldError.
 
-The product kernels of `linalg` compute on plain scalars instead: `plain`
-makes one (over F_p an int in [0, p), a foreign scalar refused; over Q the
-value itself, unchecked, as map entries are checked when a map is built), the
-kernels add raw sums, `nonzero` drops the zeros of a chain's column and
-reduces each entry once, at the end of the chain (delayed reduction, as in
-FFLAS-FFPACK), and `elem` makes an element again.  Over Q all three keep the
-value.  `types` is the set of entry types a map over the field may hold: int
-and Fraction over Q, int and the element class over F_p; a map refuses any
-other entry (a float, a bool, an element of another field) with FieldError
-when it is built, and so does `LinearMap.apply` for a vector entry.
-`from_int`, `div` and `render` refuse such a scalar on both fields.  `render`
-gives every digit of a value of any length: a computed value can outgrow the
-digit limit of `str` of an int, and such a value's digits come from
-`decimal.Decimal`, which has none.
+The product kernels of `linalg` compute on plain ints on both fields.  A
+map's entries are ints over one positive denominator: `whole` is the set of
+scalar types of denominator 1 (int over Q; over F_p every scalar, so only Q
+has `lcd`, the least common denominator of some scalars), and
+`numerator(den)` the function that makes a scalar its int numerator over
+den (over Q `int` when den is 1; over F_p `plain`, which gives an int in
+[0, p) and refuses a foreign scalar; over Q `plain` is the value itself,
+unchecked, as map entries are checked when a map is built).  The kernels add
+raw sums of products of numerators, `nonzero` drops the zeros of a chain's
+column and, over F_p, reduces each entry once, at the end of the chain
+(delayed reduction, as in FFLAS-FFPACK), and `elem` makes an element again
+of a numerator over the denominator 1.  Over another denominator `div` makes
+it: over Q the one division of a chain's value.  `types` is the set of
+entry types a map over the field may hold: int and Fraction over Q, int and
+the element class over F_p; a map refuses any other entry (a float, a bool,
+an element of another field) with FieldError when it is built, and so does
+`LinearMap.apply` for a vector entry.  `from_int`, `div` and `render` refuse
+such a scalar on both fields.  `render` gives every digit of a value of any
+length: a computed value can outgrow the digit limit of `str` of an int, and
+such a value's digits come from `decimal.Decimal`, which has none.
 
 `parse` takes "n" or "n/d" with optional surrounding whitespace; the
 strings "-9" ... "9" are looked up in a table of their values first.  A
@@ -34,8 +40,10 @@ structure-file format.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -74,6 +82,7 @@ class Rationals:
     zero = 0
     one = 1
     types = frozenset((int, Fraction))
+    whole = frozenset((int,))
     _small = {t: int(t) for t in _SMALL}
 
     def __repr__(self):
@@ -122,12 +131,22 @@ class Rationals:
     def div(self, a, b):
         if not self._own(b):
             raise ZeroDivisionError("division by zero scalar")
-        return _normalize(Fraction(self._own(a)) / Fraction(b))
+        return _normalize(Fraction(self._own(a), b))
 
     def plain(self, x):
         return x
 
     elem = plain
+
+    def lcd(self, xs) -> int:
+        """The least common denominator of the scalars xs."""
+        return lcm(*[x.denominator for x in xs])
+
+    def numerator(self, den: int) -> Callable:
+        """The function that makes a scalar x whose denominator divides den the int x * den."""
+        if den == 1:
+            return int  # of an int, or of a Fraction n/1
+        return lambda x: x.numerator * (den // x.denominator)
 
     def nonzero(self, col: dict) -> dict:
         return {k: v for k, v in col.items() if v}
@@ -226,7 +245,7 @@ class PrimeField:
         self.elem = _fp_class(p)
         self.zero = self.elem(0)
         self.one = self.elem(1)
-        self.types = frozenset((int, self.elem))
+        self.types = self.whole = frozenset((int, self.elem))
         self._small = {t: self.elem(int(t)) for t in _SMALL}
 
     @property
@@ -276,6 +295,9 @@ class PrimeField:
         if type(x) is not self.elem and type(x) is not int:
             _mixing(self.p, x)
         return int(x) % self.p
+
+    def numerator(self, den: int) -> Callable:
+        return self.plain
 
     def nonzero(self, col: dict) -> dict:
         p = self.p

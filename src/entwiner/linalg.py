@@ -16,11 +16,18 @@ lazy Kronecker products (`KronApply`), the lazy S13 layer (`Embed13`) and
 columns: input key c*n + j is entry j of the block's column c, its slot, and
 output key c*m + r is entry r of that slot (n and m the element's domain and
 codomain dims).  A single column is the width-1 block, slot 0, keyed by its
-rows, so one kernel serves both.  The kernels read plain scalars
-(`field.plain`) and return raw sums: zeros stay and, over F_p, entries are
-unreduced ints.  `field.nonzero` drops the zeros and reduces once per chain
-and block, at the end of `chain_apply_basis` and in `apply`, and once per
-block of a `combine`.
+rows, so one kernel serves both.  On both fields the kernels multiply plain
+ints: every element keeps its columns `_cols` as int numerators over one
+positive int `_den` (a map's, the least common denominator of its entries,
+set when it is built: 1 over F_p and for an integer map), and a chain's
+denominator is the product of its elements' `_den`.  An identity check seeds
+each side with what the other side's denominator adds to its own, so both
+stream numerators over one denominator.  The kernels return raw sums: zeros
+stay and, over F_p, entries are unreduced ints.  `field.nonzero` drops the
+zeros and reduces once per chain and block, at the end of
+`chain_apply_basis` and in `apply`, and once per block of a `combine`; over
+Q a value is divided by its denominator once, when a dense map is filled,
+`apply` returns or a failing column is rendered.
 
 Every element carries its flat `domain_dims` and `codomain_dims`; chains are
 matched on those.  A `KronApply` lays out its legs from their dims alone and
@@ -58,9 +65,10 @@ Identity checks stream both sides block by block and stop at the first block
 where they differ; its smallest differing slot is the lexicographically-first
 failing basis tuple - the witness reported.  Its `passed` is False at once;
 the witness and the rendered residual are computed the first time they are
-read, from what the check keeps: the block's first column, the two plain
-blocks, the chain's innermost element (for the basis labels) and the codomain
-dim.  A reader of verdicts alone neither searches the blocks nor renders.
+read, from what the check keeps: the block's first column, the two blocks
+of numerators and their shared denominator, the chain's innermost element
+(for the basis labels) and the codomain dim.  A reader of verdicts alone
+neither searches the blocks nor renders.
 
 A law is data: `(name, lhs, rhs)`, each side a word of tensor layers of named
 maps, outermost layer first.  `check_laws` returns a deferred check per law
@@ -86,7 +94,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
-from math import prod
+from math import gcd, lcm, prod
 
 from .fields import Field, FieldError, Scalar
 from .report import IdentityCheck
@@ -189,39 +197,32 @@ class LinearMap:
     _is_identity = False
 
     def __post_init__(self):
-        if len(self.rows) != self.codomain.dim:
-            raise ShapeError(
-                f"matrix has {len(self.rows)} rows, codomain dim {self.codomain.dim}"
-            )
-        types = self.field.types
-        for r in self.rows:
-            if len(r) != self.domain.dim:
-                raise ShapeError(
-                    f"matrix row has {len(r)} entries, domain dim {self.domain.dim}"
-                )
-            if not types.issuperset(map(type, r)):
-                _refuse_foreign(self.field, r, "hold")
-        # (n, m), read by the kernel on every call
-        object.__setattr__(self, "_shape", (self.domain.dim, self.codomain.dim))
-
-    @property
-    def domain_dims(self) -> tuple[int, ...]:
-        return self.domain.dims
-
-    @property
-    def codomain_dims(self) -> tuple[int, ...]:
-        return self.codomain.dims
+        rows, n, m = self.rows, self.domain.dim, self.codomain.dim
+        if len(rows) != m:
+            raise ShapeError(f"matrix has {len(rows)} rows, codomain dim {m}")
+        whole = self.field.whole
+        den = 1
+        for r in rows:
+            if len(r) != n:
+                raise ShapeError(f"matrix row has {len(r)} entries, domain dim {n}")
+            if not whole.issuperset(map(type, r)):
+                den = lcm(den, _lcd(self.field, r, "hold"))
+        # read on every chain built over the map, (n, m) by the kernel on
+        # every call: plain instance attributes, not fields
+        d = self.__dict__
+        d["domain_dims"], d["codomain_dims"] = self.domain.dims, self.codomain.dims
+        d["_shape"], d["_den"] = (n, m), den
 
     @cached_property
-    def _cols(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        # the nonzero entries of each column, as plain scalars
-        plain = self.field.plain
-        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.domain.dim)]
+    def _cols(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # the nonzero entries of each column, as numerators over `_den`
+        num = self.field.numerator(self._den)
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.domain.dim)]
         for i, row in enumerate(self.rows):
             for j, x in enumerate(row):
                 if x:
-                    cols[j].append((i, plain(x)))
-        return tuple(tuple(c) for c in cols)
+                    cols[j].append((i, num(x)))
+        return tuple(map(tuple, cols))
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row[j] for row in self.rows)
@@ -248,11 +249,11 @@ class LinearMap:
         if len(vec) != self.domain.dim:
             raise ShapeError("vector length does not match domain")
         field = self.field
-        if not field.types.issuperset(map(type, vec)):
-            _refuse_foreign(field, vec, "take")
-        out = field.nonzero(self.apply_sparse({j: field.plain(v) for j, v in enumerate(vec) if v}))
-        elem, zero = field.elem, field.zero
-        return tuple(elem(out[i]) if i in out else zero for i in range(self.codomain.dim))
+        den = 1 if field.whole.issuperset(map(type, vec)) else _lcd(field, vec, "take")
+        num = field.numerator(den)
+        out = field.nonzero(self.apply_sparse({j: num(v) for j, v in enumerate(vec) if v}))
+        value, zero = _quotient(field, den * self._den), field.zero
+        return tuple(value(out[i]) if i in out else zero for i in range(self.codomain.dim))
 
     def same_matrix(self, other: LinearMap) -> bool:
         return (
@@ -297,11 +298,23 @@ class LinearMap:
         return f"LinearMap({self.domain.dim}->{self.codomain.dim})"
 
 
-def _refuse_foreign(field: Field, entries, verb: str):
-    # a map's entries and the vectors it is applied to: any type outside
-    # field.types is refused, checked inline by `types.issuperset(map(type, ...))`
-    x = next(x for x in entries if type(x) not in field.types)
-    raise FieldError(f"a map over {field!r} cannot {verb} {type(x).__name__} {x!r}")
+def _quotient(field: Field, den: int):
+    # the function that makes a numerator over den a field element: `elem`
+    # over the denominator 1, else the one division (over Q only)
+    if den == 1:
+        return field.elem
+    div = field.div
+    return lambda x: div(x, den)
+
+
+def _lcd(field: Field, xs, verb: str) -> int:
+    # the least common denominator of scalars that are not all `field.whole`
+    # (a map's row, a vector it is applied to, coefficients); any type outside
+    # field.types is refused (over F_p, where every scalar is whole, that is all it does)
+    if not field.types.issuperset(map(type, xs)):
+        x = next(x for x in xs if type(x) not in field.types)
+        raise FieldError(f"a map over {field!r} cannot {verb} {type(x).__name__} {x!r}")
+    return field.lcd(xs)
 
 
 def from_entries(field: Field, domain: Space, codomain: Space, entries) -> LinearMap:
@@ -316,13 +329,13 @@ def from_entries(field: Field, domain: Space, codomain: Space, entries) -> Linea
         rows[i][j] = at[j * m + i] = c
     f = LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
     # its sparse columns from the triples, as `_filled` gives them: no scan of the dense rows
-    plain = field.plain
-    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    num = field.numerator(f._den)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for k in sorted(at):
         if c := at[k]:
             j, i = divmod(k, m)
-            cols[j].append((i, plain(c)))
-    object.__setattr__(f, "_cols", tuple(map(tuple, cols)))
+            cols[j].append((i, num(c)))
+    f.__dict__["_cols"] = tuple(map(tuple, cols))
     return f
 
 
@@ -427,7 +440,7 @@ class KronApply:
     """
 
     __slots__ = (
-        "legs", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_slot", "_blocks", "_maps"
+        "legs", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_slot", "_blocks", "_maps", "_den"
     )
 
     def __init__(self, *legs):
@@ -452,9 +465,10 @@ class KronApply:
         maps: list[tuple] = []
         dom: list[int] = []
         cod: list[int] = []
-        s = t = 1
+        s = t = den = 1
         run = False
         for leg in reversed(flat):
+            den *= leg._den
             dd, cd = leg.domain_dims, leg.codomain_dims
             dom[:0] = dd
             cod[:0] = cd
@@ -473,6 +487,7 @@ class KronApply:
         if run:
             s, _, t = blocks.pop()
         self._slot = (s, t)
+        self._den = den
         self.domain_dims = tuple(dom)
         self.codomain_dims = tuple(cod)
         self._blocks = tuple(tuple(b) for b in blocks if b[1] > 1)
@@ -536,7 +551,9 @@ class Embed13:
     first time they are read.
     """
 
-    __slots__ = ("s", "mid", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_shape", "_terms")
+    __slots__ = (
+        "s", "mid", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_shape", "_terms", "_den"
+    )
     _is_identity = False
 
     def __init__(self, s: LinearMap, mid: Space):
@@ -544,7 +561,7 @@ class Embed13:
             raise ShapeError("S13 needs a map between two-factor tensor spaces")
         (n1, n3), (m1, m3) = s.domain_dims, s.codomain_dims
         n2 = mid.dim
-        self.s, self.mid, self.field = s, mid, s.field
+        self.s, self.mid, self.field, self._den = s, mid, s.field, s._den
         self._domain = self._codomain = None
         self.domain_dims = (n1, *mid.dims, n3)
         self.codomain_dims = (m1, *mid.dims, m3)
@@ -589,7 +606,8 @@ class Embed13:
 
 
 class _Columns(dict):
-    """Column j of a chain, sorted and plain, computed the first time it is read."""
+    """Column j of a chain, sorted numerators over the chain's denominator,
+    computed the first time it is read."""
 
     __slots__ = ("chain", "field")
 
@@ -601,19 +619,20 @@ class _Columns(dict):
 class Composite:
     """A chain read as one map, each column computed once, when first read.
 
-    `_cols` has the shape of `LinearMap._cols`, so the composite works as a
-    chain element (through `LinearMap.apply_sparse`) and as a Kronecker leg.
+    `_cols` has the shape of `LinearMap._cols`, numerators over `_den`, the
+    chain's denominator, so the composite works as a chain element (through
+    `LinearMap.apply_sparse`) and as a Kronecker leg.
     A law that fails at its first column computes only the columns that
     column's block reaches, and a column read again costs a dict lookup.  The
     columns live as long as the composite; nothing is cached across
     composites.
     """
 
-    __slots__ = ("chain", "field", "domain_dims", "codomain_dims", "_shape", "_cols")
+    __slots__ = ("chain", "field", "domain_dims", "codomain_dims", "_shape", "_cols", "_den")
     _is_identity = False
 
     def __init__(self, chain: Chain):
-        chain = _as_chain(chain)
+        chain, self._den = _as_chain(chain)
         self.chain = chain
         self.field = chain[0].field
         self.domain_dims = chain[-1].domain_dims
@@ -656,11 +675,11 @@ class _Row(Sequence):
     def __getitem__(self, j: int) -> Scalar:
         if not 0 <= j < self._n:
             raise IndexError(j)
-        field = self._of.field
-        for r, x in self._of._cols[j]:
+        of = self._of
+        for r, x in of._cols[j]:
             if r == self._i:
-                return field.elem(x)
-        return field.zero
+                return _quotient(of.field, of._den)(x)
+        return of.field.zero
 
 
 ChainElt = LinearMap | KronApply | Embed13 | Composite
@@ -673,21 +692,25 @@ def lazy_kron(*legs) -> KronApply:
     return KronApply(*legs)
 
 
-def _as_chain(x: Chain) -> list[ChainElt]:
+def _as_chain(x: Chain) -> tuple[list[ChainElt], int]:
+    # the chain, its elements checked to compose, and its denominator: the
+    # product of their `_den`
     if isinstance(x, (LinearMap, KronApply, Embed13, Composite)):
-        return [x]
+        return [x], x._den
     chain = list(x)
     if not chain:
         raise ShapeError("empty composition chain")
+    den = chain[0]._den
     for outer, inner in zip(chain, chain[1:]):
         if outer.field != inner.field:
             raise ShapeError("composition across fields")
         if outer.domain_dims != inner.codomain_dims:
             raise ShapeError(f"chain mismatch: {outer.domain_dims} vs {inner.codomain_dims}")
-    return chain
+        den *= inner._den
+    return chain, den
 
 
-def _seed(lo: int, hi: int, n: int, x: Scalar) -> dict[int, Scalar]:
+def _seed(lo: int, hi: int, n: int, x: int) -> dict[int, int]:
     # the block x*e_lo, ..., x*e_(hi-1) of an n-dim domain: slot c holds
     # x*e_(lo + c) at key c*n + lo + c (a loop: as a comprehension, whose
     # frame every single column pays, it cost 2 % of the CLI catalogue's time)
@@ -711,13 +734,13 @@ def _schedule(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def chain_apply_basis(
-    chain: list[ChainElt], j: int, field: Field, hi: int | None = None
-) -> dict[int, Scalar]:
+    chain: list[ChainElt], j: int, field: Field, hi: int | None = None, x: int = 1
+) -> dict[int, int]:
     """Column j of the composite or, given `hi`, the block of columns j..hi-1,
-    whose key c*m + r holds entry r of column j + c (m the codomain dim):
-    plain scalars, zeros dropped, reduced once at the end."""
-    # 1 is the plain one of both fields
-    col = _seed(j, j + 1 if hi is None else hi, prod(chain[-1].domain_dims), 1)
+    whose key c*m + r holds entry r of column j + c (m the codomain dim), each
+    times x: numerators over the chain's denominator (see `_as_chain`),
+    zeros dropped, reduced once at the end."""
+    col = _seed(j, j + 1 if hi is None else hi, prod(chain[-1].domain_dims), x)
     for elt in reversed(chain):
         if not col:
             break
@@ -727,10 +750,10 @@ def chain_apply_basis(
 
 def materialize(chain: Chain) -> LinearMap:
     """Every column of the chain, streamed in blocks, as dense rows (small shapes only)."""
-    chain = _as_chain(chain)
+    chain, den = _as_chain(chain)
     field = chain[0].field
     return _filled(
-        field, chain[-1].domain, chain[0].codomain, lambda lo, hi: chain_apply_basis(chain, lo, field, hi)
+        field, chain[-1].domain, chain[0].codomain, lambda lo, hi: chain_apply_basis(chain, lo, field, hi), den
     )
 
 
@@ -739,32 +762,38 @@ def combine(terms) -> LinearMap:
 
     The terms share a field and a shape (domain and codomain dims), and the
     first term gives the result its spaces.  Each column is computed once for
-    all terms: every nonzero term's chain is applied to c_k e_j, the raw sums
-    are added, and the total is reduced once.  A zero coefficient skips its
-    term, which still fixes the shape, so an all-zero combination is the zero
-    map.  A coefficient outside the field's `types` is refused with
+    all terms: every nonzero term's chain is applied to e_j times an int
+    seed, c_k's numerator scaled so that all terms are numerators over one
+    denominator (the coefficients' least common one times the lcm of the
+    chains'), the raw sums are added, and the total is reduced once and
+    divided once.  A zero coefficient skips its term, which still fixes the
+    shape, so an all-zero combination is the zero map.  A coefficient outside the field's `types` is refused with
     FieldError.
     """
-    terms = [(c, _as_chain(chain)) for c, chain in terms]
+    terms = [(c, *_as_chain(chain)) for c, chain in terms]
     if not terms:
         raise ShapeError("empty linear combination")
     first = terms[0][1]
     field = first[0].field
     n = prod(first[-1].domain_dims)
     m = prod(first[0].codomain_dims)
-    for _, chain in terms:
+    l = 1  # the lcm of the chains' denominators
+    for _, chain, d in terms:
         if chain[0].field != field:
             raise ShapeError("maps over different fields")
         if prod(chain[-1].domain_dims) != n or prod(chain[0].codomain_dims) != m:
             raise ShapeError("map shapes differ")
-    coeffs = [c for c, _ in terms]
-    if not field.types.issuperset(map(type, coeffs)):
-        _refuse_foreign(field, coeffs, "scale by")
-    plain = field.plain
-    live = [(pc, chain[::-1]) for c, chain in terms if (pc := plain(c))]
+        if d != 1:
+            l = lcm(l, d)
+    coeffs = [c for c, _, _ in terms]
+    b = 1 if field.whole.issuperset(map(type, coeffs)) else _lcd(field, coeffs, "scale by")
+    # the coefficients as numerators over b, and each nonzero term as (its
+    # seed, its elements innermost first): all terms are then over b * l
+    num = field.numerator(b)
+    live = [(a * (l // d), chain[::-1]) for c, chain, d in terms if (a := num(c))]
 
-    def block(lo: int, hi: int) -> dict[int, Scalar]:
-        total: dict[int, Scalar] = {}
+    def block(lo: int, hi: int) -> dict[int, int]:
+        total: dict[int, int] = {}
         for c, elts in live:
             col = _seed(lo, hi, n, c)
             for elt in elts:
@@ -780,26 +809,31 @@ def combine(terms) -> LinearMap:
                 total[i] = x if cur is None else cur + x
         return field.nonzero(total)
 
-    return _filled(field, first[-1].domain, first[0].codomain, block)
+    return _filled(field, first[-1].domain, first[0].codomain, block, b * l)
 
 
-def _filled(field: Field, domain: Space, codomain: Space, block) -> LinearMap:
-    # the dense map whose columns lo..hi-1 are block(lo, hi), a block of plain
-    # entries as `chain_apply_basis` gives it; its sorted columns are the
-    # sparse columns the kernels read
+def _filled(field: Field, domain: Space, codomain: Space, block, den: int) -> LinearMap:
+    # the dense map whose columns lo..hi-1 are block(lo, hi) over den, a block
+    # of numerators as `chain_apply_basis` gives it; its sorted columns, over
+    # the map's own `_den`, are the sparse columns the kernels read: those a
+    # scan of its rows gives
     n, m = domain.dim, codomain.dim
-    elem = field.elem
+    value = _quotient(field, den)
     rows = [[field.zero] * n for _ in range(m)]
-    cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(n)]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for lo, hi in _schedule(n):
         # key k of the block is entry i of column j, for j*m + i = k + lo*m
         off = lo * m
         for k, x in sorted(block(lo, hi).items()):
             j, i = divmod(k + off, m)
             cols[j].append((i, x))
-            rows[i][j] = elem(x)
+            rows[i][j] = value(x)
     f = LinearMap(field, domain, codomain, tuple(map(tuple, rows)))
-    object.__setattr__(f, "_cols", tuple(map(tuple, cols)))
+    if den != f._den:
+        # the least common denominator of the entries divides den
+        g = den // f._den
+        cols = [[(i, x // g) for i, x in col] for col in cols]
+    f.__dict__["_cols"] = tuple(map(tuple, cols))
     return f
 
 
@@ -809,8 +843,8 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
     A failure's witness and residual are computed when first read (see
     `IdentityCheck.failed`).
     """
-    lc = _as_chain(lhs)
-    rc = _as_chain(rhs)
+    lc, dl = _as_chain(lhs)
+    rc, dr = _as_chain(rhs)
     field = lc[0].field
     if field != rc[0].field:
         raise ShapeError("identity sides over different fields")
@@ -824,37 +858,43 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
         raise ShapeError(
             f"identity codomains differ: {cod_dim} vs {prod(rc[0].codomain_dims)}"
         )
+    # both sides as numerators over the lcm of their denominators: each is
+    # seeded with what the other side's denominator adds to its own, so
+    # sides of one denominator compare their raw blocks
+    g = gcd(dl, dr)
     for lo, hi in _schedule(dom_dim):
-        left = chain_apply_basis(lc, lo, field, hi)
-        right = chain_apply_basis(rc, lo, field, hi)
+        left = chain_apply_basis(lc, lo, field, hi, dr // g)
+        right = chain_apply_basis(rc, lo, field, hi, dl // g)
         if left != right:
             return IdentityCheck.failed(
-                name, partial(_block_failure, field, lc[-1], cod_dim, lo, left, right)
+                name, partial(_block_failure, field, lc[-1], cod_dim, lo, left, right, dl // g * dr)
             )
     return IdentityCheck(name, True)
 
 
-def _block_failure(field: Field, inner: ChainElt, cod_dim: int, lo: int, left, right) -> tuple:
+def _block_failure(field: Field, inner: ChainElt, cod_dim: int, lo: int, left, right, den: int) -> tuple:
     # the details of two differing blocks from column lo: their first failing
     # column is the slot that holds the smallest key where they differ
     first = min(left.items() ^ right.items())[0]
     base = first - first % cod_dim
     return _failure_details(
-        field, inner, cod_dim, lo + base // cod_dim, _slot(left, base, cod_dim), _slot(right, base, cod_dim)
+        field, inner, cod_dim, lo + base // cod_dim, _slot(left, base, cod_dim), _slot(right, base, cod_dim), den
     )
 
 
-def _slot(block: dict[int, Scalar], base: int, m: int) -> dict[int, Scalar]:
+def _slot(block: dict[int, int], base: int, m: int) -> dict[int, int]:
     # the column of a block whose keys run from base to base + m - 1, keyed by row
     return {k - base: x for k, x in block.items() if base <= k < base + m}
 
 
-def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, right) -> tuple:
-    """(witness, residual) of a check whose plain columns j differ: the basis
-    tuple of input j of the chain's innermost element, and left - right rendered."""
-    # only the entries of the two columns can be nonzero; they are plain
-    # scalars, so 0 is zero and render reduces the difference
-    diff = {i: field.render(left.get(i, 0) - right.get(i, 0)) for i in left.keys() | right.keys()}
+def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, right, den: int) -> tuple:
+    """(witness, residual) of a check whose columns j, numerators over den,
+    differ: the basis tuple of input j of the chain's innermost element, and
+    (left - right)/den rendered."""
+    # only the entries of the two columns can be nonzero; they are ints, so
+    # 0 is zero, and render reduces the difference over F_p
+    value, render = _quotient(field, den), field.render
+    diff = {i: render(value(left.get(i, 0) - right.get(i, 0))) for i in left.keys() | right.keys()}
     rendered_zero = field.render(field.zero)
     residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
     return inner.domain.basis_tuple(j), residual

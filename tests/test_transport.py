@@ -50,6 +50,7 @@ from entwiner.structures import (
     regular_module,
 )
 from entwiner.yangbaxter import check_yb_operator
+from opposite_bialgebras import band, h4
 
 
 def unitriangular(rng, n):
@@ -135,10 +136,12 @@ def verdicts(rep):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
 def test_bialgebra_verdicts_survive_a_change_of_basis(field):
-    # KZ2 and Kmono, and each with its product or its coproduct corrupted
+    # KZ2, Kmono, Sweedler's H4 and the band, and each with its product or its
+    # coproduct corrupted; H4 is not cocommutative and the band not commutative
+    bialgebras = [(name, bialgebra(name, field)) for name in BIALGEBRA_NAMES]
+    bialgebras += [("H4", h4(field)), ("band", band(field))]
     cases = failing = 0
-    for name in BIALGEBRA_NAMES:
-        plain = bialgebra(name, field)
+    for name, plain in bialgebras:
         for h in (
             plain,
             replace(plain, mult=corrupt_map(plain.mult)),
@@ -152,7 +155,7 @@ def test_bialgebra_verdicts_survive_a_change_of_basis(field):
             assert verdicts(check_bialgebra(moved)) == verdicts(check_bialgebra(h)), name
             cases += 1
             failing += not check_bialgebra(h).passed
-    assert (cases, failing) == (6, 4)
+    assert (cases, failing) == (12, 8)
 
 
 def transport_module(mod, g_m, g_mi, g_a, g_ai):

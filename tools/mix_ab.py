@@ -19,8 +19,15 @@ both sides run the same order.  The side that runs first alternates along
 the catalogue, which lists a command's text and `--json` forms in turn, and
 from one round to the next for each command.  Each side runs with its own
 root as the working directory, so a command naming `src/entwiner/data/...`
-reads that tree's file.  Each command must give both sides the same exit code
-and stdout, or the script exits with a message naming it.  A structure file
+reads that tree's file.  The cyclic garbage collector is paused while a
+round runs and collects every `GC_EVERY` commands, between two commands:
+when it ran on its own, its pauses fell on the same side of the same
+commands in every run, so an A/A run of two identical trees read a median
+round ratio some 0.7 % from 1.  So the timed commands pay no cyclic-GC
+pause: a change that makes more or less collectable garbage reads the same
+here, and only the benchmark (`perfbench/`) measures it.  Each command must
+give both sides the same exit code and stdout, or the script exits with a
+message naming it.  A structure file
 that an `emit` command prints is written to disk, as the benchmark does.
 
 It prints, per group, the number of commands, each side's time summed over
@@ -53,6 +60,7 @@ from row_ab import load
 
 SIDES = ("a", "b")
 GROUPS = ("verify", "emit", "parse", "exit2")
+GC_EVERY = 64
 FILES = "{files}"
 
 
@@ -128,7 +136,10 @@ def main(argv=None) -> int:
                 order = list(range(len(ops)))
                 random.Random(r).shuffle(order)
                 gc.collect()
-                for k in order:
+                gc.disable()
+                for n, k in enumerate(order, 1):
+                    if n % GC_EVERY == 0:
+                        gc.collect()
                     group, template = ops[k]
                     real = expand(template, files)
                     seen = {}
@@ -147,6 +158,7 @@ def main(argv=None) -> int:
                         raise SystemExit(f"{' '.join(template)}: the two trees give different output")
                 totals.append(total)
     finally:
+        gc.enable()
         os.chdir(cwd)
 
     print(f"{'group':<8} {'commands':>8} {'parent s':>10} {'change s':>10} {'ratio':>7}")
