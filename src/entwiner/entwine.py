@@ -144,10 +144,6 @@ class EntwiningData:
     def left_space(self) -> Space:
         return self.psi.domain.factors[0]
 
-    @property
-    def right_space(self) -> Space:
-        return self.psi.domain.factors[1]
-
 
 def algebra_axioms(
     a: Algebra, other: Space, psi: LinearMap, left: bool = False

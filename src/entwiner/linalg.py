@@ -9,13 +9,13 @@ is not in its field's `types` (over Q an int or a Fraction, over F_p an int or
 an element of that field), and `apply` refuses such a vector entry.
 
 Every product - `compose`, `kron`, `LinearMap.apply`, `materialize` and the
-identity checks - streams sparse columns through a chain of elements: maps,
-lazy Kronecker products (`KronApply`), the lazy S13 layer (`Embed13`) and
-`Composite`s.  The only code that multiplies is `LinearMap.apply_sparse`,
-`KronApply.apply_sparse` and `Embed13.apply_sparse`.  Each takes a block of
-columns: input key c*n + j is entry j of the block's column c, its slot, and
-output key c*m + r is entry r of that slot (n and m the element's domain and
-codomain dims).  A single column is the width-1 block, slot 0, keyed by its
+identity checks - streams sparse columns through a chain of elements: maps
+(`LinearMap`), lazy Kronecker products (`KronApply`) and `Composite`s.  The
+only code that multiplies is `LinearMap.apply_sparse` (which a `Composite`
+shares) and `KronApply.apply_sparse`.  Each takes a block of columns: input
+key c*n + j is entry j of the block's column c, its slot, and output key
+c*m + r is entry r of that slot (n and m the element's domain and codomain
+dims).  A single column is the width-1 block, slot 0, keyed by its
 rows, so one kernel serves both.  On both fields the kernels multiply plain
 ints: every element keeps its columns `_cols` as int numerators over one
 positive int `_den` (a map's, the least common denominator of its entries,
@@ -30,16 +30,17 @@ Q a value is divided by its denominator once, when a dense map is filled,
 `apply` returns or a failing column is rendered.
 
 Every element carries its flat `domain_dims` and `codomain_dims`; chains are
-matched on those.  A `KronApply` lays out its legs from their dims alone and
-builds its `domain` and `codomain` spaces only when they are read (a failing
-check's witness, `materialize`).  It copies the digit of each run of adjacent
-identity legs into the output index as one stride block, with no
-multiplication, and a product with one other leg writes that leg's entries
-straight into the output; the slot of a block is one more identity digit,
-outermost.  An `Embed13` applies a map s on V1 (x) V3 to the outer factors
-of V1 (x) V2 (x) V3 and copies V2's digit, so the S13 of a Yang-Baxter
-commutator is one layer, not s (x) V2 between two flips; it too builds its
-spaces only when they are read.  A `Composite` wraps a chain and computes
+matched on those.  A `KronApply` lays out its legs from their dims alone
+(memoised) and builds its `domain` and `codomain` only when they are read (a
+failing check's witness, `materialize`).  Each factor of a leg has an input
+position, side by side for a Kronecker product; identity factors copy their
+digits into the output index with no multiplication, and a map leg reads
+its column index from its factors' digits wherever they lie.  A wire
+(`wire`) is a `KronApply` of identity legs in another order: a permutation
+of tensor factors that builds no matrix (`twist` builds a flip dense, for
+data).  `law_chains` folds a wire into the layer just outside it, which then
+reads each digit where the wire takes it from and keeps the wire's domain,
+so the wire costs no kernel pass.  A `Composite` wraps a chain and computes
 column j with `chain_apply_basis` the first time it is read, then keeps it,
 so a law that stops at a failing column pays only for the columns of the
 blocks it streamed.
@@ -57,7 +58,7 @@ calls to it.  Every other dense map is filled by `from_entries` from (row,
 column, scalar) triples: the structural maps, the unit insertions and counit
 contractions, vectors and covectors, and the injections and projections of a
 `direct_sum`; it too hands the map its sparse columns, from the triples.
-`identity` and `twist` are memoised on (field, spaces), and `tensor` on its
+`identity`, `twist` and `wire` are memoised on (field, spaces), and `tensor` on its
 argument spaces, so equal arguments give one `Space` object; each keeps the
 last few.  `object_memo` keeps the last few values built from whole
 structures, keyed by the identity of arguments that it keeps alive.
@@ -85,8 +86,8 @@ witness is K's one basis tuple.
 
 Composition is right-to-left: (f * g) applies g first.  `@` is the Kronecker
 product.  All objects are immutable after construction; the spaces of a
-`KronApply` or an `Embed13` and the columns of a `Composite` are filled in
-when first read, and are determined by what the object was built from.
+`KronApply` and the columns of a `Composite` are filled in when first read,
+and are determined by what the object was built from.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, wraps
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .fields import Field, FieldError, Scalar
@@ -128,16 +130,11 @@ class Space:
         """Labels of the atomic legs of basis vector i (row-major)."""
         if self.labels:
             return (self.labels[i],)
-        parts: list[int] = []
-        rem = i
-        for f in reversed(self.factors):
-            parts.append(rem % f.dim)
-            rem //= f.dim
-        parts.reverse()
         out: list[str] = []
-        for f, j in zip(self.factors, parts):
-            out.extend(f.basis_tuple(j))
-        return tuple(out)
+        for f in reversed(self.factors):
+            i, j = divmod(i, f.dim)
+            out.extend(reversed(f.basis_tuple(j)))
+        return tuple(reversed(out))
 
     def label(self, i: int) -> str:
         t = self.basis_tuple(i)
@@ -193,8 +190,9 @@ class LinearMap:
     codomain: Space
     rows: tuple[tuple[Scalar, ...], ...]
 
-    # set on the maps that `identity` builds, so KronApply needs no scan
-    _is_identity = False
+    # set on the maps that `identity` builds, so KronApply needs no scan; a
+    # wire permutes tensor factors and does nothing else (see `law_chains`)
+    _is_identity = _is_wire = False
 
     def __post_init__(self):
         rows, n, m = self.rows, self.domain.dim, self.codomain.dim
@@ -223,9 +221,6 @@ class LinearMap:
                 if x:
                     cols[j].append((i, num(x)))
         return tuple(map(tuple, cols))
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row[j] for row in self.rows)
 
     def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
         # a block of columns: input key c*n + j is entry j of slot c, output
@@ -256,20 +251,10 @@ class LinearMap:
         return tuple(value(out[i]) if i in out else zero for i in range(self.codomain.dim))
 
     def same_matrix(self, other: LinearMap) -> bool:
-        return (
-            self.domain.dim == other.domain.dim
-            and self.codomain.dim == other.codomain.dim
-            and all(
-                a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-            )
-        )
+        return self._shape == other._shape and self.rows == other.rows
 
     def transpose(self) -> LinearMap:
-        rows = tuple(
-            tuple(self.rows[i][j] for i in range(self.codomain.dim))
-            for j in range(self.domain.dim)
-        )
-        return LinearMap(self.field, dual_space(self.codomain), dual_space(self.domain), rows)
+        return LinearMap(self.field, dual_space(self.codomain), dual_space(self.domain), tuple(zip(*self.rows)))
 
     def scale(self, c: Scalar) -> LinearMap:
         return combine([(c, self)])
@@ -358,7 +343,7 @@ def identity(field: Field, v: Space) -> LinearMap:
 @lru_cache(maxsize=8)
 def _identity(field: Field, v: Space) -> LinearMap:
     m = from_entries(field, v, v, ((i, i, field.one) for i in range(v.dim)))
-    object.__setattr__(m, "_is_identity", True)
+    m.__dict__["_is_identity"] = m.__dict__["_is_wire"] = True
     return m
 
 
@@ -427,76 +412,55 @@ def direct_sum(field: Field, v: Space, w: Space, vname: str, wname: str):
 
 
 class KronApply:
-    """Lazy tensor product of maps, usable inside check chains only.
-
-    Never materializes the product matrix; applies leg columns to sparse
-    vectors.  Legs are flattened, so nesting costs nothing.  A leg at input
-    stride s and output stride t reads digit (j // s) % dim of input index j
-    and adds r * t to the output index for each entry r of that column; a run
-    of identity legs adds its digit itself, and so does the slot of a block,
-    the digit j // n (n the domain dim) with output stride m (the codomain
-    dim).  The layout needs only the legs' dims, so `domain` and `codomain`
-    are built the first time they are read.
+    """Lazy tensor product of maps, usable inside check chains only; legs are
+    flattened, so nesting costs nothing.  The legs' factors, in order, are the
+    codomain's; factor q of their domains sits at input position
+    `_inputs[q]`, side by side unless `inputs` sends position q to inputs[q].
+    A digit is (j // s) % d at input stride s; a run of identity factors
+    adjacent on both sides, and the slot of a block (j // n, n the domain
+    dim), add digit times output stride; a map leg reads its column from its
+    factors' digits and adds r * t for each entry r.  `domain` and `codomain`
+    are built when first read.
     """
 
     __slots__ = (
-        "legs", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_slot", "_blocks", "_maps", "_den"
+        "legs", "field", "domain_dims", "codomain_dims", "_inputs",
+        "_domain", "_codomain", "_slot", "_blocks", "_maps", "_den", "_is_wire",
     )
 
-    def __init__(self, *legs):
+    def __init__(self, *legs, inputs=None):
         flat: list[ChainElt] = []
+        ins: list[int] = []
         for leg in legs:
+            at = len(ins)
             if isinstance(leg, KronApply):
-                flat.extend(leg.legs)
+                flat += leg.legs
+                ins += [at + p for p in leg._inputs]
             else:
                 flat.append(leg)
+                ins += range(at, at + len(leg.domain_dims))
         if not flat:
             raise ShapeError("empty lazy Kronecker product")
         f0 = flat[0].field
         for leg in flat:
-            if leg.field != f0:
+            if leg.field is not f0 and leg.field != f0:
                 raise ShapeError("Kronecker product across fields")
         self.legs = tuple(flat)
         self.field = f0
+        self._inputs = ins = tuple(ins if inputs is None else [inputs[p] for p in ins])
         self._domain = self._codomain = None
-        # right to left: (input stride, dim, output stride) per identity run,
-        # (input stride, dim, output stride, columns) per other leg
-        blocks: list[list[int]] = []
-        maps: list[tuple] = []
-        dom: list[int] = []
-        cod: list[int] = []
-        s = t = den = 1
-        run = False
-        for leg in reversed(flat):
-            den *= leg._den
-            dd, cd = leg.domain_dims, leg.codomain_dims
-            dom[:0] = dd
-            cod[:0] = cd
-            d = prod(dd)
-            if not leg._is_identity:
-                maps.append((s, d, t, leg._cols))
-            elif run:
-                blocks[-1][1] *= d
-            else:
-                blocks.append([s, d, t])
-            run = leg._is_identity
-            s *= d
-            t *= prod(cd)
-        # the slot of a block is one more identity digit, outermost, with no
-        # bound: (input stride, output stride), merged with an outermost run
-        if run:
-            s, _, t = blocks.pop()
-        self._slot = (s, t)
-        self._den = den
-        self.domain_dims = tuple(dom)
-        self.codomain_dims = tuple(cod)
-        self._blocks = tuple(tuple(b) for b in blocks if b[1] > 1)
-        self._maps = tuple(maps)
+        sig = tuple([(leg.domain_dims, leg.codomain_dims, leg._is_identity) for leg in flat])
+        self.domain_dims, self.codomain_dims, self._slot, self._blocks, places = _layout(sig, ins)
+        self._maps = tuple([(s, d, rest, t, flat[q]._cols) for s, d, rest, t, q in places])
+        self._is_wire = not places
+        self._den = prod(leg._den for leg in flat)
 
     @property
     def domain(self) -> Space:
         if self._domain is None:
-            self._domain = tensor(*(l.domain for l in self.legs))
+            factors = [f for leg in self.legs for f in leg.domain.factors or (leg.domain,)]
+            # each factor at its input position (positions are distinct ints)
+            self._domain = tensor(*(f for _, f in sorted(zip(self._inputs, factors))))
         return self._domain
 
     @property
@@ -513,13 +477,16 @@ class KronApply:
         blocks = self._blocks
         maps = self._maps
         if len(maps) == 1:
-            # one non-identity leg: each of its entries is one output term
-            ((s1, d1, t1, cols1),) = maps
+            # one map leg: each of its entries is one output term
+            ((s1, d1, rest1, t1, cols1),) = maps
             for j, v in col.items():
                 base = j // s0 * t0
                 for s, d, t in blocks:
                     base += j // s % d * t
-                for r, m in cols1[j // s1 % d1]:
+                k = j // s1 % d1
+                for s, d in rest1:
+                    k = k * d + j // s % d
+                for r, m in cols1[k]:
                     idx = base + r * t1
                     cur = get(idx)
                     out[idx] = m * v if cur is None else cur + m * v
@@ -529,8 +496,11 @@ class KronApply:
             for s, d, t in blocks:
                 base += j // s % d * t
             terms: list[tuple[int, Scalar]] = [(base, v)]
-            for s, d, t, cols in maps:
-                terms = [(b + r * t, x * m) for b, x in terms for r, m in cols[j // s % d]]
+            for s1, d1, rest1, t1, cols in maps:
+                k = j // s1 % d1
+                for s, d in rest1:
+                    k = k * d + j // s % d
+                terms = [(b + r * t1, x * m) for b, x in terms for r, m in cols[k]]
             for idx, val in terms:
                 cur = get(idx)
                 out[idx] = val if cur is None else cur + val
@@ -540,69 +510,74 @@ class KronApply:
         return f"KronApply({prod(self.domain_dims)}->{prod(self.codomain_dims)})"
 
 
-class Embed13:
-    """S13: a map s on V1 (x) V3 applied to the outer factors of V1 (x) V2 (x) V3
-    and the identity to V2, usable inside check chains only.
+@lru_cache(maxsize=1024)
+def _layout(sig: tuple, ins: tuple[int, ...]) -> tuple:
+    # a KronApply's dims, slot, identity blocks and, per map leg right to left,
+    # (input stride, dim, further digits, output stride, leg index), from each
+    # leg's (domain dims, codomain dims, identity flag) and the `_inputs`
+    dims = [d for dd, _, _ in sig for d in dd]
+    dom = [0] * len(dims)
+    for q, p in enumerate(ins):
+        dom[p] = dims[q]
+    strides = [1] * len(dom)
+    n = 1
+    for p in range(len(dom) - 1, -1, -1):
+        strides[p] = n
+        n *= dom[p]
+    blocks: list[tuple[int, int, int]] = []
+    places: list[tuple] = []
+    cod: list[int] = []
+    t, a = 1, len(ins)
+    for q in range(len(sig) - 1, -1, -1):
+        dd, cd, is_identity = sig[q]
+        cod[:0] = cd
+        a -= len(dd)
+        if is_identity:
+            for p in reversed(ins[a : a + len(dd)]):
+                s, d = strides[p], dom[p]
+                if d == 1:
+                    continue
+                if blocks and blocks[-1][0] * blocks[-1][1] == s and blocks[-1][2] * blocks[-1][1] == t:
+                    s, e, u = blocks.pop()
+                    blocks.append((s, e * d, u))
+                else:
+                    blocks.append((s, d, t))
+                t *= d
+            continue
+        digits: list[tuple[int, int]] = []
+        for p in ins[a : a + len(dd)]:
+            s, d = strides[p], dom[p]
+            if d == 1:
+                continue
+            if digits and digits[-1][0] == s * d:
+                digits[-1] = (s, digits[-1][1] * d)
+            else:
+                digits.append((s, d))
+        (s, d), *rest = digits or [(1, 1)]
+        places.append((s, d, tuple(rest), t, q))
+        t *= prod(cd)
+    # the slot: (input stride, output stride), merged with a run at the top of both sides
+    slot = (n, t)
+    if blocks and blocks[-1][0] * blocks[-1][1] == n and blocks[-1][2] * blocks[-1][1] == t:
+        s, _, u = blocks.pop()
+        slot = (s, u)
+    return tuple(dom), tuple(cod), slot, tuple(blocks), tuple(places)
 
-    Input j = (u*n2 + v)*n3 + w reads column u*n3 + w of s, and its entry
-    u'*m3 + w' lands at (u'*n2 + v)*m3 + w': the digit v is copied, with no
-    multiplication.  The slot of a block is one more identity digit,
-    outermost, as in a `KronApply`; `domain` and `codomain` are built the
-    first time they are read.
-    """
 
-    __slots__ = (
-        "s", "mid", "field", "domain_dims", "codomain_dims", "_domain", "_codomain", "_shape", "_terms", "_den"
-    )
-    _is_identity = False
+def wire(field: Field, spaces: Sequence[Space], order: Sequence[int]) -> KronApply:
+    """The permutation spaces[0] (x) ... -> spaces[order[0]] (x) ... of tensor
+    factors: identity legs in another order, no matrix built; `twist(field,
+    v, w)` is `wire(field, (v, w), (1, 0))` as a dense map.  Memoised."""
+    return _wire(field, tuple(spaces), tuple(order))
 
-    def __init__(self, s: LinearMap, mid: Space):
-        if len(s.domain_dims) != 2 or len(s.codomain_dims) != 2:
-            raise ShapeError("S13 needs a map between two-factor tensor spaces")
-        (n1, n3), (m1, m3) = s.domain_dims, s.codomain_dims
-        n2 = mid.dim
-        self.s, self.mid, self.field, self._den = s, mid, s.field, s._den
-        self._domain = self._codomain = None
-        self.domain_dims = (n1, *mid.dims, n3)
-        self.codomain_dims = (m1, *mid.dims, m3)
-        # (domain dim, V2 (x) V3 dim, n3, codomain dim, m3)
-        self._shape = (n1 * n2 * n3, n2 * n3, n3, m1 * n2 * m3, m3)
-        # s's columns, each entry u'*m3 + w' moved to its offset u'*n2*m3 + w'
-        self._terms = tuple(tuple((r // m3 * n2 * m3 + r % m3, x) for r, x in col) for col in s._cols)
 
-    @property
-    def domain(self) -> Space:
-        if self._domain is None:
-            v1, v3 = self.s.domain.factors
-            self._domain = tensor(v1, self.mid, v3)
-        return self._domain
-
-    @property
-    def codomain(self) -> Space:
-        if self._codomain is None:
-            v1, v3 = self.s.codomain.factors
-            self._codomain = tensor(v1, self.mid, v3)
-        return self._codomain
-
-    def apply_sparse(self, col: dict[int, Scalar]) -> dict[int, Scalar]:
-        # a block of columns and raw sums, as LinearMap.apply_sparse
-        out: dict[int, Scalar] = {}
-        get = out.get
-        terms = self._terms
-        n, n23, n3, m, m3 = self._shape
-        for k, y in col.items():
-            c, j = divmod(k, n)
-            u, vw = divmod(j, n23)
-            v, w = divmod(vw, n3)
-            base = c * m + v * m3
-            for r, x in terms[u * n3 + w]:
-                i = base + r
-                cur = get(i)
-                out[i] = x * y if cur is None else cur + x * y
-        return out
-
-    def __repr__(self):
-        return f"Embed13({prod(self.domain_dims)}->{prod(self.codomain_dims)})"
+@lru_cache(maxsize=8)
+def _wire(field: Field, spaces: tuple[Space, ...], order: tuple[int, ...]) -> KronApply:
+    if sorted(order) != list(range(len(spaces))):
+        raise ShapeError(f"order {tuple(order)} does not permute {len(spaces)} spaces")
+    first = list(accumulate((len(s.dims) for s in spaces), initial=0))
+    inputs = [first[k] + i for k in order for i in range(len(spaces[k].dims))]
+    return KronApply(*(identity(field, spaces[k]) for k in order), inputs=inputs)
 
 
 class _Columns(dict):
@@ -629,7 +604,7 @@ class Composite:
     """
 
     __slots__ = ("chain", "field", "domain_dims", "codomain_dims", "_shape", "_cols", "_den")
-    _is_identity = False
+    _is_identity = _is_wire = False
 
     def __init__(self, chain: Chain):
         chain, self._den = _as_chain(chain)
@@ -682,7 +657,7 @@ class _Row(Sequence):
         return of.field.zero
 
 
-ChainElt = LinearMap | KronApply | Embed13 | Composite
+ChainElt = LinearMap | KronApply | Composite
 Chain = ChainElt | list | tuple
 # (name, lhs, rhs): each side a list of layers, a layer a name or a tuple of names
 Law = tuple[str, list, list]
@@ -695,7 +670,7 @@ def lazy_kron(*legs) -> KronApply:
 def _as_chain(x: Chain) -> tuple[list[ChainElt], int]:
     # the chain, its elements checked to compose, and its denominator: the
     # product of their `_den`
-    if isinstance(x, (LinearMap, KronApply, Embed13, Composite)):
+    if isinstance(x, (LinearMap, KronApply, Composite)):
         return [x], x._den
     chain = list(x)
     if not chain:
@@ -850,14 +825,10 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
         raise ShapeError("identity sides over different fields")
     dom_dim = prod(lc[-1].domain_dims)
     if dom_dim != prod(rc[-1].domain_dims):
-        raise ShapeError(
-            f"identity domains differ: {dom_dim} vs {prod(rc[-1].domain_dims)}"
-        )
+        raise ShapeError(f"identity domains differ: {dom_dim} vs {prod(rc[-1].domain_dims)}")
     cod_dim = prod(lc[0].codomain_dims)
     if cod_dim != prod(rc[0].codomain_dims):
-        raise ShapeError(
-            f"identity codomains differ: {cod_dim} vs {prod(rc[0].codomain_dims)}"
-        )
+        raise ShapeError(f"identity codomains differ: {cod_dim} vs {prod(rc[0].codomain_dims)}")
     # both sides as numerators over the lcm of their denominators: each is
     # seeded with what the other side's denominator adds to its own, so
     # sides of one denominator compare their raw blocks
@@ -935,18 +906,43 @@ def law_chains(
 
     Each side lists its layers outermost first.  A layer is a bound name, or a
     tuple of names tensored left to right; a tuple bound as a whole (a unit
-    insertion such as ("B", "η")) is looked up before it is split.  Each
-    distinct layer is built once, so the two sides share their lazy Kronecker
-    products; `built`, a dict kept across calls over the same maps, shares
-    them across laws too.
+    insertion such as ("B", "η")) is looked up before it is split.  A layer
+    that is a wire (its legs all identities) is folded into the layer just
+    outside it when their dims match, so it costs no kernel pass; a side's
+    outermost wire stays a layer.  Each distinct layer and fold is built
+    once, so the two sides share their lazy Kronecker products; `built`, a
+    dict kept across calls over the same maps, shares them across laws too.
     """
     _, lhs, rhs = law
     if built is None:
         built = {}
-    for w in (*lhs, *rhs):
-        if w not in built:
-            built[w] = maps[w] if isinstance(w, str) or w in maps else lazy_kron(*(maps[n] for n in w))
-    return [built[w] for w in lhs], [built[w] for w in rhs]
+    return _side(lhs, maps, built), _side(rhs, maps, built)
+
+
+def _side(words: list, maps: dict, built: dict) -> list[ChainElt]:
+    # innermost first, each layer built once under its key: its word, or, for a
+    # layer a wire is folded into, both keys marked apart from every word
+    chain: list[ChainElt] = []
+    key = None
+    for w in reversed(words):
+        bound = isinstance(w, str) or w in maps
+        if chain and chain[-1]._is_wire:
+            inner, fold = chain[-1], (_side, w, key)
+            layer = built.get(fold)
+            if layer is None:
+                legs = (maps[w],) if bound else [maps[n] for n in w]
+                if [d for leg in legs for d in leg.domain_dims] == list(inner.codomain_dims):
+                    layer = built[fold] = KronApply(*legs, inputs=getattr(inner, "_inputs", None))
+                    layer._domain = inner.domain
+            if layer is not None:
+                chain[-1], key = layer, fold
+                continue
+        layer = built.get(w)
+        if layer is None:
+            layer = built[w] = maps[w] if bound else lazy_kron(*(maps[n] for n in w))
+        chain.append(layer)
+        key = w
+    return chain[::-1]
 
 
 def check_laws(table, maps: dict) -> tuple[IdentityCheck, ...]:
@@ -973,29 +969,28 @@ def _law_verdict(law: Law, maps: dict, built: dict) -> IdentityCheck:
 
 
 def is_invertible(f: LinearMap) -> bool:
-    """Exact Gaussian elimination; True iff the matrix is square of full rank."""
+    """True iff the matrix is square of full rank: one fraction-free (Bareiss)
+    elimination over Z, on both fields, of the map's rows times `_den` as
+    ints, which keeps the rank.  The last pivot is then plus or minus the
+    integer determinant, and the verdict is whether it is nonzero in the
+    field, so over F_p a pivot that vanishes mod p ends nothing early."""
     n = f.domain.dim
     if f.codomain.dim != n:
         raise ShapeError("invertibility requires a square matrix")
-    field = f.field
-    rows = [list(r) for r in f.rows]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
+    # rows left, cut to the columns left, each with the pivot it was last updated
+    # at, d: its Bareiss value is row * last / d, so a zero under a pivot costs nothing
+    rows = [(list(map(f.field.numerator(f._den), row)), 1) for row in f.rows]
+    last = 1
+    while rows:
+        i = next((i for i, (r, _) in enumerate(rows) if r[0]), None)
+        if i is None:
             return False
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-        pval = rows[col][col]
-        for r in range(col + 1, n):
-            x = rows[r][col]
-            if x:
-                factor = field.div(x, pval)
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return True
+        top, d = rows.pop(i)
+        top = top if d == last else [a * last // d for a in top]
+        pk, tail = top[0], top[1:]
+        rows = [([(pk * a - r[0] * b) // d for a, b in zip(r[1:], tail)], pk) if r[0] else (r[1:], d) for r, d in rows]
+        last = pk
+    return bool(f.field.nonzero({0: last}))
 
 
 def tensor_vec(v, w) -> tuple:

@@ -14,7 +14,8 @@ Every law is a word in a table (`ALGEBRA_LAWS`, `COALGEBRA_LAWS`,
 coalgebra and comodule tables are not written out: each row is `linalg.dual` of
 its algebra or module row, the transposed identity.  Names: m
 and Δ the (co)multiplication, ρ and δ the (co)action, a space letter its
-identity, and (X, "η"), ("η", X), (X, "ε"), ("ε", X) the unit insertions and
+identity, τ the flip of two factors (a `linalg.wire`), and (X, "η"),
+("η", X), (X, "ε"), ("ε", X) the unit insertions and
 counit contractions that `unit_maps` and `counit_maps` bind.  Like
 `linalg.identity`, those are built once per content key (field, unit or
 counit, spaces), the last few kept, and so are the identity and (co)unit
@@ -49,6 +50,7 @@ from .linalg import (
     lazy_kron,
     twist,
     vector_map,
+    wire,
     zero_map,
 )
 from .report import Report, merge
@@ -208,7 +210,7 @@ class Bialgebra:
 
 def check_bialgebra(b: Bialgebra) -> Report:
     field, h = b.field, b.space
-    maps = {"m": b.mult, "Δ": b.comult, "H": identity(field, h), "τ": twist(field, h, h)}
+    maps = {"m": b.mult, "Δ": b.comult, "H": identity(field, h), "τ": wire(field, (h, h), (1, 0))}
     maps |= {"η": vector_map(field, b.unit, h), "ε": covector_map(field, b.counit, h), "K": identity(field, K)}
     return merge(
         "bialgebra",
@@ -281,7 +283,7 @@ def check_comodule_algebra(alg: Algebra, h: Bialgebra, coact: LinearMap) -> Repo
         "η_H": vector_map(field, h.unit, h.space),
         "E": identity(field, e),
         "H": identity(field, h.space),
-        "τ": twist(field, h.space, e),
+        "τ": wire(field, (h.space, e), (1, 0)),
     }
     return merge(
         "comodule-algebra",

@@ -15,8 +15,11 @@ a row of a law table (`GENERATOR_LAWS`, `COGENERATOR_LAWS`, `REFINEMENT_LAWS`,
 the basis tuple of the domain of the left side's innermost layer, so those
 domains carry the labels a reader expects (the generator index as
 `GeneratorAction.dual_label`) and hold no factor K: a unit, counit or
-coevaluation is bound together with its neighbour under one name.  The round
-trip compares maps, not a law, with `LinearMap.same_matrix`.
+coevaluation is bound together with its neighbour under one name.  A
+crossing of legs is a wire (`linalg.wire`: identity legs in another order,
+no matrix; `CROSSING` in the composition relations), which `law_chains`
+folds into the layer outside it, so the chains hold only maps, `KronApply`
+layers and `Composite`s.  The round trip compares maps with `same_matrix`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .linalg import (
     insert_right,
     space,
     tensor,
-    twist,
     vector_map,
+    wire,
 )
 from .report import IdentityCheck, PreconditionError, Report, merge
 from .structures import Algebra, Coalgebra, convolution_algebra
@@ -143,25 +146,25 @@ def _coevaluation(field: Field, i: Space, j: Space, k: Space) -> LinearMap:
 
 def _split_maps(g: GeneratorAction, j: Space, x: Space) -> dict:
     # the maps both refinements bind beside their own: rho on X, the coevaluation
-    # I -> I (x) J (x) I, the flip (I (x) J) (x) X -> X (x) (I (x) J), and the
+    # I -> I (x) J (x) I, the wire (I (x) J) (x) X -> X (x) (I (x) J), and the
     # evaluation pairing I (x) J -> K, e_i (x) e_j -> delta_ij
     field, i = g.algebra.field, g.index
     delta = [field.one if a == b else field.zero for a in range(i.dim) for b in range(j.dim)]
     return {
         "ρ": _generator_map(g, j, x),
         "ι": _coevaluation(field, i, j, i),
-        "π": twist(field, tensor(i, j), x),
+        "π": wire(field, (tensor(i, j), x), (1, 0)),
         "ev": covector_map(field, delta, tensor(i, j)),
     }
 
 
 # rho : A* (x) A (x) X -> X, the generators (a_i*, a_j) acting on X, over the
-# algebra (A, m) with unit u; Δ* is the transpose of m, and σ and π take
-# s* (x) t* (x) j (x) k to t* (x) k (x) s* (x) j as two flips of at most
-# three legs, so no flip of dim(A)^4 columns is built
+# algebra (A, m) with unit u; Δ* is the transpose of m, and π the wire CROSSING
+# takes s* (x) t* (x) j (x) k to t* (x) k (x) s* (x) j
+CROSSING = (1, 3, 0, 2)
 GENERATOR_LAWS = (
     ("unit", ["ρ", ("A*", "ηX")], [("u", "X")]),
-    ("action", ["ρ", ("A*", "m", "X")], ["ρ", ("A*", "A", "ρ"), ("A*", "π", "X"), ("σ", "A", "A", "X"), ("Δ*", "A", "A", "X")]),
+    ("action", ["ρ", ("A*", "m", "X")], ["ρ", ("A*", "A", "ρ"), ("π", "X"), ("Δ*", "A", "A", "X")]),
 )
 # rho on an algebra (B, m, η): each generator splits the product of B and fixes its unit
 REFINEMENT_LAWS = (
@@ -178,8 +181,7 @@ def check_tambara_relations(g: GeneratorAction) -> Report:
         "ρ": _generator_map(g, a.space, x),
         "m": a.mult,
         "Δ*": a.mult.transpose(),
-        "σ": twist(field, i, i),
-        "π": twist(field, tensor(i, a.space), a.space),
+        "π": wire(field, (i, i, a.space, a.space), CROSSING),
         "ηX": insert_left(field, a.unit, a.space, x),
         ("u", "X"): contract_left(field, a.unit, i, x),
         "A*": identity(field, i),
@@ -260,11 +262,11 @@ def cotambara_action(e: EntwiningData) -> GeneratorAction:
 
 # rho : C (x) C (x) X -> X, the generators (c_i*, c_j) of a coalgebra (C, Δ, ε)
 # acting on X, written from Δ and ε themselves: εJX inserts the counit left of
-# J (x) X, Δᵀ : C (x) C -> C is the transpose of Δ on C's own labels, and σ
-# and π permute the legs as in GENERATOR_LAWS
+# J (x) X, Δᵀ : C (x) C -> C is the transpose of Δ on C's own labels, and π
+# is CROSSING, as in GENERATOR_LAWS
 COGENERATOR_LAWS = (
     ("counit", ["ρ", "εJX"], [("ε", "JX")]),
-    ("coaction", ["ρ", ("Δᵀ", "C", "X")], ["ρ", ("C", "C", "ρ"), ("C", "π", "X"), ("σ", "C", "C", "X"), ("C", "C", "Δ", "X")]),
+    ("coaction", ["ρ", ("Δᵀ", "C", "X")], ["ρ", ("C", "C", "ρ"), ("π", "X"), ("C", "C", "Δ", "X")]),
 )
 # rho on a coalgebra (D, Δ, ε): each generator splits the coproduct of D and
 # respects its counit, read as a covector on D through the coevaluation ιD
@@ -283,14 +285,12 @@ def check_cotambara_relations(e: EntwiningData) -> Report:
     g = cotambara_action(e)
     c, x, j = e.coalgebra, g.carrier, g.index
     field = c.field
-    cc = c.comult.codomain
     transposed = ((i, st, v) for st, row in enumerate(c.comult.rows) for i, v in enumerate(row) if v)
     maps = {
         "ρ": _generator_map(g, j, x),
         "Δ": c.comult,
-        "Δᵀ": from_entries(field, cc, c.space, transposed),
-        "σ": twist(field, c.space, c.space),
-        "π": twist(field, cc, c.space),
+        "Δᵀ": from_entries(field, c.comult.codomain, c.space, transposed),
+        "π": wire(field, (c.space, c.space, c.space, c.space), CROSSING),
         "εJX": insert_left(field, c.counit, j, tensor(j, x)),
         ("ε", "JX"): contract_left(field, c.counit, j, x),
         "C": identity(field, c.space),

@@ -5,9 +5,11 @@ primitive: the braid relation, the quantum Yang-Baxter equation, WXZ systems,
 and four-map systems are all families of vanishing commutators.  Checks
 compare the two triple compositions (the word TRIPLE_LAW) column-by-column
 instead of materializing the commutator, so a failure surfaces the first bad
-basis vector.  Each side is three lazy layers: R12 and T23 are Kronecker
-products with an identity leg, and S13 is one `linalg.Embed13`, which applies
-S to the outer legs and copies the middle digit, with no flips.
+basis vector.  S13 is S (x) V conjugated by the flips of V and W, each a
+wire (`linalg.wire`: identity legs in another order, no matrix), and
+`linalg.law_chains` folds a wire into the layer outside it, so each side is
+three `KronApply` layers (chain elements are maps, `KronApply` layers and
+`Composite`s).  A materialized product, such as phi tau, uses `linalg.twist`.
 
 The bridge results relate these systems to the entwining axioms: the algebra
 R-matrix R_{r,s} pairs with a twisted entwining map to form a (semi) system
@@ -31,7 +33,6 @@ from .entwine import (
 )
 from .fields import Scalar
 from .linalg import (
-    Embed13,
     LinearMap,
     ShapeError,
     Space,
@@ -47,14 +48,17 @@ from .linalg import (
     materialize,
     twist,
     vector_map,
+    wire,
 )
 from .report import IdentityCheck, PreconditionError, Report, merge
 from .structures import Algebra, check_algebra, check_derivation, opposite_algebra
 
 
-# R12 S13 T23 = T23 S13 R12 on U (x) V (x) W, where "S13" is bound to one lazy
-# layer (`linalg.Embed13`): S on the outer legs U and W, the identity on V
-TRIPLE_LAW = ("commutator", [("R", "W"), "S13", ("U", "T")], [("U", "T"), "S13", ("R", "W")])
+# R12 S13 T23 = T23 S13 R12 on U (x) V (x) W, S13 = (U (x) τ′)(S (x) V)(U (x) τ)
+# with the flips τ : V (x) W -> W (x) V and τ′ : W (x) V -> V (x) W; U (x) τ
+# and U (x) τ′ are bound as wholes, each one wire of three factors
+S13 = [("U", "τ′"), ("S", "V"), ("U", "τ")]
+TRIPLE_LAW = ("commutator", [("R", "W"), *S13, ("U", "T")], [("U", "T"), *S13, ("R", "W")])
 BRAID_LAW = ("braid", [("φ", "V"), ("V", "φ"), ("φ", "V")], [("V", "φ"), ("φ", "V"), ("V", "φ")])
 # an algebra A (m, η) with a braiding ψ, and f : A -> B into the algebra B (n, η_B) braided by φ
 R_COMMUTATIVE_LAW = ("r-commutative", ["m", "ψ"], ["m"])
@@ -102,7 +106,8 @@ def commutator_check(name: str, r12: LinearMap, s13: LinearMap, t23: LinearMap) 
     """Column-streamed test that [r12, s13, t23] = 0."""
     u, v, w = TripleSystem(r12, s13, t23).spaces
     field = r12.field
-    maps = {"R": r12, "S13": Embed13(s13, v), "T": t23, "U": identity(field, u), "W": identity(field, w)}
+    maps = {"R": r12, "S": s13, "T": t23, "U": identity(field, u), "V": identity(field, v), "W": identity(field, w)}
+    maps |= {("U", "τ"): wire(field, (u, v, w), (0, 2, 1)), ("U", "τ′"): wire(field, (u, w, v), (0, 2, 1))}
     _, lhs, rhs = TRIPLE_LAW
     return check_law((name, lhs, rhs), maps)
 

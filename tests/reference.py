@@ -1,11 +1,11 @@
 """Reference constructions the tests compare the library against."""
 
+from fractions import Fraction
 from math import prod
 
 from entwiner.linalg import (
     ChainElt,
     Composite,
-    Embed13,
     KronApply,
     LinearMap,
     ShapeError,
@@ -20,7 +20,7 @@ from entwiner.report import IdentityCheck, Report
 
 
 def embed13_chain(s: LinearMap, mid: Space) -> list[ChainElt]:
-    """S13 on V (x) mid (x) W as a chain: S (x) id_mid conjugated by the flips of mid and W."""
+    """S13 on V (x) mid (x) W as a chain: S (x) id_mid conjugated by the dense flips of mid and W."""
     if len(s.domain.dims) != 2 or s.domain.dims != s.codomain.dims:
         raise ShapeError("embed13 needs an endomorphism of a two-factor tensor square")
     v, w = s.domain.factors
@@ -163,11 +163,13 @@ def trivial_extension_rows(a):
 
 # ---------------------------------------------------------------------------
 # A law evaluator that reads map entries only: a LinearMap by its rows, a
-# KronApply by its legs and the Kronecker index formula, an Embed13 by its map,
-# its middle space and the index formula of S13, a Composite by its own chain.  It shares no code with the kernels of `linalg`, their block
-# schedule, their dense fill or `law_chains`: a vector is a dict of its
-# nonzero entries as field elements, applied one input entry at a time, one
-# column of the identity at a time.
+# KronApply by its legs, the input position of each of their factors and the
+# Kronecker index formula (a wire, whose legs are identities, by the
+# permutation of digits alone), a Composite by its own chain.  It shares no
+# code with the kernels of `linalg`, their block schedule, their dense fill
+# or `law_chains`: a vector is a dict of its nonzero entries as field
+# elements, applied one input entry at a time, one column of the identity at
+# a time.
 
 
 class Kron(tuple):
@@ -181,6 +183,13 @@ class Kron(tuple):
 
 def _legs(elt):
     return elt if isinstance(elt, Kron) else elt.legs
+
+
+def _inputs(elt) -> tuple:
+    """The domain position of each factor of the legs, left to right."""
+    if isinstance(elt, KronApply) and elt._inputs is not None:
+        return elt._inputs
+    return tuple(range(sum(len(_domain_labels(leg)) for leg in _legs(elt))))
 
 
 def _is_kron(elt) -> bool:
@@ -199,25 +208,23 @@ def _dims(elt) -> tuple[int, int]:
         return prod(n for n, _ in legs), prod(m for _, m in legs)
     if isinstance(elt, Composite):
         return _dims(elt.chain[-1])[0], _dims(elt.chain[0])[1]
-    if isinstance(elt, Embed13):
-        n, m = _dims(elt.s)
-        return n * elt.mid.dim, m * elt.mid.dim
     return len(elt.rows[0]), len(elt.rows)
 
 
 def _domain_labels(elt) -> list:
     """The label tuples of the atomic factors of an element's domain, left to right."""
     if _is_kron(elt):
-        return [labels for leg in _legs(elt) for labels in _domain_labels(leg)]
+        placed = {}
+        factors = [labels for leg in _legs(elt) for labels in _domain_labels(leg)]
+        for labels, p in zip(factors, _inputs(elt)):
+            placed[p] = labels
+        return [placed[p] for p in range(len(factors))]
     if isinstance(elt, Composite):
         return _domain_labels(elt.chain[-1])
 
     def atoms(s):
         return [s.labels] if s.labels else [labels for f in s.factors for labels in atoms(f)]
 
-    if isinstance(elt, Embed13):
-        v1, v3 = elt.s.domain.factors
-        return atoms(v1) + atoms(elt.mid) + atoms(v3)
     return atoms(elt.domain)
 
 
@@ -239,9 +246,25 @@ class _Columns:
 
     def _compute(self, elt, j: int) -> dict:
         if _is_kron(elt):
-            # (f (x) g) e_(j1*n + j2) = f e_j1 (x) g e_j2: entry (i1, i2) at i1*m + i2,
+            # the legs' factor at position q reads the digit of j at its input
+            # position: j's digits, one per domain factor, in the legs' order
+            # give the index j' of the side-by-side domain; then (f (x) g)
+            # e_(j1*n + j2) = f e_j1 (x) g e_j2: entry (i1, i2) at i1*m + i2,
             # row-major, for g's domain and codomain dims n and m
             legs = _legs(elt)
+            dims = [len(labels) for leg in legs for labels in _domain_labels(leg)]
+            inputs = _inputs(elt)
+            placed = [0] * len(dims)
+            for q, p in enumerate(inputs):
+                placed[p] = dims[q]
+            at = []
+            for n in reversed(placed):
+                j, d = divmod(j, n)
+                at.append(d)
+            at.reverse()
+            j = 0
+            for q, n in enumerate(dims):
+                j = j * n + at[inputs[q]]
             digits = []
             for leg in reversed(legs):
                 j, d = divmod(j, _dims(leg)[0])
@@ -254,15 +277,6 @@ class _Columns:
             return col
         if isinstance(elt, Composite):
             return self.apply(elt.chain, j)
-        if isinstance(elt, Embed13):
-            # S13[(u', v', w'), (u, v, w)] = S[(u', w'), (u, w)] * δ(v', v), for
-            # the dims n2 of the middle space and n3, m3 of S's right legs
-            n2 = elt.mid.dim
-            n3, m3 = elt.s.domain.factors[1].dim, elt.s.codomain.factors[1].dim
-            u, v, w = j // (n2 * n3), j // n3 % n2, j % n3
-            return {
-                (i // m3 * n2 + v) * m3 + i % m3: x for i, x in self.column(elt.s, u * n3 + w).items()
-            }
         return {i: row[j] for i, row in enumerate(elt.rows) if row[j]}
 
     def apply(self, chain: list, j: int) -> dict:
@@ -423,3 +437,22 @@ def vector_identity(name: str, field, space_: Space, lhs, rhs) -> IdentityCheck:
             residual = tuple(field.render(x - y) for x, y in zip(lhs, rhs))
             return IdentityCheck(name, False, space_.basis_tuple(i), residual)
     return IdentityCheck(name, True)
+
+
+def full_rank(field, rows) -> bool:
+    """Whether the square matrix `rows` is invertible over `field`: Gaussian
+    elimination on Fractions over Q, and on residues mod p, dividing by
+    inverses mod p, over F_p."""
+    p = getattr(field, "p", None)
+    m = [[Fraction(x) if p is None else int(x) % p for x in row] for row in rows]
+    n = len(m)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return False
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c] if p is None else pow(m[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = m[r][c] * inv
+            m[r] = [a - f * b if p is None else (a - f * b) % p for a, b in zip(m[r], m[c])]
+    return True

@@ -296,7 +296,7 @@ def test_verify_refuses_checks_whose_structures_are_missing(capsys, tmp_path, fl
     for kind, checks in wrong.items():
         e = flip_entwining(kind)
         sf = document(QQ)
-        for sp in (e.left_space, e.right_space):
+        for sp in (e.left_space, e.psi.domain.factors[1]):
             ensure_space(sf, sp)
         sf.add("A", e.algebra or e.left_algebra)
         sf.add("C", e.coalgebra or e.left_coalgebra)

@@ -1,6 +1,7 @@
 """The law tables: every identity is a row, vector laws included."""
 
 import os
+import random
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import entwiner
 from entwiner import entwine, structures, suite, tambara, yangbaxter
 from entwiner.fields import QQ, PrimeField
-from entwiner.linalg import K, dual, from_columns, mirror, tensor, tensor_vec
+from entwiner.linalg import K, LinearMap, dual, from_columns, mirror, tensor, tensor_vec
 from entwiner.registry import algebra, bialgebra
 from entwiner.report import render_tuple
 from entwiner.structures import (
@@ -19,6 +20,7 @@ from entwiner.structures import (
 )
 from entwiner.yangbaxter import check_braided_morphism, make_braiding
 
+from opposite_bialgebras import h4
 from reference import vector_identity
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -187,3 +189,113 @@ def test_a_vector_law_fails_at_the_basis_tuple_of_K_with_the_eager_residual(law,
             assert got.residual == want.residual, (law, ints)
             assert f"  [FAIL] {law}  witness=(1)  residual={render_tuple(want.residual)}\n" in rep.render()
     assert failed, law
+
+
+# ---------------------------------------------------------------------------
+# wires: a law's crossings are layout, not layers; no law binds a dense flip
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A one-item list: the number of kernel calls (`apply_sparse` of a map,
+    a `KronApply` or a `Composite`) made from here on."""
+    from entwiner import linalg
+
+    calls = [0]
+
+    def counting(kernel):
+        def call(self, col):
+            calls[0] += 1
+            return kernel(self, col)
+
+        return call
+
+    for cls in (linalg.LinearMap, linalg.KronApply, linalg.Composite):
+        monkeypatch.setattr(cls, "apply_sparse", counting(cls.apply_sparse))
+    return calls
+
+
+def bound_maps(monkeypatch, module, run):
+    """{law name: (law, maps)} of every law that `module` checks while `run()` runs."""
+    laws = {}
+    real = module.check_laws
+
+    def recording(table, maps):
+        laws.update((law[0], (law, dict(maps))) for law in table)
+        return real(table, maps)
+
+    monkeypatch.setattr(module, "check_laws", recording)
+    run()
+    return laws
+
+
+def test_a_commutator_column_takes_three_kernel_passes_per_side(kernel_calls):
+    # S13 folds its two wires into the layers outside them: 3 layers a side
+    rng = random.Random(5)
+    a = algebra("Kx2-1", QQ)
+    v3 = tensor(a.space, a.space, a.space)
+    while True:
+        r, s, t = (
+            LinearMap(QQ, tensor(a.space, a.space), tensor(a.space, a.space), tuple(tuple(rng.randrange(-1, 2) for _ in range(4)) for _ in range(4)))
+            for _ in range(3)
+        )
+        check = yangbaxter.commutator_check("c", r, s, t)
+        kernel_calls[0] = 0
+        if not check.passed and check.witness == v3.basis_tuple(0):
+            break
+    assert kernel_calls[0] == 6
+
+
+@pytest.mark.parametrize(
+    "module, law, run, layers",
+    (
+        (structures, "comult-multiplicative", lambda: check_bialgebra(h4(QQ)).passed, 2),
+        (tambara, "action", lambda: tambara.check_tambara_relations(_m2_action()).passed, 3),
+        (tambara, "coaction", lambda: tambara.check_cotambara_relations(_m2_dual()).passed, 3),
+    ),
+    ids=("comult-multiplicative", "action", "coaction"),
+)
+def test_a_wire_costs_no_kernel_pass(monkeypatch, kernel_calls, module, law, run, layers):
+    from entwiner.linalg import chain_apply_basis, law_chains
+
+    law_, maps = bound_maps(monkeypatch, module, run)[law]
+    _, rhs = law_chains(law_, maps)
+    assert len(rhs) == layers
+    kernel_calls[0] = 0
+    assert chain_apply_basis(rhs, 0, QQ)
+    assert kernel_calls[0] == layers
+
+
+def _m2_action():
+    from entwiner.registry import resolve_instance
+
+    return tambara.action_from_semi(resolve_instance("comm_twist@M2,q=1", QQ))
+
+
+def _m2_dual():
+    from entwiner.registry import resolve_instance
+
+    return resolve_instance("dual:comm_twist@M2,q=1", QQ)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
+def test_no_law_binds_a_dense_flip(field):
+    from entwiner import linalg
+    from entwiner.registry import resolve_instance
+
+    kz2, sweedler = bialgebra("KZ2", field), h4(field)
+    e, e_dual = (resolve_instance(x, field) for x in ("comm_twist@M2,q=1", "dual:comm_twist@M2,q=1"))
+    g = tambara.action_from_semi(e)
+    reports = (
+        lambda: check_bialgebra(sweedler),
+        lambda: check_comodule_algebra(kz2.algebra, kz2, kz2.comult),
+        lambda: tambara.check_tambara_relations(g),
+        lambda: tambara.check_cotambara_relations(e_dual),
+        lambda: tambara.check_module_algebra_refinement(g, e.left_algebra),
+        lambda: tambara.check_comodule_coalgebra_refinement(e_dual, e_dual.left_coalgebra),
+    )
+    linalg._twist.cache_clear()
+    verdicts = [rep().to_dict() for rep in reports]
+    assert linalg._twist.cache_info().misses == 0
+    # the same verdicts as with the flips bound as dense maps, failing ones included
+    assert [v["passed"] for v in verdicts] == [True, True, True, False, False, False]

@@ -15,7 +15,6 @@ from entwiner.fields import QQ, FieldError, PrimeField
 from entwiner.linalg import (
     MAX_BLOCK,
     Composite,
-    Embed13,
     KronApply,
     LinearMap,
     ShapeError,
@@ -43,11 +42,12 @@ from entwiner.linalg import (
     tensor,
     tensor_vec,
     twist,
+    wire,
     zero_map,
 )
 from entwiner.linalg import _schedule
 from entwiner.report import IdentityCheck, Report
-from reference import embed13_chain, first_failing_column
+from reference import embed13_chain, first_failing_column, full_rank
 
 V2 = space("a0", "a1")
 V3 = space("b0", "b1", "b2")
@@ -248,8 +248,23 @@ def test_embed13_matches_definition():
                             assert got == want
 
 
+def wired_s13(s, mid):
+    """S13 on V1 (x) mid (x) V3 as `TRIPLE_LAW` writes it, (U' (x) τ′)(S (x) V)(U (x) τ),
+    through `law_chains`: S : V1 (x) V3 -> W1 (x) W3, τ : mid (x) V3 -> V3 (x) mid and
+    τ′ : W3 (x) mid -> mid (x) W3, U (x) τ and U' (x) τ′ each bound as one wire."""
+    from entwiner.yangbaxter import S13
+
+    (v1, v3), (w1, w3) = s.domain.factors, s.codomain.factors
+    field = s.field
+    maps = {"S": s, "V": identity(field, mid)}
+    maps[("U", "τ")] = wire(field, (v1, mid, v3), (0, 2, 1))
+    maps[("U", "τ′")] = wire(field, (w1, w3, mid), (0, 2, 1))
+    chain, _ = law_chains(("s13", S13, S13), maps)
+    return chain
+
+
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("q", "fp7"))
-def test_embed13_equals_the_conjugated_chain_and_its_index_formula(field):
+def test_the_wired_s13_equals_the_conjugated_chain_and_its_index_formula(field):
     # V1, V2, V3 of dims 2, 3, 4 (and V2 a tensor of two), so every block
     # `materialize` streams after the first is wider than one column
     rng = random.Random(59)
@@ -270,22 +285,29 @@ def test_embed13_equals_the_conjugated_chain_and_its_index_formula(field):
     for mid in (V3, tensor(W2, V2)):
         for _ in range(3):
             s = random_map(tensor(v1, v3), tensor(v1, v3))
-            e = Embed13(s, mid)
-            assert e.domain_dims == e.codomain_dims == (2, *mid.dims, 4)
+            e = wired_s13(s, mid)
+            # the inner flip folds into S (x) V; the outer one stays a wire
+            assert len(e) == 2 and all(isinstance(elt, KronApply) for elt in e) and e[0]._is_wire
+            assert e[-1].domain_dims == e[0].codomain_dims == (2, *mid.dims, 4)
             got = materialize(e)
             assert got.domain == got.codomain == tensor(v1, mid, v3)
             assert got.rows == materialize(embed13_chain(s, mid)).rows
             assert_index_formula(e, s, mid.dim)
             t = random_map(tensor(v1, mid, v3), tensor(v1, mid, v3))
-            assert materialize([t, e, t]).rows == compose(t, compose(got, t)).rows
+            assert materialize([t, *e, t]).rows == compose(t, compose(got, t)).rows
     # S : V1 (x) V3 -> W3 (x) W2, the codomain's legs of other dims
     s = random_map(tensor(v1, v3), tensor(W3, W2))
-    e = Embed13(s, V3)
-    assert (e.domain_dims, e.codomain_dims) == ((2, 3, 4), (3, 3, 2))
+    e = wired_s13(s, V3)
+    assert (e[-1].domain_dims, e[0].codomain_dims) == ((2, 3, 4), (3, 3, 2))
     assert materialize(e).codomain == tensor(W3, V3, W2)
     assert_index_formula(e, s, V3.dim)
+    # the commutator takes S13 from an endomorphism of a two-factor space only
+    from entwiner.yangbaxter import commutator_check
+
+    r = random_map(tensor(v1, V3), tensor(v1, V3))
+    t = random_map(tensor(V3, v3), tensor(V3, v3))
     with pytest.raises(ShapeError, match="two-factor"):
-        Embed13(random_map(v3, tensor(v1, v1)), V3)
+        commutator_check("c", r, random_map(v3, tensor(v1, v1)), t)
 
 
 def test_lazy_kron_matches_dense_kron():
@@ -304,6 +326,39 @@ def test_identity_and_zero():
     assert not is_invertible(zero_map(QQ, V2, V2))
     assert is_invertible(twist(QQ, V2, V3))
     assert not is_invertible(LinearMap(QQ, V2, V2, ((1, 1), (1, 1))))
+
+
+SCALARS = st.sampled_from(("0", "0", "1", "-1", "2", "3", "7", "1/2", "-3/2", "2/3", "14/5"))
+
+
+@given(st.data())
+def test_is_invertible_matches_fraction_elimination(data):
+    n = data.draw(st.integers(1, 4))
+    v = space(*(f"v{i}" for i in range(n)))
+    rows = [[data.draw(SCALARS) for _ in range(n)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        # rank-deficient: a row that is a combination of two others
+        a, b, c = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        x, y = (Fraction(data.draw(SCALARS)) for _ in range(2))
+        rows[a] = [str(x * Fraction(p) + y * Fraction(q)) for p, q in zip(rows[b], rows[c])]
+    for field in (QQ, F7):
+        m = LinearMap(field, v, v, tuple(tuple(map(field.parse, r)) for r in rows))
+        assert is_invertible(m) == full_rank(field, m.rows), (field, rows)
+
+
+def test_is_invertible_reads_the_determinant_in_the_field():
+    # det [[2, 3], [3, 1]] = -7: invertible over Q, singular over F_7, and
+    # over F_7 no pivot but the last vanishes
+    for field, want in ((QQ, True), (F7, False), (PrimeField(5), True)):
+        m = LinearMap(field, V2, V2, tuple(tuple(map(field.from_int, r)) for r in ((2, 3), (3, 1))))
+        assert is_invertible(m) is want
+    # the first row halved: det -7/2, the verdicts kept
+    halved = (("1", "3/2"), ("3", "1"))
+    for field, want in ((QQ, True), (F7, False)):
+        m = LinearMap(field, V2, V2, tuple(tuple(map(field.parse, r)) for r in halved))
+        assert is_invertible(m) is want
+    with pytest.raises(ShapeError, match="square"):
+        is_invertible(LinearMap(QQ, V2, V3, ((1, 0), (0, 1), (0, 0))))
 
 
 def test_from_columns():
@@ -413,13 +468,30 @@ def ref_reduce(field, rows):
     return rows if field == QQ else tuple(tuple(x % field.p for x in row) for row in rows)
 
 
+def ref_placement(dims, inputs):
+    """Rows of the map that moves the factor at domain position inputs[q] (dims
+    the domain's factor dims) to position q: e_(j_0) (x) ... -> e_(j_inputs[0]) (x) ..."""
+    n = prod(dims)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        digits = [j // prod(dims[p + 1 :]) % dims[p] for p in range(len(dims))]
+        i = 0
+        for p in inputs:
+            i = i * dims[p] + digits[p]
+        rows[i][j] = 1
+    return tuple(map(tuple, rows))
+
+
 def ref_chain(field, chain):
-    """Rows of the composite of a chain, outermost element first."""
+    """Rows of the composite of a chain, outermost element first; a `KronApply`
+    is the Kronecker product of its legs after its placement of their factors."""
     product = None
     for elt in chain:
         rows = ((1,),)
         for leg in getattr(elt, "legs", (elt,)):
             rows = ref_kron(rows, ints(field, leg.rows))
+        if getattr(elt, "_inputs", None) is not None:
+            rows = ref_mul(rows, ref_placement(elt.domain_dims, elt._inputs))
         product = rows if product is None else ref_mul(product, rows)
     return ref_reduce(field, product)
 
@@ -734,6 +806,141 @@ def test_a_failing_block_reports_its_first_failing_column(field):
     assert check_map_identity("law", chain, dense_).passed
 
 
+# ---------------------------------------------------------------------------
+# wires: a permutation of tensor factors laid out as strides, folded by
+# `law_chains` into the layer just outside it
+
+
+def ref_wire(spaces, order):
+    """Rows of wire(field, spaces, order) from its index formula:
+    e_(i_0) (x) ... (x) e_(i_(k-1)) -> e_(i_order[0]) (x) ... (x) e_(i_order[k-1])."""
+    dims = [s.dim for s in spaces]
+    n = prod(dims)
+    rows = [[0] * n for _ in range(n)]
+    for digits in itertools.product(*map(range, dims)):
+        j = i = 0
+        for k, d in enumerate(digits):
+            j = j * dims[k] + d
+        for k in order:
+            i = i * dims[k] + digits[k]
+        rows[i][j] = 1
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def wires(draw):
+    """(spaces, order): 1-4 atomic factors of dims 1-3 and a permutation of them."""
+    spaces = draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=4))
+    return spaces, tuple(draw(st.permutations(range(len(spaces)))))
+
+
+def wire_spans(n):
+    """Every block the schedule streams and the whole domain as one block."""
+    return [(lo, block_end(lo, n)) for lo in range(n)] + [(0, n)]
+
+
+def assert_wired_chain(field, chain, want):
+    """The chain is the oracle's rows `want`, as a dense map and block by block."""
+    assert materialize(chain).rows == ref_reduce(field, want) == ref_chain(field, chain)
+    assert_blocks_match_the_oracle(field, chain, wire_spans(want and len(want[0])))
+
+
+@given(wires(), FIELDS)
+def test_a_wire_is_its_index_formula(w, field):
+    spaces, order = w
+    k = wire(field, spaces, order)
+    assert isinstance(k, KronApply) and k._is_wire and all(leg._is_identity for leg in k.legs)
+    assert k.domain == tensor(*spaces) and k.codomain == tensor(*(spaces[i] for i in order))
+    assert (k.domain_dims, k.codomain_dims) == (k.domain.dims, k.codomain.dims)
+    assert_wired_chain(field, [k], ref_wire(spaces, order))
+    assert wire(field, spaces, order) is k
+
+
+def leg_maps(draw, field, factors, entries):
+    """A map leg or an identity on each factor; every map leg's codomain an atom.
+    Over Q the entries hold halves, so a map leg may have `_den` 2."""
+    legs, rows = [], ((1,),)
+    for f in factors:
+        if draw(st.booleans()):
+            leg = build(field, draw(map_specs(f, draw(st.sampled_from(ATOMS)), entries)))
+        else:
+            leg = identity(field, f)
+        legs.append(leg)
+        rows = ref_kron(rows, ints(field, leg.rows))
+    return legs, rows
+
+
+@given(st.data())
+def test_a_wire_inside_a_tuple_layer_is_its_index_formula(data):
+    field = data.draw(FIELDS)
+    spaces, order = data.draw(wires())
+    left, lrows = leg_maps(data.draw, field, data.draw(st.lists(st.sampled_from(ATOMS), max_size=1)), ENTRIES)
+    right, rrows = leg_maps(data.draw, field, data.draw(st.lists(st.sampled_from(ATOMS), max_size=1)), ENTRIES)
+    k = lazy_kron(*left, wire(field, spaces, order), *right)
+    assert k._is_wire == (left + right == [leg for leg in left + right if leg._is_identity])
+    assert_wired_chain(field, [k], ref_kron(ref_kron(lrows, ref_wire(spaces, order)), rrows))
+
+
+@given(st.data())
+def test_a_wire_folds_into_the_layer_outside_it(data):
+    field = data.draw(FIELDS)
+    spaces, order = data.draw(wires())
+    outer, orows = leg_maps(data.draw, field, [spaces[i] for i in order], ENTRIES)
+    maps = {"τ": wire(field, spaces, order), "f": lazy_kron(*outer)}
+    wrows = ref_wire(spaces, order)
+    # the wire between two layers, and as the side's innermost layer
+    inner = build(field, data.draw(map_specs(cod=tensor(*spaces), entries=ENTRIES)))
+    maps["g"] = inner
+    for side, want in ((["f", "τ", "g"], ref_mul(ref_mul(orows, wrows), ints(field, inner.rows))), (["f", "τ"], ref_mul(orows, wrows))):
+        chain, again = law_chains(("fold", side, side), maps)
+        assert len(chain) == len(side) - 1 and chain[0] is again[0]
+        fused = chain[0]
+        assert isinstance(fused, KronApply) and fused.legs == maps["f"].legs
+        assert fused.codomain_dims == maps["f"].codomain_dims and fused.domain_dims == maps["τ"].domain_dims
+        assert_wired_chain(field, chain, ref_reduce(field, want))
+    # folded as the innermost layer, it keeps the wire's domain, labels and all
+    assert fused.domain == maps["τ"].domain == tensor(*spaces)
+
+
+@pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
+def test_a_wire_moves_the_outermost_factor_inward(field):
+    # V2 is outermost in the domain and innermost in the codomain, so its
+    # digit cannot ride on the slot of a block
+    rng = random.Random(71)
+    spaces, order = (V2, V3, W2), (1, 2, 0)
+    k = wire(field, spaces, order)
+    assert_wired_chain(field, [k], ref_wire(spaces, order))
+    f = LinearMap(field, V3, W3, tuple(tuple(field.parse(rng.choice(("0", "1", "-1/2" if field == QQ else "3"))) for _ in range(3)) for _ in range(3)))
+    maps = {"τ": k, ("f", "W", "V"): lazy_kron(f, identity(field, W2), identity(field, V2))}
+    (fused,), _ = law_chains(("moved", [("f", "W", "V"), "τ"], ["τ"]), maps)
+    assert fused.domain == tensor(V2, V3, W2) and fused.codomain == tensor(W3, W2, V2)
+    want = ref_mul(ref_kron(ref_kron(ints(field, f.rows), ints(field, identity(field, W2).rows)), ints(field, identity(field, V2).rows)), ref_wire(spaces, order))
+    assert_wired_chain(field, [fused], ref_reduce(field, want))
+    # the fused layer as a failing check's innermost layer: the wire's witness
+    bumped = bumped_at(materialize([fused]), 5)
+    got = check_map_identity("moved", [fused], bumped)
+    assert got.witness == tensor(V2, V3, W2).basis_tuple(5)
+    assert got == ref_check("moved", field, [fused], [bumped])
+
+
+def test_a_fused_layer_keeps_the_labels_of_the_wire_it_folds():
+    # the wire's factors carry other labels than the outer layer reads
+    x2, y3 = space("x0", "x1"), space("y0", "y1", "y2")
+    f = LinearMap(QQ, tensor(V3, V2), W2, tuple(tuple(Fraction(i + j, 3) for j in range(6)) for i in range(2)))
+    maps = {"τ": wire(QQ, (x2, y3), (1, 0)), "f": f}
+    (fused,), _ = law_chains(("labels", ["f", "τ"], ["f", "τ"]), maps)
+    assert fused.domain == tensor(x2, y3) and fused._den == 3
+    bumped = bumped_at(materialize([fused]), 4)
+    got = check_map_identity("labels", [fused], bumped)
+    assert not got.passed and got.witness == ("x1", "y1")
+
+
+def test_a_wire_refuses_an_order_that_is_no_permutation():
+    for order in ((0,), (0, 0), (1, 2), (0, 1, 2)):
+        with pytest.raises(ShapeError, match="does not permute"):
+            wire(QQ, (V2, V3), order)
+
+
 # e0 + e1 goes to zero over both fields, or to (7, 0), which is zero mod 7 only
 CANCELLING = (((1, -1), (2, -2)), ((3, 4), (1, -1)))
 
@@ -1044,9 +1251,9 @@ def counted(monkeypatch):
         counts["columns"] += 1 if hi is None else hi - j
         return apply_basis(chain, j, field, hi, x)
 
-    def counting_init(self, *legs):
+    def counting_init(self, *legs, **placement):
         counts["kron"] += 1
-        kron_init(self, *legs)
+        kron_init(self, *legs, **placement)
 
     monkeypatch.setattr(linalg, "check_map_identity", counting_compare)
     monkeypatch.setattr(linalg, "chain_apply_basis", counting_apply)
@@ -1343,9 +1550,6 @@ def kernel_columns(elt):
             yield from (cols.values() if isinstance(cols, dict) else cols)
         for leg in elt.legs:
             yield from kernel_columns(leg)
-    elif isinstance(elt, Embed13):
-        yield from elt._terms
-        yield from kernel_columns(elt.s)
     elif isinstance(elt, Composite):
         yield from elt._cols.values()
         for inner in elt.chain:

@@ -92,7 +92,7 @@ def transport_structure(s, g, gi):
 def transport(e, rng):
     """psi' = (g_R (x) g_L) psi (g_L^-1 (x) g_R^-1), each leg's structure moved by its g."""
     gl, gli = basis_change(rng, e.field, e.left_space)
-    gr, gri = basis_change(rng, e.field, e.right_space)
+    gr, gri = basis_change(rng, e.field, e.psi.domain.factors[1])
     return replace(
         e,
         psi=(gr @ gl) * e.psi * (gli @ gri),
