@@ -68,6 +68,24 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def _parse(field, s: str):
+    # `parse` of both fields, their one scalar-string grammar: the field's
+    # table of "-9" ... "9", then "n" or "n/d" as ints, which `field._ratio(s,
+    # n, d)` makes a scalar (d None for "n")
+    x = field._small.get(s)
+    if x is not None:
+        return x
+    m = _SCALAR_RE.match(s.strip())
+    if not m:
+        raise FieldError(f"bad scalar string {s!r}")
+    num, den = m.groups()
+    try:
+        num, den = int(num), den and int(den)
+    except ValueError:  # more digits than `int` converts
+        raise FieldError(f"scalar string of {len(s)} characters has too many digits") from None
+    return field._ratio(s, num, den)
+
+
 def _normalize(x):
     # keep integers as plain ints: cheaper arithmetic, stable rendering
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -103,18 +121,9 @@ class Rationals:
     def from_int(self, n: int):
         return self._own(n)
 
-    def parse(self, s: str):
-        x = self._small.get(s)
-        if x is not None:
-            return x
-        m = _SCALAR_RE.match(s.strip())
-        if not m:
-            raise FieldError(f"bad scalar string {s!r}")
-        num, den = m.groups()
-        try:
-            num, den = int(num), den and int(den)
-        except ValueError:  # more digits than `int` converts
-            raise FieldError(f"scalar string of {len(s)} characters has too many digits") from None
+    parse = _parse
+
+    def _ratio(self, s: str, num: int, den: int | None):
         if den is None:
             return num
         if den == 0:
@@ -264,18 +273,9 @@ class PrimeField:
     def from_int(self, n: int):
         return self.elem(self.plain(n))
 
-    def parse(self, s: str):
-        x = self._small.get(s)
-        if x is not None:
-            return x
-        m = _SCALAR_RE.match(s.strip())
-        if not m:
-            raise FieldError(f"bad scalar string {s!r}")
-        num, den = m.groups()
-        try:
-            num, den = int(num), den and int(den)
-        except ValueError:  # more digits than `int` converts
-            raise FieldError(f"scalar string of {len(s)} characters has too many digits") from None
+    parse = _parse
+
+    def _ratio(self, s: str, num: int, den: int | None):
         if den is None:
             return self.elem(num)
         if den % self.p == 0:

@@ -844,31 +844,22 @@ def check_map_identity(name: str, lhs: Chain, rhs: Chain) -> IdentityCheck:
 
 
 def _block_failure(field: Field, inner: ChainElt, cod_dim: int, lo: int, left, right, den: int) -> tuple:
-    # the details of two differing blocks from column lo: their first failing
-    # column is the slot that holds the smallest key where they differ
+    """(witness, residual) of two differing blocks of numerators over den,
+    from column lo: their first failing column is the slot that holds the
+    smallest key where they differ, the witness the basis tuple of that input
+    of the chain's innermost element, and the residual (left - right)/den of
+    that slot rendered."""
     first = min(left.items() ^ right.items())[0]
     base = first - first % cod_dim
-    return _failure_details(
-        field, inner, cod_dim, lo + base // cod_dim, _slot(left, base, cod_dim), _slot(right, base, cod_dim), den
-    )
-
-
-def _slot(block: dict[int, int], base: int, m: int) -> dict[int, int]:
-    # the column of a block whose keys run from base to base + m - 1, keyed by row
-    return {k - base: x for k, x in block.items() if base <= k < base + m}
-
-
-def _failure_details(field: Field, inner: ChainElt, cod_dim: int, j: int, left, right, den: int) -> tuple:
-    """(witness, residual) of a check whose columns j, numerators over den,
-    differ: the basis tuple of input j of the chain's innermost element, and
-    (left - right)/den rendered."""
-    # only the entries of the two columns can be nonzero; they are ints, so
-    # 0 is zero, and render reduces the difference over F_p
+    # only the keys of the two blocks can differ; they hold ints, so 0 is
+    # zero, and render reduces the difference over F_p
     value, render = _quotient(field, den), field.render
-    diff = {i: render(value(left.get(i, 0) - right.get(i, 0))) for i in left.keys() | right.keys()}
-    rendered_zero = field.render(field.zero)
-    residual = tuple(diff.get(i, rendered_zero) for i in range(cod_dim))
-    return inner.domain.basis_tuple(j), residual
+    zero = render(field.zero)
+    residual = tuple(
+        render(value(left.get(k, 0) - right.get(k, 0))) if k in left or k in right else zero
+        for k in range(base, base + cod_dim)
+    )
+    return inner.domain.basis_tuple(lo + base // cod_dim), residual
 
 
 def mirror(law: Law, prefix: str = "left-") -> Law:

@@ -10,13 +10,15 @@ A check made by `linalg.check_laws` or `check_law` is deferred: its verdict
 (`passed`, `witness`, `residual`) is computed, by the identity checker of
 `linalg`, the first time one of them is read, then kept, so a caller that
 stops at the first failing law pays for the laws it read.  A `ShapeError`
-from a deferred law's chains surfaces at that first read.  A failure from
-that checker knows `passed` at once; its witness and residual are rendered
-the first time either is read, so a caller that reads only `passed` renders
-nothing, and the rendering runs in the layer of the code that reads them.  Rendering,
-`to_dict`, `==`, `hash`, `repr` and pickling read every verdict in full; a
-renamed copy (`renamed`, `Report.prefixed`) shares its original's
-computation, the details included.
+from a deferred law's chains surfaces at that first read, and at every read
+after it.  A failure from that checker knows `passed` at once; its witness
+and residual are rendered the first time either is read, so a caller that
+reads only `passed` renders nothing, and the rendering runs in the layer of
+the code that reads them.  A check keeps its verdict in one box, a list
+[passed, details] that every renamed copy (`renamed`, `Report.prefixed`)
+shares, so a copy and its original compute their verdict, the details
+included, once.  Rendering, `to_dict`, `==`, `hash`, `repr` and pickling
+read every verdict in full.
 """
 
 from __future__ import annotations
@@ -25,25 +27,29 @@ import json
 from dataclasses import FrozenInstanceError, dataclass, field
 
 
+# the details of every check made with neither witness nor residual, most of
+# them passing: one shared tuple, not one per check
+_NO_DETAILS = (None, None)
+
+
 class IdentityCheck:
     """One identity's verdict: `name`, `passed`, and for a failure the first
     failing basis tuple (`witness`) and the rendered residual.
 
-    A check is in one of three states.  `IdentityCheck(name, passed, witness,
-    residual)` holds a computed verdict.  `deferred(name, compute)` holds a
-    zero-argument `compute` returning a check, run the first time a verdict
-    field is read, and takes that check's verdict under its own name.
+    A check is made in one of three ways.  `IdentityCheck(name, passed,
+    witness, residual)` holds a computed verdict.  `deferred(name, compute)`
+    holds a zero-argument `compute` returning a check, run the first time a
+    verdict field is read, and takes that check's verdict under its own name.
     `failed(name, details)` is a failure: `passed` is False at once, and the
     zero-argument `details` returns (witness, residual), run the first time
     either is read.  A deferred check whose computation returns such a failure
     adopts it without running `details`.
     """
 
-    # `_verdict` is (passed, witness, residual) once all three are known.  A
-    # check made pending holds `_pending`, one box shared with every renamed
-    # copy: [None, compute] until `compute` has run, then [passed, details],
-    # details being (witness, residual) or the zero-argument callable giving them
-    __slots__ = ("name", "_verdict", "_pending")
+    # `_box` is [passed, details], one list shared with every renamed copy:
+    # [None, compute] until `compute` has run, then [passed, details], details
+    # being (witness, residual) or the zero-argument callable that gives them
+    __slots__ = ("name", "_box")
 
     def __init__(
         self,
@@ -52,76 +58,63 @@ class IdentityCheck:
         witness: tuple[str, ...] | None = None,
         residual: tuple[str, ...] | None = None,
     ):
-        self._set(name, (passed, witness, residual), None)
+        details = _NO_DETAILS if witness is None and residual is None else (witness, residual)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_box", [passed, details])
 
-    def _set(self, name: str, verdict: tuple | None, pending: list | None):
-        setattr_ = object.__setattr__
-        setattr_(self, "name", name)
-        setattr_(self, "_verdict", verdict)
-        setattr_(self, "_pending", pending)
+    @classmethod
+    def _sharing(cls, name: str, box: list) -> IdentityCheck:
+        check = object.__new__(cls)
+        object.__setattr__(check, "name", name)
+        object.__setattr__(check, "_box", box)
+        return check
 
     @classmethod
     def deferred(cls, name: str, compute) -> IdentityCheck:
-        check = object.__new__(cls)
-        check._set(name, None, [None, compute])
-        return check
+        return cls._sharing(name, [None, compute])
 
     @classmethod
     def failed(cls, name: str, details) -> IdentityCheck:
-        check = object.__new__(cls)
-        check._set(name, None, [False, details])
-        return check
-
-    @staticmethod
-    def _run(box: list) -> bool:
-        # a deferred check's computation; its result's details are adopted unread
-        computed = box[1]()
-        passed = computed.passed
-        verdict = computed._verdict
-        box[1] = verdict[1:] if verdict else computed._details
-        box[0] = passed
-        return passed
-
-    def _details(self) -> tuple:
-        return (self._verdict or self._resolve())[1:]
-
-    def _resolve(self) -> tuple:
-        box = self._pending
-        passed = box[0]
-        if passed is None:
-            passed = self._run(box)
-        details = box[1]
-        if type(details) is not tuple:
-            details = box[1] = details()
-        verdict = (passed, *details)
-        object.__setattr__(self, "_verdict", verdict)
-        return verdict
+        return cls._sharing(name, [False, details])
 
     @property
     def passed(self) -> bool:
-        verdict = self._verdict
-        if verdict:
-            return verdict[0]
-        box = self._pending
+        box = self._box
         passed = box[0]
-        return self._run(box) if passed is None else passed
+        if passed is None:
+            # the one point where a verdict resolves: the computed check's
+            # details are adopted unread, through its own box, so a failure
+            # renders once for it and for every check that adopted it
+            computed = box[1]()
+            passed = computed.passed
+            details = computed._box[1]
+            box[1] = details if type(details) is tuple else computed._details
+            box[0] = passed
+        return passed
+
+    def _details(self) -> tuple:
+        box = self._box
+        if box[0] is None:
+            self.passed
+        details = box[1]
+        if type(details) is not tuple:
+            details = box[1] = details()
+        return details
 
     @property
     def witness(self) -> tuple[str, ...] | None:
-        return (self._verdict or self._resolve())[1]
+        return self._details()[0]
 
     @property
     def residual(self) -> tuple[str, ...] | None:
-        return (self._verdict or self._resolve())[2]
+        return self._details()[1]
 
     def renamed(self, name: str) -> IdentityCheck:
         """The same verdict under another name; a pending one is computed once for both."""
-        check = object.__new__(type(self))
-        check._set(name, self._verdict, self._pending)
-        return check
+        return self._sharing(name, self._box)
 
     def _fields(self) -> tuple:
-        return (self.name, *(self._verdict or self._resolve()))
+        return (self.name, self.passed, *self._details())
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

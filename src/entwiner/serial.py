@@ -101,7 +101,11 @@ class StructureFile:
 
     field: Field
     objects: dict = _field(default_factory=dict)
-    order: list = _field(default_factory=list)
+
+    @property
+    def order(self) -> list:
+        """The object names in declaration order."""
+        return list(self.objects)
 
     def add(self, name: str, obj):
         if not name or not isinstance(name, str):
@@ -109,7 +113,6 @@ class StructureFile:
         if name in self.objects:
             raise FormatError(f"duplicate object name '{name}'")
         self.objects[name] = obj
-        self.order.append(name)
         return obj
 
     def __getitem__(self, name: str):
@@ -140,8 +143,8 @@ def _rows(field, rows) -> list:
 
 
 def _name_of(sf: StructureFile, obj, what: str) -> str:
-    for name in sf.order:
-        if sf.objects[name] == obj:
+    for name, named in sf.objects.items():
+        if named == obj:
             return name
     raise FormatError(f"referenced {what} is not a named object in this file")
 
@@ -201,7 +204,7 @@ def emit(sf: StructureFile) -> str:
     doc = {
         "format": FORMAT,
         "field": sf.field.tag,
-        "objects": [_encode(sf, name, sf.objects[name]) for name in sf.order],
+        "objects": [_encode(sf, name, obj) for name, obj in sf.objects.items()],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -5,7 +5,8 @@ witness and residual are rendered from the first failing column when first
 read.  These tests read every failing law check of every registry instance
 and of its `corrupt:` form (for a (co)factorization, also the twisted
 (co)product's laws of its iff check), over Q and F_7, and compare the details
-with an eager reference that materializes both sides.
+with an eager reference that materializes both sides.  A twisted QYBE check
+adopts its failure through two deferred checks, and renders it once.
 """
 
 import pickle
@@ -19,7 +20,8 @@ from entwiner.fields import QQ, PrimeField
 from entwiner.linalg import check_map_identity
 from entwiner.registry import INSTANCE_NAMES, resolve_instance
 from entwiner.report import IdentityCheck
-from reference import first_failing_column
+from entwiner.yangbaxter import check_yb_operator
+from reference import eager_yb_operator, first_failing_column
 
 FIELDS = (QQ, PrimeField(7))
 FIELD_IDS = ("q", "fp7")
@@ -138,3 +140,47 @@ def test_a_failure_compares_as_the_eager_check(failing_laws, field):
         assert repr(pickle.loads(pickle.dumps(fresh()))) == repr(eager)
         assert fresh().to_dict() == eager.to_dict()
         assert fresh().renamed("x") == eager.renamed("x") != eager
+
+
+# psi whose twisted QYBE fails: the check is deferred, its computation returns
+# the deferred check of `check_law`, and that one's computation returns the
+# failure of `check_map_identity`
+NESTED = (("dk-KZ2-regular", QQ), ("dk-KZ2-regular", FIELDS[1]), ("corrupt:mult_twist@Kx3,q=1/2", QQ))
+
+
+@pytest.mark.parametrize("expr, field", NESTED, ids=("dk-q", "dk-fp7", "corrupt-q"))
+def test_a_nested_deferral_renders_one_residual_for_every_check_that_adopts_it(monkeypatch, expr, field):
+    psi = resolve_instance(expr, field).psi
+    renders = [0]
+    render = type(field).render
+
+    def counting_render(self, x):
+        renders[0] += 1
+        return render(self, x)
+
+    monkeypatch.setattr(type(field), "render", counting_render)
+    want = eager_yb_operator(psi).check("qybe-twist-right")
+    assert not want.passed and renders[0] == 0
+    want = (want.witness, want.residual)
+    one = renders[0]
+    assert one > 0
+
+    inner = []
+
+    def recording(name, lhs, rhs):
+        inner.append(check_map_identity(name, lhs, rhs))
+        return inner[-1]
+
+    monkeypatch.setattr(linalg, "check_map_identity", recording)
+    check = check_yb_operator(psi).check("qybe-twist-right")
+    renders[0] = 0
+    assert not check.passed
+    assert renders[0] == 0 and len(inner) == 1 and not inner[0].passed
+    assert (check.witness, check.residual) == want
+    copy = check.renamed("copy")
+    assert (copy.witness, copy.residual) == want == (inner[0].witness, inner[0].residual)
+    assert renders[0] == one
+    if expr == "dk-KZ2-regular":
+        assert want[0] == ("g", "1", "1")
+    else:
+        assert any("/" in x for x in want[1])  # q = 1/2 leaves a denominator

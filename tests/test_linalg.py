@@ -1303,6 +1303,53 @@ def test_renamed_and_prefixed_copies_share_one_computation(counted, read):
     assert counted == once
 
 
+@pytest.fixture
+def verdict_traffic(monkeypatch):
+    """Counts of law computations run and of checks built, by the constructor,
+    `deferred`, `failed` or `renamed`."""
+    import entwiner.linalg as linalg
+
+    counts = {"computed": 0, "built": 0}
+    law_verdict, init, renamed = linalg._law_verdict, IdentityCheck.__init__, IdentityCheck.renamed
+
+    def counting_verdict(*args):
+        counts["computed"] += 1
+        return law_verdict(*args)
+
+    def counting_init(self, *args, **kwargs):
+        counts["built"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_renamed(self, name):
+        counts["built"] += 1
+        return renamed(self, name)
+
+    def counting(make):
+        def made(cls, *args):
+            counts["built"] += 1
+            return make(*args)
+
+        return classmethod(made)
+
+    monkeypatch.setattr(linalg, "_law_verdict", counting_verdict)
+    monkeypatch.setattr(IdentityCheck, "__init__", counting_init)
+    monkeypatch.setattr(IdentityCheck, "renamed", counting_renamed)
+    for name in ("deferred", "failed"):
+        monkeypatch.setattr(IdentityCheck, name, counting(getattr(IdentityCheck, name)))
+    return counts
+
+
+@pytest.mark.parametrize("rows", ("passing", "failing"))
+def test_a_law_and_its_copy_read_in_full_compute_once_in_three_checks(verdict_traffic, rows):
+    c = check_law(INVOLUTION, involution_maps(QQ, None if rows == "passing" else bumped_rows(QQ)))
+    copy = c.renamed("copy")
+    for x in (c, copy, c, copy):
+        x.passed, x.witness, x.residual
+    assert (copy.passed, copy.witness, copy.residual) == (c.passed, c.witness, c.residual)
+    # the deferred check, the one its computation returned, and the copy
+    assert verdict_traffic == {"computed": 1, "built": 3}
+
+
 @pytest.mark.parametrize("field", (QQ, F7), ids=("q", "fp7"))
 @pytest.mark.parametrize("rows", ("passing", "failing"))
 def test_a_deferred_check_equals_the_eager_one(field, rows):
@@ -1331,7 +1378,7 @@ def test_a_deferred_check_equals_the_eager_one(field, rows):
 
 def test_an_identity_check_is_immutable():
     for c in (IdentityCheck(name="k", passed=True), check_law(INVOLUTION, involution_maps(QQ))):
-        for attr in ("name", "passed", "witness", "residual", "_verdict"):
+        for attr in ("name", "passed", "witness", "residual", "_box"):
             with pytest.raises(FrozenInstanceError):
                 setattr(c, attr, None)
         with pytest.raises(FrozenInstanceError):
